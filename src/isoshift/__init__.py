@@ -50,6 +50,7 @@ from .errors import (
     DegenerateParameterError,
     InternalInconsistencyError,
     IsoshiftError,
+    QuadratureError,
     SingularExtensionError,
     SingularPotentialError,
 )

@@ -193,16 +193,17 @@ def _certify_cell(family, k, m, args):
 
     series = _RO_BRANCH_SERIES.get(k) if isinstance(family, RadialOscillator) else None
     if series is not None and m > 0 and reg.is_regular and not args.skip_gram:
-        G = eop.gram_matrix(series, m, family, min(args.nmax, 4))
+        G, gerr = eop._gram_with_error(series, m, family, min(args.nmax, 4))
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
+        record["gram_quadrature_error"] = gerr
         if gmax > 1e-8:
             failures.append(f"branch {k} m={m}: gram off-diagonal {gmax:.3e}")
         spec = eop.EOPSpec(series, 2, m, family)
         inside, outside = eop.zero_census(spec)
         record["zero_census_n2"] = {"inside": inside, "outside": outside}
     else:
-        record["gram_offdiag_max"] = "skipped: " + (
+        record["gram_offdiag_max"] = record["gram_quadrature_error"] = "skipped: " + (
             "m=0" if m == 0 else
             "singular extension" if not reg.is_regular else
             "no polynomial series for this branch" if series is None else

@@ -31,3 +31,7 @@ class SingularExtensionError(IsoshiftError):
     def __init__(self, message, points=()):
         super().__init__(message)
         self.points = list(points)
+
+
+class QuadratureError(IsoshiftError):
+    """A quadrature rule did not reach its tolerance within its refinement cap."""

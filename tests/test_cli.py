@@ -135,6 +135,16 @@ class TestCertify:
         assert report["status"] == "pass"
         assert report["w0"][0]["minus_partner_residual"] <= 1e-9
 
+    def test_gram_cell_reports_quadrature_error(self, capsys):
+        code = main([
+            "certify", "--omega", "1", "--ell", "1", "--branches", "1",
+            "--m", "2", "--nmax", "3", "--skip-spectral",
+        ])
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert code == 0
+        assert cell["gram_offdiag_max"] <= 1e-8
+        assert 0.0 <= cell["gram_quadrature_error"] <= 1e-12
+
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([
             "certify", "--omega", "1", "--ell", "0.2", "--branches", "1",

@@ -1,10 +1,12 @@
 """Exceptional polynomials, eigenfunctions, weights, and Gram matrices."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from isoshift import eop
 from isoshift.catalog import Function1D, RadialOscillator, superpotential
 from isoshift.deform import extend, seed_polynomial
 from isoshift.eop import (
@@ -27,6 +29,8 @@ from isoshift.eop import (
 from isoshift.errors import (
     ConfigurationError,
     DegenerateParameterError,
+    IsoshiftError,
+    QuadratureError,
     SingularExtensionError,
 )
 from isoshift.polyengine import LaguerreSpec, laguerre_eval
@@ -221,6 +225,152 @@ class TestGram:
         G = gram_matrix("L1", 1, FAM, n_max=0)
         assert G.shape == (1, 1)
         assert gram_offdiag_max(G) == 0.0
+
+    def test_refinement_cap_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(eop, "_GRAM_MAX_NODES", 200)
+        with pytest.raises(QuadratureError) as info:
+            gram_matrix("L1", 1, FAM, n_max=2)
+        assert isinstance(info.value, IsoshiftError)
+
+    def test_unreachable_tolerance_raises_not_returns(self, monkeypatch):
+        # every panel keeps splitting, so the cap ends the refinement
+        monkeypatch.setattr(eop, "_GRAM_TOL", 0.0)
+        with pytest.raises(QuadratureError):
+            gram_matrix("L3", 2, RadialOscillator(1.0, 1.0), n_max=2)
+
+    def test_split_panels_converge_to_the_same_matrix(self, monkeypatch):
+        fam = RadialOscillator(1.0, 1.0)
+        G, err = eop._gram_with_error("L3", 2, fam, 3)
+        monkeypatch.setattr(eop, "_GRAM_ORDER", 6)  # too coarse for one round
+        G6, err6 = eop._gram_with_error("L3", 2, fam, 3)
+        d = np.sqrt(np.diag(G))
+        assert np.max(np.abs(G6 - G) / np.outer(d, d)) <= 1e-12
+        assert err <= 1e-13 and 0.0 < err6 <= 1e-11
+
+    def test_small_ell_converges_in_one_round(self, monkeypatch):
+        # y^(ell+1/2) is not smooth at 0; the Gauss-Jacobi first panel keeps
+        # it from splitting.  One round here is 15 panels x 3 rules x 20 nodes.
+        monkeypatch.setattr(eop, "_GRAM_MAX_NODES", 900)
+        G = gram_matrix("L1", 3, RadialOscillator(4.0, 0.1), n_max=4)
+        assert gram_offdiag_max(G) <= 1e-12
+
+    def test_error_estimate_reported(self):
+        G, err = eop._gram_with_error("L2", 1, FAM, 3)
+        assert np.array_equal(G, gram_matrix("L2", 1, FAM, n_max=3))
+        assert 0.0 <= err <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# mpmath oracle: 30-digit Gram entries from independent coefficient formulas
+# ---------------------------------------------------------------------------
+
+
+def _mp_lag(mp, n, a, sign):
+    """Ascending coefficients in y of L_n^a(sign * y); zero for n < 0."""
+    if n < 0:
+        return [mp.mpf(0)]
+    return [(-1) ** k * mp.binomial(n + a, n - k) / mp.factorial(k) * sign**k
+            for k in range(n + 1)]
+
+
+def _mp_add(p, q):
+    out = [0] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return out
+
+
+def _mp_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _mp_series(mp, series, n, m, ell):
+    """(S_n, T) coefficient lists of the L1 or L3 series."""
+    if series == "L1":
+        a = ell - mp.mpf(1) / 2
+        T = _mp_lag(mp, m, a, -1)
+        # S = L_m^(a+1)(-y) L_n^a(y) - L_m^a(-y) d/dy L_n^a(y)
+        S = _mp_add(_mp_mul(_mp_lag(mp, m, a + 1, -1), _mp_lag(mp, n, a, 1)),
+                    _mp_mul(T, _mp_lag(mp, n - 1, a + 1, 1)))
+        return S, T
+    b = ell + mp.mpf(3) / 2
+    T = _mp_lag(mp, m, -b, -1)
+    # S = (y - b) L_n^b T - y (L_n^b)' T + y L_n^b T'
+    y = [0, 1]
+    S = _mp_add(
+        _mp_add(_mp_mul(_mp_mul([-b, 1], _mp_lag(mp, n, b, 1)), T),
+                _mp_mul(y, _mp_mul(_mp_lag(mp, n - 1, b + 1, 1), T))),
+        _mp_mul(y, _mp_mul(_mp_lag(mp, n, b, 1), _mp_lag(mp, m - 1, 1 - b, -1))))
+    return S, T
+
+
+def _mp_gram(series, m, ell, n_max):
+    """Unnormalized int_0^inf y^(ell+1/2) e^-y S_i S_j / T^2 dy at 30 digits."""
+    mp = pytest.importorskip("mpmath").mp.clone()
+    mp.dps = 30
+    ell = mp.mpf(ell)
+    polys = [_mp_series(mp, series, n, m, ell)[0] for n in range(n_max + 1)]
+    T = _mp_series(mp, series, 0, m, ell)[1]
+    breaks = {mp.mpf(0), mp.mpf(1), mp.mpf(4), mp.mpf(16), mp.mpf(64)}
+    if len(T) > 1:
+        # T has complex zeros near the positive axis; break the range there
+        breaks |= {mp.re(z) for z in mp.polyroots(T[::-1], maxsteps=200, extraprec=60)
+                   if mp.re(z) > 0}
+    points = sorted(breaks) + [mp.inf]
+
+    @functools.lru_cache(maxsize=None)
+    def at(y):  # mp.quad visits the same nodes for every entry
+        return (y ** (ell + mp.mpf(1) / 2) * mp.exp(-y) / mp.polyval(T[::-1], y) ** 2,
+                [mp.polyval(P[::-1], y) for P in polys])
+
+    def entry(i, j):
+        def f(y):
+            w, v = at(y)
+            return w * v[i] * v[j]
+        return mp.quad(f, points)
+
+    I = mp.matrix(n_max + 1, n_max + 1)
+    for i in range(n_max + 1):
+        for j in range(i, n_max + 1):
+            I[i, j] = I[j, i] = entry(i, j)
+    return mp, I
+
+
+def _normalized(G):
+    d = np.sqrt(np.diag(G))
+    return G / np.outer(d, d)
+
+
+class TestGramOracle:
+    def test_m0_l1_diagonal_is_the_laguerre_norm(self):
+        mp = pytest.importorskip("mpmath").mp.clone()
+        mp.dps = 30
+        w, ell = FAM.omega, FAM.ell
+        G = gram_matrix("L1", 0, FAM, n_max=4)
+        pref = (mp.mpf(2) / w) ** (ell + 1) / mp.sqrt(2 * w)
+        for n in range(5):
+            want = pref * mp.gamma(n + ell + mp.mpf(3) / 2) / mp.factorial(n)
+            assert abs(G[n, n] / float(want) - 1.0) <= 1e-12
+        assert gram_offdiag_max(G) <= 1e-12
+
+    @pytest.mark.parametrize("series,omega,ell,m", [
+        ("L1", 4.0, 0.1, 3),  # the quad-based Gram was off by 7.6e-12 here
+        ("L3", 1.0, 1.0, 2),
+        ("L3", 1.0, 1.0, 3),
+    ])
+    def test_normalized_entries_match_mpmath(self, series, omega, ell, m):
+        n_max = 4
+        G = gram_matrix(series, m, RadialOscillator(omega, ell), n_max=n_max)
+        mp, I = _mp_gram(series, m, ell, n_max)
+        want = np.array([[float(I[i, j] / mp.sqrt(I[i, i] * I[j, j]))
+                          for j in range(n_max + 1)] for i in range(n_max + 1)])
+        assert np.max(np.abs(_normalized(G) - want)) <= 1e-12
 
 
 class TestZeroCensus:
