@@ -40,7 +40,9 @@ class Function1D:
     `df` is the first derivative and is always analytic (never a finite
     difference); `d2f` is optional and present whenever a downstream residual
     check needs it.  `singular_points` lists interior points where evaluation
-    is not finite.
+    is not finite.  `jet`, when present, maps x to (f(x), df(x), d2f(x))
+    computed in one evaluation; callers that need several of the three use it
+    instead of calling f, df and d2f one by one.
     """
 
     f: Callable
@@ -48,6 +50,7 @@ class Function1D:
     domain: tuple
     d2f: Optional[Callable] = None
     singular_points: tuple = ()
+    jet: Optional[Callable] = None
 
     def __call__(self, x):
         return self.f(x)
@@ -71,6 +74,10 @@ class RadialOscillator:
     ell: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega) and math.isfinite(self.ell)):
+            raise ConfigurationError(
+                f"omega and ell must be finite, got omega={self.omega}, ell={self.ell}"
+            )
         if self.omega <= 0.0:
             raise ConfigurationError(f"omega must be positive, got {self.omega}")
         if self.ell < 0.0:
@@ -89,6 +96,8 @@ class TrigDPT:
     B: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.A) and math.isfinite(self.B)):
+            raise ConfigurationError(f"A and B must be finite, got A={self.A}, B={self.B}")
         if self.A <= -0.5 or self.B <= -0.5:
             raise ConfigurationError(
                 f"A and B must exceed -1/2, got A={self.A}, B={self.B}"

@@ -185,7 +185,7 @@ def _certify_cell(family, k, m, args):
     record["partner_shift_deviation"] = float(dev)
     record["shift"] = d.R
 
-    reg = spectral.classify_regularity(family, k, m)
+    reg = spectral._deformation_regularity(d)
     record["regularity"] = reg.classification
     record["singular_points"] = list(reg.points)
     if reg.finding:
@@ -193,7 +193,7 @@ def _certify_cell(family, k, m, args):
 
     series = _RO_BRANCH_SERIES.get(k) if isinstance(family, RadialOscillator) else None
     if series is not None and m > 0 and reg.is_regular and not args.skip_gram:
-        G, gerr = eop._gram_with_error(series, m, family, min(args.nmax, 4))
+        G, gerr = eop._gram_with_error(series, m, family, min(args.nmax, 4), reg.points)
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
         record["gram_quadrature_error"] = gerr
@@ -391,6 +391,37 @@ def build_parser():
     return parser
 
 
+def _config_action(parser, command, attr):
+    """The argparse action of `command` that stores into attr, if any."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return next((a for a in sub.choices[command]._actions if a.dest == attr), None)
+
+
+def _coerce_config_value(action, key, value):
+    """A config value checked and converted as argparse treats its flag."""
+    bad = ConfigurationError(f"invalid value {value!r} for config key {key!r}")
+    if action.nargs == 0:  # store_true flags
+        if not isinstance(value, bool):
+            raise bad
+        return value
+    many = action.nargs == "+"
+    if many and (not isinstance(value, list) or not value):
+        raise bad
+    out = []
+    for item in value if many else [value]:
+        if isinstance(item, (bool, dict, list)) or item is None:
+            raise bad
+        try:
+            # argparse applies `type` to the text of the flag
+            item = action.type(str(item)) if action.type is not None else item
+        except ValueError:
+            raise bad from None
+        if action.choices is not None and item not in action.choices:
+            raise bad
+        out.append(item)
+    return out if many else out[0]
+
+
 def _apply_config_file(parser, args, argv):
     if not args.config:
         return args
@@ -403,10 +434,11 @@ def _apply_config_file(parser, args, argv):
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = _config_action(parser, args.command, attr)
+        if action is None:
             raise ConfigurationError(f"unknown config key {key!r}")
         if attr not in explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _coerce_config_value(action, key, value))
     return args
 
 

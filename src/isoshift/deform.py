@@ -118,47 +118,58 @@ def _effective_w0(family, a, b) -> Function1D:
     return _superpotential_ab(family, a, b)
 
 
-def _ro_seed_functions(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int):
-    """u(r) = L_m^alpha(s * y), y = omega r^2 / 2, with two derivatives in r."""
+def _ro_seed_jet(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int):
+    """(u, u', u'') in r, up to `order`, of u(r) = L_m^alpha(s * y), y = omega r^2 / 2."""
     w = fam.omega
 
-    def u(r):
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
-        return pe.laguerre_eval(seed, s * 0.5 * w * r**2)
+        L = pe.laguerre_jet(seed, s * 0.5 * w * r**2, order)
+        # chain rule: d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
+        out = [L[0]]
+        if order > 0:
+            out.append(s * w * r * L[1])
+        if order > 1:
+            out.append(s * w * L[1] + (w * r) ** 2 * L[2])
+        return out
 
-    def du(r):
-        r = np.asarray(r, dtype=float)
-        return s * w * r * pe.laguerre_deriv(seed, s * 0.5 * w * r**2)
-
-    def d2u(r):
-        r = np.asarray(r, dtype=float)
-        eta = s * 0.5 * w * r**2
-        return s * w * pe.laguerre_deriv(seed, eta) + (w * r) ** 2 * pe.laguerre_deriv2(
-            seed, eta
-        )
-
-    return u, du, d2u
+    return jet
 
 
-def _dpt_seed_functions(seed: pe.JacobiSpec):
-    """u(x) = P_N^(nu,mu)(cos 2x) with two derivatives in x."""
+def _dpt_seed_jet(seed: pe.JacobiSpec):
+    """(u, u', u'') in x, up to `order`, of u(x) = P_N^(nu,mu)(cos 2x)."""
 
-    def u(x):
-        x = np.asarray(x, dtype=float)
-        return pe.jacobi_eval(seed, np.cos(2.0 * x))
-
-    def du(x):
-        x = np.asarray(x, dtype=float)
-        return -2.0 * np.sin(2.0 * x) * pe.jacobi_deriv(seed, np.cos(2.0 * x))
-
-    def d2u(x):
+    def jet(x, order):
         x = np.asarray(x, dtype=float)
         y = np.cos(2.0 * x)
-        return -4.0 * y * pe.jacobi_deriv(seed, y) + 4.0 * (
-            1.0 - y**2
-        ) * pe.jacobi_deriv2(seed, y)
+        out = [pe.jacobi_eval(seed, y)]
+        if order > 0:
+            dP = pe.jacobi_deriv(seed, y)
+            out.append(-2.0 * np.sin(2.0 * x) * dP)
+        if order > 1:
+            out.append(-4.0 * y * dP + 4.0 * (1.0 - y**2) * pe.jacobi_deriv2(seed, y))
+        return out
 
-    return u, du, d2u
+    return jet
+
+
+def _log_derivative_pair(ujet):
+    """(g, g') for g = u'/u, from the jet of u.
+
+    g' = u''/u - (u'/u)^2 is computed from the seed itself, so that Riccati
+    residual checks are non-circular.
+    """
+
+    def g(x):
+        u, du = ujet(x, 1)
+        return du / u
+
+    def dg(x):
+        u, du, d2u = ujet(x, 2)
+        ratio = du / u
+        return d2u / u - ratio * ratio
+
+    return g, dg
 
 
 def _ro_seed_singular_points(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int, y_max):
@@ -203,14 +214,14 @@ def seed_polynomial(family, branch, m) -> Deformation:
         s = -1 if b > 0 else 1
         seed = pe.LaguerreSpec(int(m), a - 0.5)
         R = 2.0 * m * b
-        u, du, d2u = _ro_seed_functions(family, seed, s)
+        ujet = _ro_seed_jet(family, seed, s)
         y_max = 0.5 * family.omega * (40.0 / math.sqrt(family.omega)) ** 2
         singular = _ro_seed_singular_points(family, seed, s, y_max)
     elif isinstance(family, TrigDPT):
         s = 1
         seed = pe.JacobiSpec(int(m), a - 0.5, b - 0.5)
         R = -4.0 * m * (m + a + b)
-        u, du, d2u = _dpt_seed_functions(seed)
+        ujet = _dpt_seed_jet(seed)
         singular = _dpt_seed_singular_points(seed)
     else:
         raise ConfigurationError(f"unknown family {type(family).__name__}")
@@ -220,16 +231,7 @@ def seed_polynomial(family, branch, m) -> Deformation:
         phi = Function1D(f=zero, df=zero, domain=w0.domain)
         R = 0.0
     else:
-
-        def phi_f(x):
-            return du(x) / u(x)
-
-        def phi_df(x):
-            # phi' = u''/u - (u'/u)^2, computed from the seed directly so
-            # that Riccati residual checks are non-circular
-            ratio = du(x) / u(x)
-            return d2u(x) / u(x) - ratio * ratio
-
+        phi_f, phi_df = _log_derivative_pair(ujet)
         phi = Function1D(
             f=phi_f, df=phi_df, domain=w0.domain, singular_points=tuple(singular)
         )
@@ -322,19 +324,6 @@ def extend(d: Deformation) -> ExtensionPair:
     )
 
 
-def _log_derivative_pair(fam, spec, s):
-    u, du, d2u = _ro_seed_functions(fam, spec, s)
-
-    def g(r):
-        return du(r) / u(r)
-
-    def dg(r):
-        ratio = du(r) / u(r)
-        return d2u(r) / u(r) - ratio * ratio
-
-    return g, dg
-
-
 def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     """Closed-form superpotential linking the two rational extensions.
 
@@ -349,8 +338,8 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     w1 = superpotential(family, 1)
     if m == 0:
         return w1
-    gu, dgu = _log_derivative_pair(family, pe.LaguerreSpec(m, family.ell - 0.5), -1)
-    gv, dgv = _log_derivative_pair(family, pe.LaguerreSpec(m, family.ell + 0.5), -1)
+    gu, dgu = _log_derivative_pair(_ro_seed_jet(family, pe.LaguerreSpec(m, family.ell - 0.5), -1))
+    gv, dgv = _log_derivative_pair(_ro_seed_jet(family, pe.LaguerreSpec(m, family.ell + 0.5), -1))
 
     def f(r):
         return w1.f(r) + gu(r) - gv(r)
@@ -420,6 +409,12 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
     coeffs = [1.0]
     for j in range(1, n_series):
         denom = 2.0 * j * (2.0 * j - 1.0 + 2.0 * a)
+        if denom == 0.0:
+            raise ConfigurationError(
+                f"the regular Frobenius series is resonant at order r^{2 * j} "
+                f"(a = {a}); branch {branch.k} at ell = {family.ell} has no "
+                "even power-series solution"
+            )
         coeffs.append((R - 2.0 * b * (j - 1)) * coeffs[-1] / denom)
     cs = np.array(coeffs)
     powers = 2 * np.arange(n_series)

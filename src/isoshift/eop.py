@@ -8,9 +8,16 @@ the underlying deformation, and the orthogonality measure W^2 dr where
 W = r^p exp(-omega r^2/4)/T(y) = exp(-int w) for the ground-state-like
 superpotential w of the extension.
 
-Polynomial values and their first two derivatives are computed with small
-order-2 "jets" (value, d/dy, d2/dy2 triples with product-rule arithmetic) so
-that every eigenfunction carries analytic first and second derivatives.
+Polynomial values and their derivatives are carried as "jets", tuples
+(value, d/dy, ..., d^k/dy^k) combined by product- and quotient-rule
+arithmetic, so that every eigenfunction carries analytic first and second
+derivatives.  Each Laguerre factor is one call of polyengine.laguerre_jet,
+whose blocked, differentiated recurrence yields a polynomial and all its
+derivatives in one pass; S and T take the order they must reach, so a
+value costs an order-0 jet (order 1 for the factors whose derivative enters
+S), and L_n and L_n' come from the same call.  An eigenfunction's f, df and
+d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three from one
+order-2 evaluation.
 
 Gram matrices are integrated in y, where W^2 dr is a constant times
 y^(p-1/2) e^(-y) / T(y)^2 dy, up to the cut omega r_cut^2/2.  One composite
@@ -114,61 +121,57 @@ class WeightSpec:
 
 
 # ---------------------------------------------------------------------------
-# order-2 jets: triples (f, f', f'') of arrays with product-rule arithmetic
+# jets: tuples (f, f', ..., f^(order)) of arrays, order <= 2 after products
 # ---------------------------------------------------------------------------
-
-
-def _jadd(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
 def _jsub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+    return tuple(u - v for u, v in zip(a, b))
 
 
 def _jmul(a, b):
-    return (
-        a[0] * b[0],
-        a[0] * b[1] + a[1] * b[0],
-        a[0] * b[2] + 2.0 * a[1] * b[1] + a[2] * b[0],
-    )
+    """Leibniz product of two jets of the same order (at most 2)."""
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        out.append(a[0] * b[1] + a[1] * b[0])
+    if len(a) > 2:
+        out.append(a[0] * b[2] + 2.0 * a[1] * b[1] + a[2] * b[0])
+    return tuple(out)
 
 
-def _jscale(a, c):
-    return (c * a[0], c * a[1], c * a[2])
+def _jmul_y(a, y, c=0.0):
+    """Jet of (y - c) a(y)."""
+    z = y - c
+    out = [z * a[0]]
+    if len(a) > 1:
+        out.append(z * a[1] + a[0])
+    if len(a) > 2:
+        out.append(z * a[2] + 2.0 * a[1])
+    return tuple(out)
 
 
-def _lag_dk(n, alpha, k, x):
-    """k-th derivative of L_n^alpha at x: (-1)^k L_{n-k}^{alpha+k}(x)."""
-    x = np.asarray(x, dtype=float)
-    if k > n:
-        return np.zeros_like(x)
-    val = pe.laguerre_eval(pe.LaguerreSpec(n - k, alpha + k), x)
-    return np.asarray(val) if k % 2 == 0 else -np.asarray(val)
+def _jdiv(a, b):
+    """Quotient a/b of two jets of the same order (at most 2)."""
+    g0 = a[0] / b[0]
+    out = [g0]
+    if len(a) > 1:
+        g1 = (a[1] - g0 * b[1]) / b[0]
+        out.append(g1)
+    if len(a) > 2:
+        out.append((a[2] - 2.0 * g1 * b[1] - g0 * b[2]) / b[0])
+    return tuple(out)
 
 
-def _lagjet(n, alpha, sign, y, start=0):
-    """Jet in y of the function y -> (d^start L_n^alpha)(sign * y)."""
-    x = sign * np.asarray(y, dtype=float)
-    return (
-        _lag_dk(n, alpha, start, x),
-        sign * _lag_dk(n, alpha, start + 1, x),
-        _lag_dk(n, alpha, start + 2, x),
-    )
-
-
-def _jet_y(y):
-    y = np.asarray(y, dtype=float)
-    return (y, np.ones_like(y), np.zeros_like(y))
-
-
-def _jet_const(c, y):
-    y = np.asarray(y, dtype=float)
-    return (np.full_like(y, c), np.zeros_like(y), np.zeros_like(y))
+def _lagjet(n, alpha, sign, y, order):
+    """Jet in y, up to `order`, of y -> L_n^alpha(sign * y), from one kernel call."""
+    jet = pe.laguerre_jet(pe.LaguerreSpec(n, alpha), sign * np.asarray(y, dtype=float), order)
+    if sign > 0:
+        return jet
+    return tuple(-v if j % 2 else v for j, v in enumerate(jet))
 
 
 # ---------------------------------------------------------------------------
-# series definitions
+# series definitions: S(y, order) and T(y, order) return jets in y
 # ---------------------------------------------------------------------------
 
 
@@ -184,22 +187,21 @@ def _l1_S(spec: EOPSpec):
     alpha = spec.params.ell - 0.5
     n, m = spec.n, spec.m
 
-    def S(y):
-        Bm = _lagjet(m, alpha + 1.0, -1, y)
-        Um = _lagjet(m, alpha, -1, y)
-        Ln = _lagjet(n, alpha, 1, y)
-        Lnp = _lagjet(n, alpha, 1, y, start=1)
-        return _jsub(_jmul(Bm, Ln), _jmul(Um, Lnp))
+    def S(y, order):
+        # S = B_m L_n - U_m L_n'; L_n and L_n' come from one jet of order + 1
+        Bm = _lagjet(m, alpha + 1.0, -1, y, order)
+        Um = _lagjet(m, alpha, -1, y, order)
+        Ln = _lagjet(n, alpha, 1, y, order + 1)
+        return _jsub(_jmul(Bm, Ln[:-1]), _jmul(Um, Ln[1:]))
 
     return S
 
 
-def _l1_T(spec: EOPSpec):
-    alpha = spec.params.ell - 0.5
-    m = spec.m
+def _seed_T(m, alpha):
+    """The seed denominator T(y) = L_m^alpha(-y) as a jet function."""
 
-    def T(y):
-        return _lagjet(m, alpha, -1, y)
+    def T(y, order):
+        return _lagjet(m, alpha, -1, y, order)
 
     return T
 
@@ -210,44 +212,31 @@ def _l3_S(spec: EOPSpec):
     a3 = -ell - 1.5
     n, m = spec.n, spec.m
 
-    def S(y):
-        yj = _jet_y(y)
-        cj = _jet_const(ell + 1.5, y)
-        Ln = _lagjet(n, beta, 1, y)
-        Lnp = _lagjet(n, beta, 1, y, start=1)
-        G = _lagjet(m, a3, -1, y)
-        # dG/dy for G(y) = L_m(-y) is -L_m'(-y)
-        Gp = _jscale(_lagjet(m, a3, -1, y, start=1), -1.0)
-        t1 = _jmul(_jsub(yj, cj), _jmul(Ln, G))
-        t2 = _jscale(_jmul(yj, _jmul(Lnp, G)), -1.0)
-        t3 = _jmul(yj, _jmul(Ln, Gp))
-        return _jadd(_jadd(t1, t2), t3)
+    def S(y, order):
+        # S = (y - ell - 3/2) L_n G + y (L_n G' - L_n' G), G(y) = L_m^a3(-y);
+        # each factor and its derivative come from one jet of order + 1
+        y = np.asarray(y, dtype=float)
+        Ln = _lagjet(n, beta, 1, y, order + 1)
+        G = _lagjet(m, a3, -1, y, order + 1)
+        LG = _jmul(Ln[:-1], G[:-1])
+        W = _jsub(_jmul(Ln[:-1], G[1:]), _jmul(Ln[1:], G[:-1]))
+        return tuple(u + v for u, v in zip(_jmul_y(LG, y, ell + 1.5), _jmul_y(W, y)))
 
     return S
 
 
-def _l3_T(spec: EOPSpec):
-    a3 = -spec.params.ell - 1.5
-    m = spec.m
-
-    def T(y):
-        return _lagjet(m, a3, -1, y)
-
-    return T
-
-
 def _series_data(spec: EOPSpec):
-    """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed)."""
+    """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed, family)."""
     op = _operational(spec)
     fam = op.params
     w, ell = fam.omega, fam.ell
     if op.series == "L1":
-        S, T = _l1_S(op), _l1_T(op)
+        S, T = _l1_S(op), _seed_T(op.m, ell - 0.5)
         p = ell + 1.0
         E = (2.0 * op.n + 2.0 * op.m + 2.0 * ell + 1.0) * w
         denom = (pe.LaguerreSpec(op.m, ell - 0.5), -1)
     else:  # L3
-        S, T = _l3_S(op), _l3_T(op)
+        S, T = _l3_S(op), _seed_T(op.m, -ell - 1.5)
         p = ell + 1.0
         E = 2.0 * (op.n + op.m + 1.0) * w
         denom = (pe.LaguerreSpec(op.m, -ell - 1.5), -1)
@@ -278,12 +267,13 @@ def eop_eval(spec: EOPSpec, r):
             raise DegenerateParameterError(
                 f"L2 series undefined at ell - m + 1/2 = 0 (ell={ell}, m={m})"
             )
-        term1 = c * _lag_dk(m, -ell - 1.5, 0, y) * _lag_dk(n, ell + 0.5, 0, y)
-        term2 = y * _lag_dk(m, -ell - 0.5, 0, y) * (-_lag_dk(n - 1, ell + 1.5, 0, y) if n else 0.0)
+        Ln, dLn = pe.laguerre_jet(pe.LaguerreSpec(n, ell + 0.5), y, 1)
+        term1 = c * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 1.5), y) * Ln
+        term2 = y * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 0.5), y) * dLn
         out = (term1 + term2) / c
     else:
-        S, _, _, _, _, _ = _series_data(spec)
-        out = S(y)[0]
+        S = _series_data(spec)[0]
+        out = S(y, 0)[0]
     return float(out) if scalar else out
 
 
@@ -293,34 +283,38 @@ def eop_eval(spec: EOPSpec, r):
 
 
 def _product_function(omega, p, S_fn, T_fn, singular):
-    """r^p exp(-omega r^2/4) S(y)/T(y) with analytic first two derivatives."""
+    """r^p exp(-omega r^2/4) S(y)/T(y) with analytic first two derivatives.
 
-    def trio(r):
+    T_fn None stands for T = 1.  f, df and d2f each evaluate the jet only to
+    their own order; `jet` gives all three from one evaluation.
+    """
+
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r
-        S = S_fn(y)
-        T = T_fn(y)
-        g0 = S[0] / T[0]
-        g1 = (S[1] * T[0] - S[0] * T[1]) / T[0] ** 2
-        g2 = (
-            (S[2] * T[0] - S[0] * T[2]) / T[0] ** 2
-            - 2.0 * T[1] * (S[1] * T[0] - S[0] * T[1]) / T[0] ** 3
-        )
-        F0 = g0
-        F1 = omega * r * g1
-        F2 = omega * g1 + (omega * r) ** 2 * g2
-        A = r**p * np.exp(-0.25 * omega * r * r)
-        la = p / r - 0.5 * omega * r
-        A1 = la * A
-        A2 = (la * la - p / r**2 - 0.5 * omega) * A
-        return A * F0, A1 * F0 + A * F1, A2 * F0 + 2.0 * A1 * F1 + A * F2
+        g = S_fn(y, order)
+        if T_fn is not None:
+            g = _jdiv(g, T_fn(y, order))
+        # chain rule through y = omega r^2/2, with y' = omega r and y'' = omega
+        wr = omega * r
+        F = [g[0]]
+        A = [r**p * np.exp(-0.25 * omega * r * r)]
+        if order > 0:
+            F.append(wr * g[1])
+            la = p / r - 0.5 * wr
+            A.append(la * A[0])
+        if order > 1:
+            F.append(omega * g[1] + wr * wr * g[2])
+            A.append((la * la - p / r**2 - 0.5 * omega) * A[0])
+        return _jmul(A, F)
 
     return Function1D(
-        f=lambda r: trio(r)[0],
-        df=lambda r: trio(r)[1],
-        d2f=lambda r: trio(r)[2],
+        f=lambda r: jet(r, 0)[0],
+        df=lambda r: jet(r, 1)[1],
+        d2f=lambda r: jet(r, 2)[2],
         domain=(0.0, math.inf),
         singular_points=tuple(singular),
+        jet=lambda r: jet(r, 2),
     )
 
 
@@ -358,13 +352,10 @@ def ro_psi_plus(spec: EOPSpec, n=None) -> Function1D:
     else:  # L3
         p, alpha = fam.ell + 2.0, fam.ell + 1.5
 
-    def S(y):
-        return _lagjet(n, alpha, 1, y)
+    def S(y, order):
+        return _lagjet(n, alpha, 1, y, order)
 
-    def T(y):
-        return _jet_const(1.0, y)
-
-    return _product_function(fam.omega, p, S, T, ())
+    return _product_function(fam.omega, p, S, None, ())
 
 
 def psi_plus_eigenvalue(spec: EOPSpec, n=None) -> float:
@@ -382,13 +373,10 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
     """
     alpha = fam.ell + 0.5
 
-    def S(y):
-        return _lagjet(n, alpha, 1, y)
+    def S(y, order):
+        return _lagjet(n, alpha, 1, y, order)
 
-    def T(y):
-        return _jet_const(1.0, y)
-
-    return _product_function(fam.omega, fam.ell + 1.0, S, T, ())
+    return _product_function(fam.omega, fam.ell + 1.0, S, None, ())
 
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
@@ -428,12 +416,12 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     def f(r):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r
-        return r**p * np.exp(-0.25 * omega * r * r) / T(y)[0]
+        return r**p * np.exp(-0.25 * omega * r * r) / T(y, 0)[0]
 
     def df(r):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r
-        Tj = T(y)
+        Tj = T(y, 1)
         logd = p / r - 0.5 * omega * r - omega * r * Tj[1] / Tj[0]
         return logd * f(r)
 
@@ -493,8 +481,13 @@ def _panel_rules(a, b, c):
     return y, w
 
 
-def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int):
+def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
+                     singular_points=None):
     """(G, err): the Gram matrix and its quadrature error estimate.
+
+    singular_points, when given, are the seed zeros of the series'
+    deformation (from seed_polynomial of its branch), which then are not
+    scanned again; None scans them as weight_spec does.
 
     In y = omega r^2/2 the measure W^2 dr is
     (2/omega)^p (2 omega)^(-1/2) y^(p-1/2) e^(-y) / T(y)^2 dy.  The range
@@ -507,11 +500,12 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int):
     """
     if n_max < 0:
         raise ConfigurationError(f"n_max must be nonnegative, got {n_max}")
-    ws = weight_spec(series, m, params)
-    if not ws.is_regular:
+    if singular_points is None:
+        singular_points = weight_spec(series, m, params).singular_points
+    if singular_points:
         raise SingularExtensionError(
             f"{series} extension with m={m} is singular; Gram matrix undefined",
-            points=ws.singular_points,
+            points=singular_points,
         )
     omega = params.omega
     r_cut = max(10.0, 8.0 / math.sqrt(omega)) * (1.0 + math.sqrt(n_max + m))
@@ -541,8 +535,8 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int):
         mid = 0.5 * (a + b)
         # rows: each panel whole, then its left halves, then its right halves
         y, w = _panel_rules(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), c)
-        w = w * np.exp(-y) / T(y)[0] ** 2
-        P = np.stack([S(y)[0] for S in polys])
+        w = w * np.exp(-y) / T(y, 0)[0] ** 2
+        P = np.stack([S(y, 0)[0] for S in polys])
         parts = np.einsum("ikq,jkq->kij", P * w, P)
         whole, halves = parts[:k], parts[k : 2 * k] + parts[2 * k :]
         diff = np.abs(halves - whole)
@@ -593,6 +587,6 @@ def zero_census(spec: EOPSpec):
     y_hi = 10.0 + 6.0 * (op.n + op.m + 2.0)
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
-    vals = S(ys)[0]
+    vals = S(ys, 0)[0]
     inside = int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
     return inside, deg - inside

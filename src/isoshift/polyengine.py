@@ -7,6 +7,15 @@ P_N^(nu,mu) with parameters that may be well outside the classical ranges
 recurrence in the degree, which stays stable for the moderate degrees and
 arguments used here; the hypergeometric series is kept only as a fallback for
 the degenerate Jacobi recurrence and as a test oracle.
+
+Laguerre values and derivatives come from one kernel, laguerre_jet: the
+recurrence differentiated term by term carries (L, L', ..., L^(order)) of
+every degree in one upward pass.  Array arguments are cut into blocks of
+_BLOCK points and each block runs the whole recurrence in preallocated
+buffers (in-place ufuncs), so the working set stays in cache and no step
+allocates; the results are bitwise independent of the blocking.
+laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
+derivatives still use the parameter-shift identities.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ __all__ = [
     "LaguerreSpec",
     "JacobiSpec",
     "ZeroReport",
+    "laguerre_jet",
     "laguerre_eval",
     "laguerre_deriv",
     "laguerre_deriv2",
@@ -95,39 +105,95 @@ def _unwrap(out, scalar):
     return float(out) if scalar else out
 
 
+# points per block of the array recurrence: its working set, two jets of
+# (order + 1) rows plus scratch rows, then stays in cache
+_BLOCK = 8192
+
+
+def _jet_block(n, a, x, prev, cur, t, w):
+    """The differentiated recurrence on one block, in place.
+
+    prev and cur hold the jets of degrees k - 1 and k and trade places every
+    step; the jet of degree n ends in prev when n is even, in cur when odd.
+    """
+    order = prev.shape[0] - 1
+    # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - x, L_1' = -1
+    prev.fill(0.0)
+    prev[0] = 1.0
+    cur.fill(0.0)
+    np.subtract(a + 1.0, x, out=cur[0])
+    if order:
+        cur[1] = -1.0
+    j = np.arange(1.0, order + 1.0)[:, None]
+    for k in range(1, n):
+        # a degree-(k+1) polynomial has no derivatives beyond order k+1
+        rows = min(order, k + 1) + 1
+        p, c, u = prev[:rows], cur[:rows], w[:rows]
+        np.subtract(2.0 * k + a + 1.0, x, out=t)
+        np.multiply(p, k + a, out=p)
+        np.multiply(t, c, out=u)
+        np.subtract(u, p, out=p)
+        if rows > 1:
+            np.multiply(c[:-1], j[: rows - 1], out=u[1:])
+            np.subtract(p[1:], u[1:], out=p[1:])
+        np.divide(p, k + 1.0, out=p)
+        prev, cur = cur, prev
+
+
+def laguerre_jet(spec: LaguerreSpec, x, order):
+    """(L, L', ..., L^(order)) of L_n^alpha at x, from one recurrence.
+
+    Differentiating L_{k+1} = ((2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1})
+    / (k + 1) j times gives the same recurrence for the j-th derivatives,
+    with the extra term -j L_k^(j-1) in the numerator.  One upward pass in
+    the degree therefore carries the value and every derivative, with no
+    parameter shift.  Array x is processed in place over blocks of _BLOCK
+    points, so each step writes into buffers that stay in cache instead of
+    allocating full-length temporaries.  Each point's arithmetic is the same
+    whatever the block size, so a call on a long array equals, bit for bit,
+    calls on its pieces, and the value row equals laguerre_eval.
+
+    Accepts scalar or ndarray x; returns a tuple of order + 1 floats or of
+    arrays shaped like x.
+    """
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+    arr, scalar = _wrap(x)
+    n, a = spec.n, spec.alpha
+    flat = arr.reshape(-1)
+    out = np.empty((order + 1, flat.size))
+    size = min(flat.size, _BLOCK)
+    # rows: the step's (2k + alpha + 1 - x), a second jet, products
+    scratch = np.empty((2 * order + 3, size))
+    for lo in range(0, flat.size, _BLOCK):
+        m = min(_BLOCK, flat.size - lo)
+        res, other = out[:, lo : lo + m], scratch[1 : order + 2, :m]
+        # the degree-n jet lands in the block of out, with no copy
+        prev, cur = (other, res) if n % 2 else (res, other)
+        _jet_block(n, a, flat[lo : lo + m], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
+    if scalar:
+        return tuple(float(v[0]) for v in out)
+    return tuple(v.reshape(arr.shape) for v in out)
+
+
 def laguerre_eval(spec: LaguerreSpec, x):
     """Evaluate L_n^alpha(x) by upward recurrence in the degree.
 
     Total function: finite output for any finite (alpha, x). Accepts scalar
-    or ndarray x and returns the matching kind.
+    or ndarray x and returns the matching kind.  The order-0 case of
+    laguerre_jet.
     """
-    arr, scalar = _wrap(x)
-    n, a = spec.n, spec.alpha
-    prev = np.ones_like(arr)
-    if n == 0:
-        return _unwrap(prev, scalar)
-    cur = a + 1.0 - arr
-    for k in range(1, n):
-        prev, cur = cur, ((2.0 * k + a + 1.0 - arr) * cur - (k + a) * prev) / (k + 1.0)
-    return _unwrap(cur, scalar)
+    return laguerre_jet(spec, x, 0)[0]
 
 
 def laguerre_deriv(spec: LaguerreSpec, x):
-    """d/dx L_n^alpha(x), via the parameter-shift identity -L_{n-1}^{alpha+1}."""
-    arr, scalar = _wrap(x)
-    if spec.n == 0:
-        return _unwrap(np.zeros_like(arr), scalar)
-    inner = laguerre_eval(LaguerreSpec(spec.n - 1, spec.alpha + 1.0), arr)
-    return _unwrap(-np.asarray(inner), scalar)
+    """d/dx L_n^alpha(x), the first-order row of laguerre_jet."""
+    return laguerre_jet(spec, x, 1)[1]
 
 
 def laguerre_deriv2(spec: LaguerreSpec, x):
-    """d^2/dx^2 L_n^alpha(x) = L_{n-2}^{alpha+2}(x)."""
-    arr, scalar = _wrap(x)
-    if spec.n < 2:
-        return _unwrap(np.zeros_like(arr), scalar)
-    inner = laguerre_eval(LaguerreSpec(spec.n - 2, spec.alpha + 2.0), arr)
-    return _unwrap(np.asarray(inner), scalar)
+    """d^2/dx^2 L_n^alpha(x), the second-order row of laguerre_jet."""
+    return laguerre_jet(spec, x, 2)[2]
 
 
 def _gbinom(t, k):
@@ -216,8 +282,11 @@ def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
     """Locate all real roots of a polynomial spec inside an open interval.
 
     Dense sign-scan (at least 64*(degree+1) samples) followed by bisection to
-    1e-12 absolute. A sample landing within ~1e-13 of a root is flagged in
-    multiplicity_flags rather than treated as an error.
+    1e-12 absolute.  All brackets are bisected together, with one array
+    evaluation per halving step; each bracket stops at its own width, so
+    the roots equal those of bisecting the brackets one by one.  A sample
+    landing within ~1e-13 of a root is flagged in multiplicity_flags rather
+    than treated as an error.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
@@ -228,38 +297,28 @@ def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
     fs = np.asarray(f(xs))
     scale = max(np.max(np.abs(fs)), 1e-300)
 
-    zeros = []
-    flags = []
     on_root = np.abs(fs) <= 1e-13 * scale
-    i = 0
-    while i < n_samples - 1:
-        if on_root[i]:
-            zeros.append(float(xs[i]))
-            flags.append(True)
-            i += 1
-            continue
-        a, b = xs[i], xs[i + 1]
-        fa, fb = fs[i], fs[i + 1]
-        if not on_root[i + 1] and fa * fb < 0.0:
-            while b - a > bisect_tol:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
-            flags.append(False)
-        i += 1
-    if n_samples and on_root[-1]:
-        zeros.append(float(xs[-1]))
-        flags.append(True)
+    crossing = ~on_root[:-1] & ~on_root[1:] & (fs[:-1] * fs[1:] < 0.0)
+    idx = np.nonzero(crossing)[0]
+    a, b, fa = xs[idx], xs[idx + 1], fs[idx]
+    active = b - a > bisect_tol
+    while np.any(active):
+        i = np.nonzero(active)[0]
+        mid = 0.5 * (a[i] + b[i])
+        fm = np.asarray(f(mid))
+        # an exact zero collapses its bracket; otherwise keep the sign change
+        exact = fm == 0.0
+        left = ~exact & (fa[i] * fm < 0.0)
+        right = ~exact & ~left
+        b[i[exact | left]] = mid[exact | left]
+        a[i[exact | right]] = mid[exact | right]
+        fa[i[right]] = fm[right]
+        active[i] = b[i] - a[i] > bisect_tol
 
-    order = np.argsort(zeros)
+    zeros = list(xs[on_root]) + list(0.5 * (a + b))
+    flags = [True] * int(np.count_nonzero(on_root)) + [False] * idx.size
+    order = np.argsort(zeros, kind="stable")
     return ZeroReport(
-        zeros=[zeros[j] for j in order],
+        zeros=[float(zeros[j]) for j in order],
         multiplicity_flags=[flags[j] for j in order],
     )

@@ -162,10 +162,17 @@ def _second_derivative(psi: Function1D, x):
 
 
 def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
-    """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps)."""
+    """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps).
+
+    Uses psi.jet, when present, for psi and psi'' in one evaluation.
+    """
     x = np.asarray(samples, dtype=float)
-    p = np.asarray(psi.f(x), dtype=float)
-    res = -_second_derivative(psi, x) + (np.asarray(V.f(x)) - E) * p
+    if psi.jet is not None:
+        p, _, d2p = psi.jet(x)
+    else:
+        p, d2p = psi.f(x), _second_derivative(psi, x)
+    p = np.asarray(p, dtype=float)
+    res = -np.asarray(d2p, dtype=float) + (np.asarray(V.f(x)) - E) * p
     finite = np.isfinite(res)
     if not np.any(finite):
         return 0.0
@@ -175,14 +182,20 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
 
 
 def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
-    """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi."""
+    """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi.
+
+    Uses psi.jet, when present, for psi, psi' and psi'' in one evaluation.
+    """
     x = np.asarray(samples, dtype=float)
-    p = np.asarray(psi.f(x), dtype=float)
-    dp = np.asarray(psi.df(x), dtype=float)
+    if psi.jet is not None:
+        p, dp, d2p = psi.jet(x)
+    else:
+        p, dp, d2p = psi.f(x), psi.df(x), _second_derivative(psi, x)
+    p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
     keep = np.abs(p) > 1e-8 * np.max(np.abs(p))
-    x, p, dp = x[keep], p[keep], dp[keep]
+    x, p, dp, d2p = x[keep], p[keep], dp[keep], d2p[keep]
     q = -dp / p
-    dq = -_second_derivative(psi, x) / p + (dp / p) ** 2
+    dq = -d2p / p + (dp / p) ** 2
     res = q * q - dq - np.asarray(V.f(x)) + E
     scale = abs(E) + 1.0
     return float(np.max(np.abs(res)) / scale)
@@ -199,12 +212,16 @@ def classify_regularity(family, branch, m) -> RegularityReport:
     """
     from .deform import seed_polynomial
 
-    d = seed_polynomial(family, branch, m)
-    classification = "singular" if d.singular_points else "regular"
+    return _deformation_regularity(seed_polynomial(family, branch, m))
 
+
+def _deformation_regularity(d) -> RegularityReport:
+    """classify_regularity of a Deformation, from the zero scan it already holds."""
+    classification = "singular" if d.singular_points else "regular"
+    m = d.m
     klh = None
     finding = None
-    if isinstance(family, RadialOscillator) and d.arg_sign == -1 and m > 0:
+    if isinstance(d.family, RadialOscillator) and d.arg_sign == -1 and m > 0:
         alpha = d.seed.alpha
         predicted_singular = (m % 2 == 1) and (-m - 0.5 < alpha < -m)
         klh = "singular" if predicted_singular else "regular"

@@ -38,6 +38,15 @@ class TestFamilies:
             RadialOscillator(omega=1.0, ell=-0.5)
         with pytest.raises(ConfigurationError):
             TrigDPT(A=-0.6, B=0.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                RadialOscillator(omega=bad, ell=1.0)
+            with pytest.raises(ConfigurationError):
+                RadialOscillator(omega=1.0, ell=bad)
+            with pytest.raises(ConfigurationError):
+                TrigDPT(A=bad, B=1.0)
+            with pytest.raises(ConfigurationError):
+                TrigDPT(A=1.0, B=bad)
 
     def test_potentials_finite_on_domain(self, ro, dpt):
         r = np.linspace(0.01, 20, 300)

@@ -145,6 +145,30 @@ class TestCertify:
         assert cell["gram_offdiag_max"] <= 1e-8
         assert 0.0 <= cell["gram_quadrature_error"] <= 1e-12
 
+    def test_cell_scans_its_seed_once(self, monkeypatch, capsys):
+        from isoshift import deform, eop
+
+        seeds = []
+        real_seed = deform.seed_polynomial
+
+        def counting_seed(family, branch, m):
+            seeds.append((branch, m))
+            return real_seed(family, branch, m)
+
+        def no_rescan(*args, **kwargs):
+            raise AssertionError("the Gram rescanned the seed zeros")
+
+        monkeypatch.setattr(deform, "seed_polynomial", counting_seed)
+        monkeypatch.setattr(eop, "weight_spec", no_rescan)
+        code = main([
+            "certify", "--omega", "1", "--ell", "1", "--branches", "1",
+            "--m", "2", "--nmax", "3", "--skip-spectral",
+        ])
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        assert code == 0
+        assert seeds.count((1, 2)) == 1
+        assert cell["regularity"] == "regular" and cell["gram_offdiag_max"] <= 1e-8
+
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([
             "certify", "--omega", "1", "--ell", "0.2", "--branches", "1",
@@ -158,3 +182,46 @@ class TestCertify:
         assert str(cell["gram_offdiag_max"]).startswith("skipped")
         assert "finding" in cell
         assert (tmp_path / "r" / "certify.json").exists()
+
+
+class TestRobustness:
+    """Bad input exits 2 with a one-line error, never a traceback."""
+
+    def _exit_code(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        return code, captured.err
+
+    def test_resonant_frobenius_series(self, tmp_path, capsys):
+        code, err = self._exit_code(capsys, [
+            "interpolate", "--ell", "0.5", "--branch", "1", "--R", "1",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert err.startswith("error:") and "resonant" in err
+
+    def test_config_values_go_through_the_flag_types(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for bad in ({"omega": "abc"}, {"m": [1, 2.5]}, {"nmax": True},
+                    {"skip_gram": "yes"}, {"family": "bogus"}, {"m": []}):
+            cfg.write_text(json.dumps(bad))
+            code, err = self._exit_code(capsys, ["certify", "--config", str(cfg)])
+            assert code == 2, bad
+            assert err.startswith("error:")
+        cfg.write_text(json.dumps({"omega": "2", "m": [1]}))
+        code, _ = self._exit_code(capsys, [
+            "certify", "--config", str(cfg), "--branches", "2", "--skip-spectral",
+        ])
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "trig_dpt", "--A", "inf"],
+        ["catalog", "radial_oscillator", "--ell=-inf"],
+        ["certify", "--omega", "nan"],
+        ["certify", "--family", "trig_dpt", "--B", "nan"],
+    ])
+    def test_non_finite_parameters(self, capsys, argv):
+        code, err = self._exit_code(capsys, argv)
+        assert code == 2
+        assert "finite" in err

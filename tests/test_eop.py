@@ -148,6 +148,21 @@ class TestEigenfunctions:
         ratio = mapped.f(r) / closed.f(r)
         assert np.ptp(ratio) <= 1e-9 * np.max(np.abs(ratio))
 
+    @pytest.mark.parametrize("make", [
+        lambda: eigenfunction_closed_form(EOPSpec("L1", 5, 2, FAM)),
+        lambda: eigenfunction_closed_form(EOPSpec("L2", 3, 1, FAM)),
+        lambda: eigenfunction_closed_form(EOPSpec("L3", 4, 3, RadialOscillator(1.5, 2.5))),
+        lambda: ro_psi_plus(EOPSpec("L3", 3, 2, FAM)),
+        lambda: classical_ro_eigenfunction(FAM, 6),
+    ])
+    def test_jet_is_f_df_d2f(self, make):
+        psi = make()
+        r = np.linspace(0.05, 7, 20_001)
+        got = psi.jet(r)
+        assert len(got) == 3
+        for row, fn in zip(got, (psi.f, psi.df, psi.d2f)):
+            assert np.array_equal(row, fn(r))
+
     def test_intertwiner_annihilates_inverse_profile(self):
         # (-d/dr + w)(exp(int w)) = 0 for any smooth w; use the branch-2 one
         w2 = superpotential(FAM, 2)
@@ -253,6 +268,14 @@ class TestGram:
         monkeypatch.setattr(eop, "_GRAM_MAX_NODES", 900)
         G = gram_matrix("L1", 3, RadialOscillator(4.0, 0.1), n_max=4)
         assert gram_offdiag_max(G) <= 1e-12
+
+    def test_known_singular_points_skip_the_scan(self):
+        fam = RadialOscillator(1.0, 1.0)
+        G, err = eop._gram_with_error("L3", 2, fam, 3, singular_points=())
+        assert np.array_equal(G, gram_matrix("L3", 2, fam, 3))
+        with pytest.raises(SingularExtensionError) as info:
+            eop._gram_with_error("L3", 2, fam, 3, singular_points=(1.5,))
+        assert info.value.points == [1.5]
 
     def test_error_estimate_reported(self):
         G, err = eop._gram_with_error("L2", 1, FAM, 3)

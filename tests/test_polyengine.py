@@ -7,9 +7,13 @@ appear on both sides of a comparison.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from isoshift import polyengine
 from isoshift.polyengine import (
     JacobiSpec,
     LaguerreSpec,
@@ -19,6 +23,7 @@ from isoshift.polyengine import (
     laguerre_deriv,
     laguerre_deriv2,
     laguerre_eval,
+    laguerre_jet,
     real_zeros,
 )
 
@@ -135,6 +140,92 @@ class TestLaguerreDerivatives:
             assert abs(res) <= 1e-9 * max(1.0, abs(u), abs(x * u))
 
 
+def _mp_laguerre_rows(n, alpha, x, order):
+    """[[d^j/dx^j L_k^alpha(x) for j <= order] for k <= n], 40-digit series sums."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        rows = []
+        for k in range(n + 1):
+            # L_k^a(x) = sum_i C(k + a, k - i) (-x)^i / i!, differentiated termwise
+            coef = [mpmath.mpf(1)] * (k + 1)
+            for i in range(k + 1):
+                for j in range(1, k - i + 1):
+                    coef[i] *= (k + a - (k - i) + j) / j
+            rows.append([
+                mpmath.fsum(coef[i] * (-1) ** i * x ** (i - d) / mpmath.factorial(i - d)
+                            for i in range(d, k + 1))
+                for d in range(order + 1)
+            ])
+        return rows
+
+
+@st.composite
+def _laguerre_cases(draw):
+    n = draw(st.integers(0, 20))
+    # alpha in (-n-1, 5): arbitrary reals and the half-integers on it
+    alpha = draw(st.one_of(
+        st.floats(-n - 1, 5, exclude_min=True, exclude_max=True),
+        st.integers(-2 * n - 1, 9).map(lambda k: k / 2.0),
+    ))
+    x = draw(st.floats(0, 60, exclude_min=True)) * draw(st.sampled_from([1.0, -1.0]))
+    return n, alpha, x
+
+
+class TestLaguerreJet:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_laguerre_cases())
+    @example((20, -19.861136094826346, -2.4663984809771766))
+    @example((20, -20.5, 3.5))
+    @example((15, 0.5, 60.0))
+    @example((7, -7.5, 1e-9))
+    def test_mpmath_oracle_sweep(self, case):
+        # The scale includes the largest |L_k^(j)| (k <= n, j <= d) that the
+        # recurrence passes through.  Near alpha = -n, and near zeros on the
+        # oscillatory range x > 0, the result is far smaller than those
+        # intermediates and no forward recurrence keeps 1e-12 relative to
+        # max(1, |value|) alone: both this kernel and the parameter-shift
+        # path miss that by up to 2e-11 at n = 20.
+        n, alpha, x = case
+        got = laguerre_jet(LaguerreSpec(n, alpha), x, 2)
+        rows = _mp_laguerre_rows(n, alpha, x, 2)
+        for d in range(3):
+            want = rows[n][d]
+            scale = max(1.0, max(abs(float(r[j])) for r in rows for j in range(d + 1)))
+            assert abs(float(got[d] - want)) <= 1e-12 * scale, (d, float(want))
+
+    def test_rows_are_the_public_evaluators(self):
+        spec = LaguerreSpec(6, -2.7)
+        xs = np.linspace(-9, 14, 31)
+        L, dL, d2L = laguerre_jet(spec, xs, 2)
+        assert np.array_equal(L, laguerre_eval(spec, xs))
+        assert np.array_equal(dL, laguerre_deriv(spec, xs))
+        assert np.array_equal(d2L, laguerre_deriv2(spec, xs))
+        for x, row in zip(xs[::5], np.transpose([L, dL, d2L])[::5]):
+            assert laguerre_jet(spec, float(x), 2) == tuple(row)
+
+    def test_block_invariance(self):
+        block = polyengine._BLOCK
+        x = np.linspace(-30, 50, 3 * block + 123)
+        for n, alpha in [(0, 0.5), (1, -1.7), (12, -11.5), (17, 2.25)]:
+            spec = LaguerreSpec(n, alpha)
+            whole = laguerre_jet(spec, x, 3)
+            cuts = [0, 1, 7, block - 1, block + 5, 2 * block + 2, x.size]
+            parts = [laguerre_jet(spec, x[a:b], 3) for a, b in zip(cuts, cuts[1:])]
+            for d in range(4):
+                assert np.array_equal(whole[d], np.concatenate([p[d] for p in parts]))
+            grid = laguerre_jet(spec, x[:-3].reshape(-1, 8), 3)
+            assert all(np.array_equal(g.ravel(), w[:-3]) for g, w in zip(grid, whole))
+
+    def test_higher_rows_vanish_past_the_degree(self):
+        got = laguerre_jet(LaguerreSpec(2, 0.5), np.array([0.0, 1.0, 3.0]), 4)
+        assert np.array_equal(got[2], np.full(3, 1.0))  # L_2'' = 1 for any alpha
+        assert not np.any(got[3]) and not np.any(got[4])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            laguerre_jet(LaguerreSpec(2, 0.5), 1.0, -1)
+
+
 class TestJacobi:
     def test_degree_zero_is_one(self):
         assert jacobi_eval(JacobiSpec(0, -2.0, 3.5), 0.4) == 1.0
@@ -219,6 +310,40 @@ class TestRealZeros:
             for alpha in (0.0, 0.5, 2.5):
                 rep = real_zeros(LaguerreSpec(n, alpha), (1e-12, 4 * n + 2 * alpha + 20))
                 assert rep.count == n
+
+    def test_batched_bisection_matches_one_bracket_at_a_time(self):
+        def one_by_one(f, xs, fs, tol=1e-12):
+            out = []
+            for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
+                if fa * fb >= 0.0:
+                    continue
+                while b - a > tol:
+                    mid = 0.5 * (a + b)
+                    fm = f(mid)
+                    if fm == 0.0:
+                        a = b = mid
+                        break
+                    if fa * fm < 0.0:
+                        b = mid
+                    else:
+                        a, fa = mid, fm
+                out.append(0.5 * (a + b))
+            return out
+
+        cases = [
+            (LaguerreSpec(7, 0.5), (1e-12, 60.0), 512),
+            (LaguerreSpec(5, -5.3), (-40.0, -1e-12), 512),
+            (JacobiSpec(6, 0.5, -1.5), (-1.0 + 1e-9, 1.0 - 1e-9), 64),
+            (JacobiSpec(5, -1.0, -1.0), (-1.0 + 1e-9, 1.0 - 1e-9), 64),
+        ]
+        for spec, interval, per_degree in cases:
+            rep = real_zeros(spec, interval, samples_per_degree=per_degree)
+            f = (lambda x: laguerre_eval(spec, x)) if isinstance(spec, LaguerreSpec) \
+                else (lambda x: jacobi_eval(spec, x))
+            xs = np.linspace(*interval, max(per_degree * (spec.degree + 1), 128))
+            assert not any(rep.multiplicity_flags)
+            assert rep.zeros == one_by_one(f, xs, f(xs))
+            assert rep.count >= 1
 
     def test_jacobi_zero_count(self):
         rep = real_zeros(JacobiSpec(4, 0.5, 0.5), (-1.0, 1.0))

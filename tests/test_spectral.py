@@ -13,7 +13,8 @@ from isoshift.catalog import (
     potential,
     superpotential,
 )
-from isoshift.eop import classical_ro_eigenfunction
+from isoshift.deform import extend, seed_polynomial
+from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
 from isoshift.spectral import (
     Grid,
     classify_regularity,
@@ -149,6 +150,24 @@ class TestResiduals:
         E = 4.0 * fam.omega
         samples = np.linspace(0.2, 6, 200)
         assert qhj_residual(psi, E, vminus, samples) <= 1e-6
+
+
+    @pytest.mark.parametrize("series,branch,n,m", [("L1", 2, 3, 2), ("L3", 1, 2, 2)])
+    def test_jet_residuals_match_finite_difference_fallback(self, series, branch, n, m):
+        fam = RadialOscillator(2.0, 1.0)
+        V = extend(seed_polynomial(fam, branch, m)).V_tilde_minus
+        psi = eigenfunction_closed_form(EOPSpec(series, n, m, fam))
+        assert psi.jet is not None
+        # without jet and d2f the residuals difference psi' numerically
+        fd = Function1D(f=psi.f, df=psi.df, domain=psi.domain)
+        samples = np.linspace(0.2, 5, 300)
+        E = eigenvalue(EOPSpec(series, n, m, fam))
+        for energy in (E, E + 0.5):
+            for residual in (schrodinger_residual, qhj_residual):
+                exact = residual(psi, energy, V, samples)
+                assert abs(exact - residual(fd, energy, V, samples)) <= 1e-6
+        assert schrodinger_residual(psi, E, V, samples) <= 1e-10
+        assert schrodinger_residual(psi, E + 0.5, V, samples) >= 1e-2
 
 
 class TestRegularity:
