@@ -4,6 +4,7 @@ eigenfunctions, and numerical certification of the defining identities."""
 
 from .catalog import (
     Branch,
+    Family,
     Function1D,
     RadialOscillator,
     TrigDPT,
@@ -21,7 +22,6 @@ from .deform import (
     certification_grid,
     extend,
     extend_general_R,
-    phi_from_seed,
     seed_polynomial,
     w0_explicit,
     w0_from_ground_state,
@@ -40,7 +40,6 @@ from .eop import (
     intertwine,
     ro_psi_plus,
     series_branch,
-    weight_eval,
     weight_from_superpotential,
     weight_spec,
     zero_census,

@@ -1,25 +1,31 @@
-"""Undeformed potential families and their superpotential branches.
+"""Potential families, their superpotential branches and partner potentials.
 
 Two families ship: the radial oscillator V(r) = (1/4) w^2 r^2 + l(l+1)/r^2 on
 (0, inf) and the trigonometric Darboux-Poschl-Teller potential
 V(x) = A(A+1)csc^2 x + B(B+1)sec^2 x on (0, pi/2).  Each admits four
 superpotential branches w(x) solving w^2 - w' = V - E for four factorization
 energies; shape invariance pairs branch 1 with branch 4 (and 2 with 3 for
-DPT) under a unit shift of the branch parameters.
+DPT) under a unit shift of the branch parameters.  Everything that differs
+between the families lives on the family classes (see Family); the
+functions of this module and of deform, spectral and cli are written once
+against that protocol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import polyengine as pe
 from .errors import ConfigurationError
 
 __all__ = [
     "Function1D",
+    "Family",
+    "FAMILIES",
     "RadialOscillator",
     "TrigDPT",
     "Branch",
@@ -55,23 +61,51 @@ class Function1D:
     def __call__(self, x):
         return self.f(x)
 
-    def deriv(self, x):
-        if self.df is None:
-            raise ValueError("this Function1D carries no derivative")
-        return self.df(x)
 
-    def deriv2(self, x):
-        if self.d2f is None:
-            raise ValueError("this Function1D carries no second derivative")
-        return self.d2f(x)
+class Family:
+    """Base class of the potential families; one deformation algorithm serves all.
+
+    A family supplies only its data: `name` (the CLI name), `domain`,
+    `branches()`, the closed forms `potential()` and `superpotential(a, b)`,
+    `tau()` and the step `tau_step` it induces on a branch's (a, b),
+    `sign_reversed_branches` (deformed by the second process), the degree-m
+    seed of branch (a, b): `seed(a, b, m)` -> (spec, arg sign s, R),
+    `seed_jet(spec, s, x, order)` -> (u, u', ...), `seed_zeros(spec, s)` and
+    the closed-form `seed_zero_prediction` (or None), the intervals
+    `certification_interval()`, `solver_interval(k, m)` and
+    `sample_interval(rmax)`, and `exceptional_series`: branch -> series.
+    """
+
+    exceptional_series = {}
+    sign_reversed_branches = ()
+
+    @staticmethod
+    def check(obj):
+        """obj, if it is a family; ConfigurationError otherwise."""
+        if not isinstance(obj, Family):
+            raise ConfigurationError(f"unknown family {type(obj).__name__}")
+        return obj
+
+    def seed_zero_prediction(self, spec, s):
+        return None
 
 
 @dataclass(frozen=True)
-class RadialOscillator:
-    """Radial oscillator family: V(r) = (1/4) omega^2 r^2 + ell(ell+1)/r^2."""
+class RadialOscillator(Family):
+    """Radial oscillator family: V(r) = (1/4) omega^2 r^2 + ell(ell+1)/r^2.
+
+    Branch w = (b/2) r + a/r.  The seed of branch (a, b) is
+    L_m^(a-1/2)(s y) at y = omega r^2/2, with s = -1, R = 2 m omega for
+    b > 0 and s = +1, R = -2 m omega for b < 0.
+    """
 
     omega: float
     ell: float
+
+    name = "radial_oscillator"
+    exceptional_series = {2: "L1", 3: "L2", 1: "L3"}
+    sign_reversed_branches = (3,)
+    tau_step = (1.0, 0.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.omega) and math.isfinite(self.ell)):
@@ -87,13 +121,107 @@ class RadialOscillator:
     def domain(self):
         return (0.0, math.inf)
 
+    def branches(self):
+        w, l = self.omega, self.ell
+        # factorization energy E solves w^2 - w' = V - E; the constant
+        # w^2 - w' - V equals b(a - 1/2)
+        table = [
+            (1, -(l + 1.0), +w, "exact"),
+            (2, l, +w, "broken"),
+            (3, -(l + 1.0), -w, "broken"),
+            (4, l, -w, "exact"),
+        ]
+        return [Branch(k, a, b, -b * (a - 0.5), kind) for k, a, b, kind in table]
+
+    def potential(self):
+        w2, ll = self.omega**2, self.ell * (self.ell + 1.0)
+
+        def f(r):
+            return 0.25 * w2 * np.asarray(r) ** 2 + ll / np.asarray(r) ** 2
+
+        def df(r):
+            return 0.5 * w2 * np.asarray(r) - 2.0 * ll / np.asarray(r) ** 3
+
+        return Function1D(f=f, df=df, domain=self.domain)
+
+    def superpotential(self, a, b):
+        def f(r):
+            r = np.asarray(r, dtype=float)
+            return 0.5 * b * r + a / r
+
+        def df(r):
+            r = np.asarray(r, dtype=float)
+            return 0.5 * b - a / r**2
+
+        def d2f(r):
+            r = np.asarray(r, dtype=float)
+            return 2.0 * a / r**3
+
+        return Function1D(f=f, df=df, d2f=d2f, domain=self.domain)
+
+    def tau(self):
+        return RadialOscillator(self.omega, self.ell + 1.0)
+
+    def seed(self, a, b, m):
+        return pe.LaguerreSpec(int(m), a - 0.5), (-1 if b > 0 else 1), 2.0 * m * b
+
+    def seed_jet(self, spec, s, r, order):
+        w = self.omega
+        r = np.asarray(r, dtype=float)
+        L = pe.laguerre_jet(spec, s * 0.5 * w * r**2, order)
+        # chain rule: d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
+        out = [L[0]]
+        if order > 0:
+            out.append(s * w * r * L[1])
+        if order > 1:
+            out.append(s * w * L[1] + (w * r) ** 2 * L[2])
+        return out
+
+    def seed_zeros(self, spec, s):
+        if spec.n == 0:
+            return []
+        y_max = 0.5 * self.omega * (40.0 / math.sqrt(self.omega)) ** 2
+        # all real zeros of L_m^alpha lie within |eta| < 4m + 2|alpha| + 20
+        hi = min(y_max, 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0)
+        interval = (1e-12, hi) if s > 0 else (-hi, -1e-12)
+        report = pe.real_zeros(spec, interval, samples_per_degree=512)
+        ys = [s * eta for eta in report.zeros]
+        return sorted(math.sqrt(2.0 * y / self.omega) for y in ys if y > 0.0)
+
+    def seed_zero_prediction(self, spec, s):
+        """The classical zero criterion of seeds at negative argument: one
+        negative zero iff m is odd and -m - 1/2 < alpha < -m."""
+        if s != -1 or spec.n == 0:
+            return None
+        m, alpha = spec.n, spec.alpha
+        return "singular" if (m % 2 == 1) and (-m - 0.5 < alpha < -m) else "regular"
+
+    def certification_interval(self):
+        scale = 1.0 / math.sqrt(self.omega)
+        return 0.1 * scale, 12.0 * scale
+
+    def solver_interval(self, k, m):
+        s = 1.0 / math.sqrt(self.omega)
+        return 1e-4 * s, 16.0 * s * (1.0 + math.sqrt(k + m))
+
+    def sample_interval(self, rmax=None):
+        rmax = rmax if rmax else 12.0 / np.sqrt(self.omega)
+        return 0.02 * rmax, rmax
+
 
 @dataclass(frozen=True)
-class TrigDPT:
-    """Trigonometric DPT family: V(x) = A(A+1)csc^2 x + B(B+1)sec^2 x."""
+class TrigDPT(Family):
+    """Trigonometric DPT family: V(x) = A(A+1)csc^2 x + B(B+1)sec^2 x.
+
+    Branch w = a cot x - b tan x.  The seed of branch (a, b) is
+    P_m^(a-1/2, b-1/2)(cos 2x) with R = -4 m (m + a + b).
+    """
 
     A: float
     B: float
+
+    name = "trig_dpt"
+    tau_step = (1.0, 1.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.A) and math.isfinite(self.B)):
@@ -107,6 +235,82 @@ class TrigDPT:
     def domain(self):
         return (0.0, math.pi / 2.0)
 
+    def branches(self):
+        A, B = self.A, self.B
+        # here w^2 - w' - V = -(a+b)^2 and the factorization energies are quoted
+        # as E = -(A+B)^2, -(1+A-B)^2, -(1-A+B)^2, -(2+A+B)^2
+        table = [
+            (1, A, B, "exact"),
+            (2, -A - 1.0, B, "broken"),
+            (3, A, -B - 1.0, "broken"),
+            (4, -A - 1.0, -B - 1.0, "exact"),
+        ]
+        return [Branch(k, a, b, -((a + b) ** 2), kind) for k, a, b, kind in table]
+
+    def potential(self):
+        ca, cb = self.A * (self.A + 1.0), self.B * (self.B + 1.0)
+
+        def f(x):
+            return ca / np.sin(x) ** 2 + cb / np.cos(x) ** 2
+
+        def df(x):
+            return (
+                -2.0 * ca * np.cos(x) / np.sin(x) ** 3
+                + 2.0 * cb * np.sin(x) / np.cos(x) ** 3
+            )
+
+        return Function1D(f=f, df=df, domain=self.domain)
+
+    def superpotential(self, a, b):
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return a / np.tan(x) - b * np.tan(x)
+
+        def df(x):
+            x = np.asarray(x, dtype=float)
+            return -a / np.sin(x) ** 2 - b / np.cos(x) ** 2
+
+        def d2f(x):
+            x = np.asarray(x, dtype=float)
+            return 2.0 * a * np.cos(x) / np.sin(x) ** 3 - 2.0 * b * np.sin(x) / np.cos(x) ** 3
+
+        return Function1D(f=f, df=df, d2f=d2f, domain=self.domain)
+
+    def tau(self):
+        return TrigDPT(self.A + 1.0, self.B + 1.0)
+
+    def seed(self, a, b, m):
+        return pe.JacobiSpec(int(m), a - 0.5, b - 0.5), 1, -4.0 * m * (m + a + b)
+
+    def seed_jet(self, spec, s, x, order):
+        x = np.asarray(x, dtype=float)
+        y = np.cos(2.0 * x)
+        out = [pe.jacobi_eval(spec, y)]
+        if order > 0:
+            dP = pe.jacobi_deriv(spec, y)
+            out.append(-2.0 * np.sin(2.0 * x) * dP)
+        if order > 1:
+            out.append(-4.0 * y * dP + 4.0 * (1.0 - y**2) * pe.jacobi_deriv2(spec, y))
+        return out
+
+    def seed_zeros(self, spec, s):
+        if spec.N == 0:
+            return []
+        report = pe.real_zeros(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
+        return sorted(0.5 * math.acos(y) for y in report.zeros)
+
+    def certification_interval(self):
+        return 0.02, math.pi / 2.0 - 0.02
+
+    def solver_interval(self, k, m):
+        return 1e-6, math.pi / 2.0 - 1e-6
+
+    def sample_interval(self, rmax=None):
+        return 0.01, np.pi / 2.0 - 0.01
+
+
+FAMILIES = {cls.name: cls for cls in (RadialOscillator, TrigDPT)}
+
 
 @dataclass(frozen=True)
 class Branch:
@@ -119,39 +323,9 @@ class Branch:
     susy_kind: str  # "exact" or "broken"
 
 
-def _ro_branches(fam: RadialOscillator):
-    w, l = fam.omega, fam.ell
-    # factorization energy E solves w^2 - w' = V - E; the constant
-    # w^2 - w' - V equals b(a - 1/2)
-    table = [
-        (1, -(l + 1.0), +w, "exact"),
-        (2, l, +w, "broken"),
-        (3, -(l + 1.0), -w, "broken"),
-        (4, l, -w, "exact"),
-    ]
-    return [Branch(k, a, b, -b * (a - 0.5), kind) for k, a, b, kind in table]
-
-
-def _dpt_branches(fam: TrigDPT):
-    A, B = fam.A, fam.B
-    # here w^2 - w' - V = -(a+b)^2 and the factorization energies are quoted
-    # as E = -(A+B)^2, -(1+A-B)^2, -(1-A+B)^2, -(2+A+B)^2
-    table = [
-        (1, A, B, "exact"),
-        (2, -A - 1.0, B, "broken"),
-        (3, A, -B - 1.0, "broken"),
-        (4, -A - 1.0, -B - 1.0, "exact"),
-    ]
-    return [Branch(k, a, b, -((a + b) ** 2), kind) for k, a, b, kind in table]
-
-
 def branches(family):
     """All four superpotential branches of a family, ordered by index k."""
-    if isinstance(family, RadialOscillator):
-        return _ro_branches(family)
-    if isinstance(family, TrigDPT):
-        return _dpt_branches(family)
-    raise ConfigurationError(f"unknown family {type(family).__name__}")
+    return Family.check(family).branches()
 
 
 def get_branch(family, k):
@@ -163,70 +337,7 @@ def get_branch(family, k):
 
 def potential(family) -> Function1D:
     """The undeformed potential V as a Function1D on the family domain."""
-    if isinstance(family, RadialOscillator):
-        w2, ll = family.omega**2, family.ell * (family.ell + 1.0)
-
-        def f(r):
-            return 0.25 * w2 * np.asarray(r) ** 2 + ll / np.asarray(r) ** 2
-
-        def df(r):
-            return 0.5 * w2 * np.asarray(r) - 2.0 * ll / np.asarray(r) ** 3
-
-        return Function1D(f=f, df=df, domain=family.domain)
-    if isinstance(family, TrigDPT):
-        ca, cb = family.A * (family.A + 1.0), family.B * (family.B + 1.0)
-
-        def f(x):
-            return ca / np.sin(x) ** 2 + cb / np.cos(x) ** 2
-
-        def df(x):
-            return (
-                -2.0 * ca * np.cos(x) / np.sin(x) ** 3
-                + 2.0 * cb * np.sin(x) / np.cos(x) ** 3
-            )
-
-        return Function1D(f=f, df=df, domain=family.domain)
-    raise ConfigurationError(f"unknown family {type(family).__name__}")
-
-
-def _ro_superpotential(fam: RadialOscillator, a, b) -> Function1D:
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * b * r + a / r
-
-    def df(r):
-        r = np.asarray(r, dtype=float)
-        return 0.5 * b - a / r**2
-
-    def d2f(r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * a / r**3
-
-    return Function1D(f=f, df=df, d2f=d2f, domain=fam.domain)
-
-
-def _dpt_superpotential(fam: TrigDPT, a, b) -> Function1D:
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return a / np.tan(x) - b * np.tan(x)
-
-    def df(x):
-        x = np.asarray(x, dtype=float)
-        return -a / np.sin(x) ** 2 - b / np.cos(x) ** 2
-
-    def d2f(x):
-        x = np.asarray(x, dtype=float)
-        return 2.0 * a * np.cos(x) / np.sin(x) ** 3 - 2.0 * b * np.sin(x) / np.cos(x) ** 3
-
-    return Function1D(f=f, df=df, d2f=d2f, domain=fam.domain)
-
-
-def _superpotential_ab(family, a, b) -> Function1D:
-    if isinstance(family, RadialOscillator):
-        return _ro_superpotential(family, a, b)
-    if isinstance(family, TrigDPT):
-        return _dpt_superpotential(family, a, b)
-    raise ConfigurationError(f"unknown family {type(family).__name__}")
+    return Family.check(family).potential()
 
 
 def superpotential(family, branch) -> Function1D:
@@ -235,7 +346,7 @@ def superpotential(family, branch) -> Function1D:
         branch = get_branch(family, branch)
     if not isinstance(branch, Branch):
         raise ConfigurationError(f"expected Branch or index, got {type(branch).__name__}")
-    return _superpotential_ab(family, branch.a, branch.b)
+    return Family.check(family).superpotential(branch.a, branch.b)
 
 
 def partner_potentials(w: Function1D):
@@ -264,11 +375,7 @@ def partner_potentials(w: Function1D):
 def tau(family):
     """The shape-invariance parameter map: (omega, ell) -> (omega, ell+1);
     (A, B) -> (A+1, B+1)."""
-    if isinstance(family, RadialOscillator):
-        return RadialOscillator(family.omega, family.ell + 1.0)
-    if isinstance(family, TrigDPT):
-        return TrigDPT(family.A + 1.0, family.B + 1.0)
-    raise ConfigurationError(f"unknown family {type(family).__name__}")
+    return Family.check(family).tau()
 
 
 def si_pair_check(family, branch_i, branch_j, grid):
@@ -281,13 +388,8 @@ def si_pair_check(family, branch_i, branch_j, grid):
     """
     bi = get_branch(family, branch_i) if isinstance(branch_i, int) else branch_i
     bj = get_branch(family, branch_j) if isinstance(branch_j, int) else branch_j
-    if isinstance(family, RadialOscillator):
-        shifted = (bj.a + 1.0, bj.b)
-    elif isinstance(family, TrigDPT):
-        shifted = (bj.a + 1.0, bj.b + 1.0)
-    else:
-        raise ConfigurationError(f"unknown family {type(family).__name__}")
-    wi = _superpotential_ab(family, bi.a, bi.b)
-    wj = _superpotential_ab(family, *shifted)
+    da, db = Family.check(family).tau_step
+    wi = family.superpotential(bi.a, bi.b)
+    wj = family.superpotential(bj.a + da, bj.b + db)
     pts = np.asarray(grid, dtype=float)
     return float(np.max(np.abs(wi.f(pts) + wj.f(pts))))

@@ -15,6 +15,7 @@ endings and UTF-8, and JSON keys appear in a stable order.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,16 +25,14 @@ import numpy as np
 
 from . import deform, eop, spectral
 from .catalog import (
+    FAMILIES,
     RadialOscillator,
-    TrigDPT,
     branches,
     get_branch,
     partner_potentials,
     superpotential,
 )
 from .errors import ConfigurationError, IsoshiftError, SingularExtensionError
-
-_RO_BRANCH_SERIES = {2: "L1", 3: "L2", 1: "L3"}
 
 
 def _fmt(x):
@@ -44,11 +43,8 @@ def _fmt(x):
 
 
 def _family_from_args(args):
-    if args.family == "radial_oscillator":
-        return RadialOscillator(args.omega, args.ell)
-    if args.family == "trig_dpt":
-        return TrigDPT(args.A, args.B)
-    raise ConfigurationError(f"unknown family {args.family!r}")
+    cls = FAMILIES[args.family]  # argparse and the config file check the name
+    return cls(*(getattr(args, f.name) for f in dataclasses.fields(cls)))
 
 
 def _write_csv(path: Path, header, rows):
@@ -63,12 +59,7 @@ def _write_json(path: Path, obj):
 
 
 def _sample_grid(family, args):
-    n = args.grid_points if args.grid_points else 400
-    if isinstance(family, RadialOscillator):
-        rmax = args.rmax if args.rmax else 12.0 / np.sqrt(family.omega)
-        return np.linspace(0.02 * rmax, rmax, n)
-    hi = np.pi / 2.0 - 0.01
-    return np.linspace(0.01, hi, n)
+    return np.linspace(*family.sample_interval(args.rmax), args.grid_points or 400)
 
 
 # ---------------------------------------------------------------------------
@@ -78,16 +69,7 @@ def _sample_grid(family, args):
 
 def cmd_catalog(args):
     family = _family_from_args(args)
-    rows = [
-        {
-            "k": b.k,
-            "a": b.a,
-            "b": b.b,
-            "factorization_energy": b.factorization_energy,
-            "susy_kind": b.susy_kind,
-        }
-        for b in branches(family)
-    ]
+    rows = [dataclasses.asdict(b) for b in branches(family)]
     if args.format == "json":
         print(json.dumps({"family": args.family, "branches": rows}, indent=2))
     else:
@@ -112,15 +94,12 @@ def cmd_extend(args):
         branch = get_branch(family, args.branch)
         d = deform.seed_polynomial(family, branch, m)
         pair = deform.extend(d)
-        w0 = d.w0
-        v_minus = w0.f(grid) ** 2 - w0.df(grid)
+        v_minus = partner_potentials(d.w0)[0].f(grid)
 
         header = ["r", "V_minus", "V_tilde_minus", "V_tilde_plus"]
         cols = [grid, v_minus, pair.V_tilde_minus.f(grid), pair.V_tilde_plus.f(grid)]
 
-        series = None
-        if isinstance(family, RadialOscillator):
-            series = _RO_BRANCH_SERIES.get(args.branch)
+        series = family.exceptional_series.get(args.branch)
         if series is not None and not d.singular_points:
             for n in range(args.nmax + 1):
                 psi = eop.eigenfunction_closed_form(eop.EOPSpec(series, n, m, family))
@@ -143,7 +122,7 @@ def cmd_extend(args):
             "family": args.family,
             "branch": args.branch,
             "m": m,
-            "params": _params_dict(family),
+            "params": dataclasses.asdict(family),
             "shift": pair.shift,
             "singular_points": list(d.singular_points),
             "series": series,
@@ -153,12 +132,6 @@ def cmd_extend(args):
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
-
-
-def _params_dict(family):
-    if isinstance(family, RadialOscillator):
-        return {"omega": family.omega, "ell": family.ell}
-    return {"A": family.A, "B": family.B}
 
 
 def _certify_cell(family, k, m, args):
@@ -176,13 +149,7 @@ def _certify_cell(family, k, m, args):
         failures.append(f"branch {k} m={m}: riccati residual {rr:.3e}")
 
     pair = deform.extend(d)  # raises InternalInconsistencyError on violation
-    w0v = d.w0.f(grid)
-    vplus = w0v**2 + d.w0.df(grid)
-    dev = np.max(
-        np.abs(pair.V_tilde_plus.f(grid) - vplus - d.R)
-        / (1.0 + np.abs(vplus) + abs(d.R))
-    )
-    record["partner_shift_deviation"] = float(dev)
+    record["partner_shift_deviation"] = pair.partner_shift_deviation
     record["shift"] = d.R
 
     reg = spectral._deformation_regularity(d)
@@ -191,7 +158,7 @@ def _certify_cell(family, k, m, args):
     if reg.finding:
         record["finding"] = reg.finding
 
-    series = _RO_BRANCH_SERIES.get(k) if isinstance(family, RadialOscillator) else None
+    series = family.exceptional_series.get(k)
     if series is not None and m > 0 and reg.is_regular and not args.skip_gram:
         G, gerr = eop._gram_with_error(series, m, family, min(args.nmax, 4), reg.points)
         gmax = eop.gram_offdiag_max(G)
@@ -210,7 +177,7 @@ def _certify_cell(family, k, m, args):
             "--skip-gram"
         )
 
-    if not args.skip_spectral and reg.is_regular and k in (2, 3):
+    if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
         gridspec = spectral.default_grid(family, k=4, m=m,
                                          n_points=args.grid_points or 3000)
         w = superpotential(family, k)
@@ -264,7 +231,7 @@ def cmd_certify(args):
     family = _family_from_args(args)
     report = {
         "family": args.family,
-        "params": _params_dict(family),
+        "params": dataclasses.asdict(family),
         "cells": [],
         "w0": [],
         "failures": [],
@@ -274,7 +241,8 @@ def cmd_certify(args):
             record, failures = _certify_cell(family, k, m, args)
             report["cells"].append(record)
             report["failures"].extend(failures)
-    if isinstance(family, RadialOscillator):
+    # the linking superpotential W0 joins the L1 and L2 extensions
+    if family.exceptional_series:
         for m in args.m:
             if m == 0:
                 continue
@@ -306,14 +274,13 @@ def cmd_interpolate(args):
         raise ConfigurationError("interpolate requires at least one R value")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rmax = args.rmax if args.rmax else 12.0 / np.sqrt(family.omega)
-    n = args.grid_points if args.grid_points else 400
-    grid = np.linspace(0.02 * rmax, rmax, n)
+    grid = _sample_grid(family, args)
+    rmax = family.sample_interval(args.rmax)[1]
 
     header = ["r"]
     cols = [grid]
     meta = {"family": args.family, "branch": args.branch,
-            "params": _params_dict(family), "columns": []}
+            "params": dataclasses.asdict(family), "columns": []}
     for R in args.R:
         pair = deform.extend_general_R(family, args.branch, R, r_max=1.2 * rmax)
         name = f"V_tilde_minus_R={_fmt(R)}"
@@ -338,14 +305,12 @@ def cmd_interpolate(args):
 
 def _add_common(p, family_positional=False):
     if family_positional:
-        p.add_argument("family", choices=["radial_oscillator", "trig_dpt"])
+        p.add_argument("family", choices=list(FAMILIES))
     else:
-        p.add_argument("--family", choices=["radial_oscillator", "trig_dpt"],
-                       default="radial_oscillator")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--ell", type=float, default=1.0)
-    p.add_argument("--A", type=float, default=1.0)
-    p.add_argument("--B", type=float, default=1.0)
+        p.add_argument("--family", choices=list(FAMILIES), default="radial_oscillator")
+    for cls in FAMILIES.values():
+        for param in dataclasses.fields(cls):
+            p.add_argument(f"--{param.name}", type=float, default=1.0)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
     p.add_argument("--rmax", type=float, default=None)

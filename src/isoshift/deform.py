@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -29,10 +30,11 @@ from scipy.integrate import solve_ivp
 from . import polyengine as pe
 from .catalog import (
     Branch,
+    Family,
     Function1D,
     RadialOscillator,
-    TrigDPT,
     get_branch,
+    partner_potentials,
     superpotential,
 )
 from .errors import ConfigurationError, InternalInconsistencyError
@@ -41,7 +43,6 @@ __all__ = [
     "Deformation",
     "ExtensionPair",
     "seed_polynomial",
-    "phi_from_seed",
     "extend",
     "w0_explicit",
     "w0_partner_constant",
@@ -62,7 +63,7 @@ class Deformation:
     recover the second-process variables (`w_bar = -w_tilde`).
     """
 
-    family: object
+    family: Family
     branch: Branch
     m: int
     seed: object  # LaguerreSpec or JacobiSpec
@@ -95,62 +96,24 @@ class Deformation:
 
 @dataclass
 class ExtensionPair:
-    """The deformed partner potentials V~∓ = w~^2 ∓ w~' and the shift R."""
+    """The deformed partner potentials V~∓ = w~^2 ∓ w~' and the shift R.
+
+    `partner_shift_deviation` is extend's max |V~+ - V+ - R| / (1 + |V+| + |R|)
+    over its certification grid; None from extend_general_R.
+    """
 
     V_tilde_minus: Function1D
     V_tilde_plus: Function1D
     shift: float
     singular_points: list
     w_tilde: Function1D
+    partner_shift_deviation: Optional[float] = None
 
 
 def _effective_ab(family, branch: Branch):
-    if isinstance(family, RadialOscillator) and branch.k == 3:
+    if branch.k in family.sign_reversed_branches:
         return -branch.a, -branch.b, 2
     return branch.a, branch.b, 1
-
-
-def _effective_w0(family, a, b) -> Function1D:
-    # same closed forms as the catalog superpotentials, with possibly
-    # sign-reversed (a, b)
-    from .catalog import _superpotential_ab
-
-    return _superpotential_ab(family, a, b)
-
-
-def _ro_seed_jet(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int):
-    """(u, u', u'') in r, up to `order`, of u(r) = L_m^alpha(s * y), y = omega r^2 / 2."""
-    w = fam.omega
-
-    def jet(r, order):
-        r = np.asarray(r, dtype=float)
-        L = pe.laguerre_jet(seed, s * 0.5 * w * r**2, order)
-        # chain rule: d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
-        out = [L[0]]
-        if order > 0:
-            out.append(s * w * r * L[1])
-        if order > 1:
-            out.append(s * w * L[1] + (w * r) ** 2 * L[2])
-        return out
-
-    return jet
-
-
-def _dpt_seed_jet(seed: pe.JacobiSpec):
-    """(u, u', u'') in x, up to `order`, of u(x) = P_N^(nu,mu)(cos 2x)."""
-
-    def jet(x, order):
-        x = np.asarray(x, dtype=float)
-        y = np.cos(2.0 * x)
-        out = [pe.jacobi_eval(seed, y)]
-        if order > 0:
-            dP = pe.jacobi_deriv(seed, y)
-            out.append(-2.0 * np.sin(2.0 * x) * dP)
-        if order > 1:
-            out.append(-4.0 * y * dP + 4.0 * (1.0 - y**2) * pe.jacobi_deriv2(seed, y))
-        return out
-
-    return jet
 
 
 def _log_derivative_pair(ujet):
@@ -172,66 +135,29 @@ def _log_derivative_pair(ujet):
     return g, dg
 
 
-def _ro_seed_singular_points(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int, y_max):
-    if seed.n == 0:
-        return []
-    # all real zeros of L_m^alpha lie within |eta| < 4m + 2|alpha| + 20
-    hi = min(y_max, 4.0 * seed.n + 2.0 * abs(seed.alpha) + 20.0)
-    interval = (1e-12, hi) if s > 0 else (-hi, -1e-12)
-    report = pe.real_zeros(seed, interval, samples_per_degree=512)
-    pts = []
-    for eta in report.zeros:
-        y = s * eta
-        if y > 0.0:
-            pts.append(math.sqrt(2.0 * y / fam.omega))
-    return sorted(pts)
-
-
-def _dpt_seed_singular_points(seed: pe.JacobiSpec):
-    if seed.N == 0:
-        return []
-    report = pe.real_zeros(seed, (-1.0 + 1e-9, 1.0 - 1e-9))
-    return sorted(0.5 * math.acos(y) for y in report.zeros)
-
-
 def seed_polynomial(family, branch, m) -> Deformation:
     """Construct the degree-m deformation of a branch.
 
-    Radial oscillator: seed L_m^(a-1/2) at argument -y (b > 0, R = 2 m omega)
-    or +y (b < 0, R = -2 m omega), with (a, b) the effective branch
-    parameters.  DPT: seed P_m^(a-1/2, b-1/2)(cos 2x) with
-    R = -4 m (m + a + b).  Singular points (seed zeros in the physical
-    domain) are recorded, never raised.
+    The seed and R are the family's (see RadialOscillator, TrigDPT) for the
+    effective branch parameters (a, b).  Singular points (seed zeros in the
+    physical domain) are recorded, never raised.
     """
     if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
         raise ConfigurationError(f"hierarchy index m must be a nonnegative integer, got {m}")
+    family = Family.check(family)
     if isinstance(branch, int):
         branch = get_branch(family, branch)
     a, b, process = _effective_ab(family, branch)
-    w0 = _effective_w0(family, a, b)
-
-    if isinstance(family, RadialOscillator):
-        s = -1 if b > 0 else 1
-        seed = pe.LaguerreSpec(int(m), a - 0.5)
-        R = 2.0 * m * b
-        ujet = _ro_seed_jet(family, seed, s)
-        y_max = 0.5 * family.omega * (40.0 / math.sqrt(family.omega)) ** 2
-        singular = _ro_seed_singular_points(family, seed, s, y_max)
-    elif isinstance(family, TrigDPT):
-        s = 1
-        seed = pe.JacobiSpec(int(m), a - 0.5, b - 0.5)
-        R = -4.0 * m * (m + a + b)
-        ujet = _dpt_seed_jet(seed)
-        singular = _dpt_seed_singular_points(seed)
-    else:
-        raise ConfigurationError(f"unknown family {type(family).__name__}")
+    w0 = family.superpotential(a, b)
+    seed, s, R = family.seed(a, b, m)
+    singular = family.seed_zeros(seed, s)
 
     if m == 0:
         zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
         phi = Function1D(f=zero, df=zero, domain=w0.domain)
         R = 0.0
     else:
-        phi_f, phi_df = _log_derivative_pair(ujet)
+        phi_f, phi_df = _log_derivative_pair(partial(family.seed_jet, seed, s))
         phi = Function1D(
             f=phi_f, df=phi_df, domain=w0.domain, singular_points=tuple(singular)
         )
@@ -257,20 +183,9 @@ def seed_polynomial(family, branch, m) -> Deformation:
     )
 
 
-def phi_from_seed(d: Deformation) -> Function1D:
-    """The deformation function phi = d/dx log(seed), as stored on d."""
-    return d.phi
-
-
 def certification_grid(family, n_points=400, exclude=(), pad=None):
     """A uniform interior grid with a neighborhood of each excluded point removed."""
-    if isinstance(family, RadialOscillator):
-        scale = 1.0 / math.sqrt(family.omega)
-        lo, hi = 0.1 * scale, 12.0 * scale
-    elif isinstance(family, TrigDPT):
-        lo, hi = 0.02, math.pi / 2.0 - 0.02
-    else:
-        raise ConfigurationError(f"unknown family {type(family).__name__}")
+    lo, hi = Family.check(family).certification_interval()
     pts = np.linspace(lo, hi, n_points)
     if exclude:
         if pad is None:
@@ -286,29 +201,16 @@ def extend(d: Deformation) -> ExtensionPair:
     """Partner potentials of w~ = w0 + phi, with the shift identity asserted.
 
     Verifies V~+ = V+ + R pointwise on a 400-point grid away from singular
-    points; a violation indicates a transcription bug and raises
-    InternalInconsistencyError.
+    points, to 1e-10 relative to 1 + |V+| + |R|, and returns the largest
+    relative deviation as `partner_shift_deviation`; a violation indicates
+    a transcription bug and raises InternalInconsistencyError.
     """
-    w_tilde = d.w_tilde
-
-    def vminus(x):
-        wt = w_tilde.f(x)
-        return wt * wt - w_tilde.df(x)
-
-    def vplus(x):
-        wt = w_tilde.f(x)
-        return wt * wt + w_tilde.df(x)
-
-    Vm = Function1D(f=vminus, df=None, domain=w_tilde.domain,
-                    singular_points=tuple(d.singular_points))
-    Vp = Function1D(f=vplus, df=None, domain=w_tilde.domain,
-                    singular_points=tuple(d.singular_points))
-
+    Vm, Vp = partner_potentials(d.w_tilde)
     grid = certification_grid(d.family, 400, exclude=d.singular_points)
-    w0v = d.w0.f(grid)
-    v_plus_ref = w0v * w0v + d.w0.df(grid)
+    v_plus_ref = partner_potentials(d.w0)[1].f(grid)
     dev = np.abs(Vp.f(grid) - v_plus_ref - d.R)
-    tol = 1e-10 * (1.0 + np.abs(v_plus_ref) + abs(d.R))
+    scale = 1.0 + np.abs(v_plus_ref) + abs(d.R)
+    tol = 1e-10 * scale
     if np.any(dev > tol):
         i = int(np.argmax(dev - tol))
         raise InternalInconsistencyError(
@@ -320,7 +222,8 @@ def extend(d: Deformation) -> ExtensionPair:
         V_tilde_plus=Vp,
         shift=d.R,
         singular_points=list(d.singular_points),
-        w_tilde=w_tilde,
+        w_tilde=d.w_tilde,
+        partner_shift_deviation=float(np.max(dev / scale, initial=0.0)),
     )
 
 
@@ -338,8 +241,8 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     w1 = superpotential(family, 1)
     if m == 0:
         return w1
-    gu, dgu = _log_derivative_pair(_ro_seed_jet(family, pe.LaguerreSpec(m, family.ell - 0.5), -1))
-    gv, dgv = _log_derivative_pair(_ro_seed_jet(family, pe.LaguerreSpec(m, family.ell + 0.5), -1))
+    gu, dgu = _log_derivative_pair(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell - 0.5), -1))
+    gv, dgv = _log_derivative_pair(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell + 0.5), -1))
 
     def f(r):
         return w1.f(r) + gu(r) - gv(r)
@@ -399,7 +302,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
     if isinstance(branch, int):
         branch = get_branch(family, branch)
     a, b, _ = _effective_ab(family, branch)
-    w0 = _effective_w0(family, a, b)
+    w0 = family.superpotential(a, b)
     omega = family.omega
     if r_max is None:
         r_max = 16.0 / math.sqrt(omega)
@@ -495,19 +398,10 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
         singular_points=tuple(singular),
     )
 
-    def vminus(r):
-        wt = w_tilde.f(r)
-        return wt * wt - w_tilde.df(r)
-
-    def vplus(r):
-        wt = w_tilde.f(r)
-        return wt * wt + w_tilde.df(r)
-
+    Vm, Vp = partner_potentials(w_tilde)
     return ExtensionPair(
-        V_tilde_minus=Function1D(f=vminus, df=None, domain=domain,
-                                 singular_points=tuple(singular)),
-        V_tilde_plus=Function1D(f=vplus, df=None, domain=domain,
-                                singular_points=tuple(singular)),
+        V_tilde_minus=Vm,
+        V_tilde_plus=Vp,
         shift=float(R),
         singular_points=list(singular),
         w_tilde=w_tilde,

@@ -54,7 +54,6 @@ __all__ = [
     "eop_eval",
     "eop_polynomial_degree",
     "weight_spec",
-    "weight_eval",
     "weight_from_superpotential",
     "intertwine",
     "eigenfunction_closed_form",
@@ -71,7 +70,7 @@ __all__ = [
 _SERIES = ("L1", "L2", "L3")
 
 # which superpotential branch each series extends
-_SERIES_BRANCH = {"L1": 2, "L2": 3, "L3": 1}
+_SERIES_BRANCH = {s: k for k, s in RadialOscillator.exceptional_series.items()}
 
 # composite Gauss rule of the Gram matrices: nodes per panel, width in y of
 # the first panel, panel acceptance tolerance, and the refinement cap
@@ -102,6 +101,11 @@ class EOPSpec:
             raise ConfigurationError(f"series must be one of {_SERIES}, got {self.series!r}")
         if self.n < 0 or self.m < 0:
             raise ConfigurationError("state and hierarchy indices must be nonnegative")
+        if not isinstance(self.params, RadialOscillator):
+            raise ConfigurationError(
+                "exceptional series are defined for the radial oscillator only, "
+                f"got {type(self.params).__name__}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,8 +182,7 @@ def _lagjet(n, alpha, sign, y, order):
 def _operational(spec: EOPSpec):
     """Map an L2 state to the equivalent L1 state at ell -> ell + 1."""
     if spec.series == "L2":
-        fam = RadialOscillator(spec.params.omega, spec.params.ell + 1.0)
-        return EOPSpec("L1", spec.n, spec.m, fam)
+        return EOPSpec("L1", spec.n, spec.m, spec.params.tau())
     return spec
 
 
@@ -318,17 +321,10 @@ def _product_function(omega, p, S_fn, T_fn, singular):
     )
 
 
-def _denominator_singular_points(fam: RadialOscillator, seed: pe.LaguerreSpec, s: int):
-    from .deform import _ro_seed_singular_points
-
-    y_max = 0.5 * fam.omega * (40.0 / math.sqrt(fam.omega)) ** 2
-    return _ro_seed_singular_points(fam, seed, s, y_max)
-
-
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
     S, T, p, _, denom, fam = _series_data(spec)
-    singular = _denominator_singular_points(fam, *denom)
+    singular = fam.seed_zeros(*denom)
     return _product_function(fam.omega, p, S, T, singular)
 
 
@@ -410,7 +406,7 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y)."""
     probe = _operational(EOPSpec(series, 0, m, params))
     _, T, p, _, denom, fam = _series_data(probe)
-    singular = _denominator_singular_points(fam, *denom)
+    singular = fam.seed_zeros(*denom)
     omega = fam.omega
 
     def f(r):
@@ -434,11 +430,6 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
         interval=(0.0, math.inf),
         singular_points=tuple(singular),
     )
-
-
-def weight_eval(spec: WeightSpec, r):
-    """Evaluate the weight; poles inside the interval are recorded on the spec."""
-    return spec.weight.f(r)
 
 
 def weight_from_superpotential(w_tilde: Function1D, anchor: float) -> Function1D:

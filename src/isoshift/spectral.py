@@ -10,14 +10,13 @@ evaluator or a classifier built on the polynomial zero scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .catalog import Function1D, RadialOscillator, TrigDPT
+from .catalog import Family, Function1D
 from .errors import ConfigurationError, SingularPotentialError
 
 __all__ = [
@@ -85,12 +84,7 @@ class RegularityReport:
 
 def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     """Solver grid sized so the k-th state's turning point is well inside."""
-    if isinstance(family, RadialOscillator):
-        s = 1.0 / math.sqrt(family.omega)
-        return Grid(1e-4 * s, 16.0 * s * (1.0 + math.sqrt(k + m)), n_points)
-    if isinstance(family, TrigDPT):
-        return Grid(1e-6, math.pi / 2.0 - 1e-6, n_points)
-    raise ConfigurationError(f"unknown family {type(family).__name__}")
+    return Grid(*Family.check(family).solver_interval(k, m), n_points)
 
 
 def _tridiagonal_eigs(V: Function1D, grid: Grid, k: int, want_vectors: bool):
@@ -205,10 +199,10 @@ def classify_regularity(family, branch, m) -> RegularityReport:
     """Numeric-first regularity of the (branch, m) extension.
 
     The classification comes from scanning the seed polynomial for zeros in
-    the physical domain.  For radial-oscillator seeds at negative argument
-    the classical zero criterion ("one negative zero iff m is odd and
-    -m - 1/2 < alpha < -m") is evaluated alongside; a disagreement is
-    reported as a finding, never as a failure.
+    the physical domain.  Where the family states a closed-form criterion
+    (radial-oscillator seeds at negative argument: "one negative zero iff m
+    is odd and -m - 1/2 < alpha < -m") it is evaluated alongside; a
+    disagreement is reported as a finding, never as a failure.
     """
     from .deform import seed_polynomial
 
@@ -218,18 +212,13 @@ def classify_regularity(family, branch, m) -> RegularityReport:
 def _deformation_regularity(d) -> RegularityReport:
     """classify_regularity of a Deformation, from the zero scan it already holds."""
     classification = "singular" if d.singular_points else "regular"
-    m = d.m
-    klh = None
+    klh = d.family.seed_zero_prediction(d.seed, d.arg_sign)
     finding = None
-    if isinstance(d.family, RadialOscillator) and d.arg_sign == -1 and m > 0:
-        alpha = d.seed.alpha
-        predicted_singular = (m % 2 == 1) and (-m - 0.5 < alpha < -m)
-        klh = "singular" if predicted_singular else "regular"
-        if klh != classification:
-            finding = (
-                f"zero scan finds {classification} (points={d.singular_points}) but "
-                f"the stated criterion for alpha={alpha}, m={m} predicts {klh}"
-            )
+    if klh is not None and klh != classification:
+        finding = (
+            f"zero scan finds {classification} (points={d.singular_points}) but "
+            f"the stated criterion for alpha={d.seed.alpha}, m={d.m} predicts {klh}"
+        )
     return RegularityReport(
         classification=classification,
         points=tuple(d.singular_points),

@@ -17,6 +17,7 @@ from isoshift.catalog import (
     superpotential,
     tau,
 )
+from isoshift import deform, eop, spectral
 from isoshift.errors import ConfigurationError
 
 
@@ -198,3 +199,37 @@ class TestShapeInvariance:
         fam = RadialOscillator(1.0, 2.0)
         grid = np.linspace(0.1, 10, 50)
         assert si_pair_check(fam, 1, 2, grid) > 0.1
+
+
+_DPT = TrigDPT(1.0, 1.0)
+
+# calls that must refuse a family they do not support: every eop entry with
+# a DPT (no exceptional series), every public function taking a family with
+# an object that is not one
+_REFUSED = {
+    "eigenfunction_closed_form-dpt": lambda: eop.eigenfunction_closed_form(
+        eop.EOPSpec("L1", 1, 1, _DPT)),
+    "gram_matrix-dpt": lambda: eop.gram_matrix("L1", 1, _DPT, 2),
+    "weight_spec-dpt": lambda: eop.weight_spec("L1", 1, _DPT),
+    "zero_census-dpt": lambda: eop.zero_census(eop.EOPSpec("L1", 2, 1, _DPT)),
+    "eop_eval-dpt": lambda: eop.eop_eval(eop.EOPSpec("L1", 1, 1, _DPT), 1.0),
+    "branches": lambda: branches(object()),
+    "potential": lambda: potential(object()),
+    "superpotential": lambda: superpotential(object(), get_branch(_DPT, 1)),
+    "tau": lambda: tau(object()),
+    "si_pair_check": lambda: si_pair_check(
+        object(), get_branch(_DPT, 1), get_branch(_DPT, 4), [0.5]),
+    "seed_polynomial": lambda: deform.seed_polynomial(object(), get_branch(_DPT, 2), 1),
+    "certification_grid": lambda: deform.certification_grid(object()),
+    "default_grid": lambda: spectral.default_grid(object()),
+    "classify_regularity": lambda: spectral.classify_regularity(object(), 2, 1),
+    "w0_explicit": lambda: deform.w0_explicit(object(), 1),
+    "extend_general_R": lambda: deform.extend_general_R(object(), 2, 1.0),
+    "weight_spec": lambda: eop.weight_spec("L1", 1, object()),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSED))
+def test_unsupported_family_raises_configuration_error(case):
+    with pytest.raises(ConfigurationError):
+        _REFUSED[case]()

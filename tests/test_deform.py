@@ -100,6 +100,8 @@ class TestExtend:
             dev = pair.V_tilde_plus.f(grid) - vplus.f(grid) - d.R
             assert np.max(np.abs(dev)) <= 1e-9
             assert pair.shift == d.R
+            scale = 1.0 + np.abs(vplus.f(grid)) + abs(d.R)
+            assert pair.partner_shift_deviation == np.max(np.abs(dev) / scale)
 
     def test_quesne_m1_extension(self):
         # branch-2, m=1 rational extension against the explicit X1 potential

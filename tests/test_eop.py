@@ -21,7 +21,6 @@ from isoshift.eop import (
     intertwine,
     ro_psi_plus,
     series_branch,
-    weight_eval,
     weight_from_superpotential,
     weight_spec,
     zero_census,
@@ -184,7 +183,7 @@ class TestWeights:
         assert ws.is_regular
         r = np.linspace(0.1, 5, 40)
         want = r ** (FAM.ell + 1) * np.exp(-0.25 * FAM.omega * r**2)
-        assert np.allclose(weight_eval(ws, r), want, rtol=1e-14)
+        assert np.allclose(ws.weight.f(r), want, rtol=1e-14)
 
     def test_l3_singular_flag(self):
         ws = weight_spec("L3", 1, RadialOscillator(1.0, 0.2))
@@ -207,7 +206,7 @@ class TestWeights:
         ref = weight_from_superpotential(wtot, anchor=1.0)
         ws = weight_spec("L1", m, FAM)
         r = np.linspace(0.3, 4, 15)
-        ratio = weight_eval(ws, r) / ref.f(r)
+        ratio = ws.weight.f(r) / ref.f(r)
         assert np.ptp(ratio) <= 1e-8 * np.max(np.abs(ratio))
 
 
