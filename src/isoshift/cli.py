@@ -408,7 +408,7 @@ def _apply_config_file(parser, args, argv):
 
 
 def _validate(args):
-    for attr in ("nmax",):
+    for attr in ("nmax", "grid_points"):
         if hasattr(args, attr) and getattr(args, attr) is not None and getattr(args, attr) < 0:
             raise ConfigurationError(f"{attr} must be nonnegative")
     if hasattr(args, "m"):

@@ -37,7 +37,7 @@ from .catalog import (
     partner_potentials,
     superpotential,
 )
-from .errors import ConfigurationError, InternalInconsistencyError
+from .errors import ConfigurationError, InternalInconsistencyError, SingularExtensionError
 
 __all__ = [
     "Deformation",
@@ -263,22 +263,19 @@ def w0_from_ground_state(psi0: Function1D, scan_points=400) -> Function1D:
     """-psi0'/psi0 via the analytic derivative carried by psi0.
 
     psi0 must be strictly positive on the interior; the first detected sign
-    change raises SingularExtensionError naming the bracketing points.
+    change raises SingularExtensionError with the bisected root in `points`;
+    a sample where psi0 is 0 (an underflowed tail) has no sign.
     """
-    from .errors import SingularExtensionError
-
     lo, hi = psi0.domain
     if not math.isfinite(hi):
         hi = 40.0
     lo = max(lo, 1e-6) + 1e-9
     xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), scan_points)
     vals = np.asarray(psi0.f(xs), dtype=float)
-    sign_changes = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    if sign_changes.size:
-        i = int(sign_changes[0])
+    roots = pe.sign_change_zeros(psi0.f, xs, vals, 0.0, 1e-12).crossings
+    if roots:
         raise SingularExtensionError(
-            f"ground state changes sign between x={xs[i]:.6g} and x={xs[i + 1]:.6g}",
-            points=[0.5 * (xs[i] + xs[i + 1])],
+            f"ground state changes sign at x={roots[0]:.6g}", points=roots[:1]
         )
 
     def f(x):
@@ -320,16 +317,13 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
             )
         coeffs.append((R - 2.0 * b * (j - 1)) * coeffs[-1] / denom)
     cs = np.array(coeffs)
-    powers = 2 * np.arange(n_series)
+    dcs = (cs * np.arange(n_series))[1:]
 
     def series_u(r):
-        r = np.asarray(r, dtype=float)
-        return np.polynomial.polynomial.polyval(r, _dense_even(cs))
+        return np.polynomial.polynomial.polyval(r * r, cs)
 
     def series_du(r):
-        r = np.asarray(r, dtype=float)
-        dcs = cs * powers
-        return np.polynomial.polynomial.polyval(r, _dense_even(dcs, shift=-1))
+        return 2.0 * r * np.polynomial.polynomial.polyval(r * r, dcs)
 
     r0 = 0.05 / math.sqrt(omega)
 
@@ -349,35 +343,20 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
     if not sol.success:
         raise InternalInconsistencyError(f"seed ODE integration failed: {sol.message}")
 
-    # locate zeros of u on (r0, r_max) by a dense scan of the interpolant
+    # zeros of u on (r0, r_max): sign changes of the interpolant, bisected to
+    # adjacent floats.  u(0) = 1 and the integration is to atol 1e-12, so
+    # where |u| <= 1e-10 its sign is noise, not a zero
     scan = np.linspace(r0, r_max, 4000)
-    uv = sol.sol(scan)[0]
-    singular = []
-    idx = np.nonzero(uv[:-1] * uv[1:] < 0.0)[0]
-    for i in idx:
-        aa, bb = scan[i], scan[i + 1]
-        fa = sol.sol(aa)[0]
-        for _ in range(80):
-            mid = 0.5 * (aa + bb)
-            fm = sol.sol(mid)[0]
-            if fa * fm <= 0.0:
-                bb = mid
-            else:
-                aa, fa = mid, fm
-        singular.append(0.5 * (aa + bb))
+    u_at = lambda r: sol.sol(r)[0]
+    singular = pe.sign_change_zeros(u_at, scan, u_at(scan), 1e-10, 0.0).crossings
 
     def u_du(r):
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out_u = np.empty_like(r_arr)
-        out_du = np.empty_like(r_arr)
-        inside = r_arr >= r0
-        if np.any(inside):
-            vals = sol.sol(r_arr[inside])
-            out_u[inside], out_du[inside] = vals[0], vals[1]
-        if np.any(~inside):
-            out_u[~inside] = series_u(r_arr[~inside])
-            out_du[~inside] = series_du(r_arr[~inside])
-        return out_u, out_du
+        r = np.atleast_1d(np.asarray(r, dtype=float))
+        u, du = sol.sol(np.maximum(r, r0))
+        # below r0, where the integration starts, the series gives u
+        near = r < r0
+        u[near], du[near] = series_u(r[near]), series_du(r[near])
+        return u, du
 
     def phi_f(r):
         u, du = u_du(r)
@@ -407,14 +386,3 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
         w_tilde=w_tilde,
     )
 
-
-def _dense_even(even_coeffs, shift=0):
-    """Coefficient vector in r with even coefficients c_j at power 2j+shift."""
-    n = len(even_coeffs)
-    top = 2 * (n - 1) + shift
-    dense = np.zeros(max(top + 1, 1))
-    for j, c in enumerate(even_coeffs):
-        p = 2 * j + shift
-        if p >= 0 and c != 0.0:
-            dense[p] = c
-    return dense

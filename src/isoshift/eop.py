@@ -569,7 +569,8 @@ def zero_census(spec: EOPSpec):
     """(inside, outside) zero counts of the exceptional polynomial.
 
     `inside` counts real zeros with y > 0 (i.e. r in (0, inf)) by dense sign
-    scan; `outside` is the remaining degree count (real negative plus
+    scan, counting sign changes only (a sample that evaluates to 0 has no
+    sign); `outside` is the remaining degree count (real negative plus
     complex zeros).
     """
     op = _operational(spec)
@@ -578,6 +579,7 @@ def zero_census(spec: EOPSpec):
     y_hi = 10.0 + 6.0 * (op.n + op.m + 2.0)
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
-    vals = S(ys, 0)[0]
-    inside = int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
+    poly = lambda y: S(y, 0)[0]
+    # only the count is used, so the brackets are not bisected
+    inside = len(pe.sign_change_zeros(poly, ys, poly(ys), 0.0, math.inf).crossings)
     return inside, deg - inside

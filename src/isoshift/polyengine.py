@@ -16,13 +16,19 @@ buffers (in-place ufuncs), so the working set stays in cache and no step
 allocates; the results are bitwise independent of the blocking.
 laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
 derivatives still use the parameter-shift identities.
+
+sign_change_zeros, a sign scan with batched bisection, is the package's one
+zero finder; real_zeros applies it to a polynomial spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 __all__ = [
     "LaguerreSpec",
@@ -35,6 +41,7 @@ __all__ = [
     "jacobi_eval",
     "jacobi_deriv",
     "jacobi_deriv2",
+    "sign_change_zeros",
     "real_zeros",
 ]
 
@@ -83,9 +90,8 @@ class JacobiSpec:
 class ZeroReport:
     """Real roots found in an interval, sorted ascending.
 
-    multiplicity_flags[i] is True when the bracket for zeros[i] was degenerate
-    (a scan sample landed essentially on the root, so the sign-change test
-    could not certify simplicity).
+    multiplicity_flags[i] is True when zeros[i] is a scan sample whose value
+    lay within the floor, so no sign change certifies it.
     """
 
     zeros: list = field(default_factory=list)
@@ -94,6 +100,11 @@ class ZeroReport:
     @property
     def count(self):
         return len(self.zeros)
+
+    @property
+    def crossings(self):
+        """The zeros certified by a sign change (the unflagged ones)."""
+        return [z for z, flag in zip(self.zeros, self.multiplicity_flags) if not flag]
 
 
 def _wrap(x):
@@ -270,55 +281,64 @@ def jacobi_deriv2(spec: JacobiSpec, y):
     return _unwrap(fac * np.asarray(inner), scalar)
 
 
-def _poly_callable(poly):
-    if isinstance(poly, LaguerreSpec):
-        return (lambda x: laguerre_eval(poly, x)), poly.n
-    if isinstance(poly, JacobiSpec):
-        return (lambda x: jacobi_eval(poly, x)), poly.N
-    raise TypeError(f"expected LaguerreSpec or JacobiSpec, got {type(poly).__name__}")
+def sign_change_zeros(f, xs, fs, floor, bisect_tol):
+    """Zeros of f on ascending samples xs, from its values fs there.
 
-
-def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
-    """Locate all real roots of a polynomial spec inside an open interval.
-
-    Dense sign-scan (at least 64*(degree+1) samples) followed by bisection to
-    1e-12 absolute.  All brackets are bisected together, with one array
-    evaluation per halving step; each bracket stops at its own width, so
-    the roots equal those of bisecting the brackets one by one.  A sample
-    landing within ~1e-13 of a root is flagged in multiplicity_flags rather
-    than treated as an error.
+    A sample with |fs| <= floor has no sign: it is reported as a zero with
+    its multiplicity flag set.  Each strict sign change between neighbouring
+    samples is bisected, all brackets together with one array call of f per
+    halving step.  An exact zero collapses its bracket; a bracket stops at
+    width bisect_tol, or once its midpoint is not strictly inside it (so
+    bisect_tol = 0 ends at adjacent floats).  With bisect_tol at least the
+    sample spacing, f is not called and the bracket midpoints are returned.
     """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid interval ({lo}, {hi})")
-    f, degree = _poly_callable(poly)
-    n_samples = max(samples_per_degree * (degree + 1), 128)
-    xs = np.linspace(lo, hi, n_samples)
-    fs = np.asarray(f(xs))
-    scale = max(np.max(np.abs(fs)), 1e-300)
+    on_floor = np.abs(fs) <= floor
+    sign = np.where(on_floor, 0.0, np.sign(fs))
+    idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
+    a, b, sa = xs[idx], xs[idx + 1], sign[idx]
 
-    on_root = np.abs(fs) <= 1e-13 * scale
-    crossing = ~on_root[:-1] & ~on_root[1:] & (fs[:-1] * fs[1:] < 0.0)
-    idx = np.nonzero(crossing)[0]
-    a, b, fa = xs[idx], xs[idx + 1], fs[idx]
-    active = b - a > bisect_tol
+    def bisectable(a, b):
+        mid = 0.5 * (a + b)
+        return (b - a > bisect_tol) & (a < mid) & (mid < b)
+
+    active = bisectable(a, b)
     while np.any(active):
         i = np.nonzero(active)[0]
         mid = 0.5 * (a[i] + b[i])
         fm = np.asarray(f(mid))
         # an exact zero collapses its bracket; otherwise keep the sign change
         exact = fm == 0.0
-        left = ~exact & (fa[i] * fm < 0.0)
+        left = ~exact & (sa[i] * np.sign(fm) < 0.0)
         right = ~exact & ~left
         b[i[exact | left]] = mid[exact | left]
         a[i[exact | right]] = mid[exact | right]
-        fa[i[right]] = fm[right]
-        active[i] = b[i] - a[i] > bisect_tol
+        sa[i[right]] = np.sign(fm[right])
+        active[i] = bisectable(a[i], b[i])
 
-    zeros = list(xs[on_root]) + list(0.5 * (a + b))
-    flags = [True] * int(np.count_nonzero(on_root)) + [False] * idx.size
+    zeros = np.concatenate([xs[on_floor], 0.5 * (a + b)])
     order = np.argsort(zeros, kind="stable")
     return ZeroReport(
-        zeros=[float(zeros[j]) for j in order],
-        multiplicity_flags=[flags[j] for j in order],
+        zeros=zeros[order].tolist(),
+        multiplicity_flags=(order < np.count_nonzero(on_floor)).tolist(),
     )
+
+
+def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
+    """Locate all real roots of a polynomial spec inside an open interval.
+
+    sign_change_zeros on at least 64*(degree+1) samples, bisected to 1e-12
+    absolute (or to adjacent floats where those are wider apart).  A sample
+    within 1e-13 of the largest sampled |value| is flagged in
+    multiplicity_flags rather than treated as an error.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"invalid interval ({lo}, {hi})")
+    evaluate = {LaguerreSpec: laguerre_eval, JacobiSpec: jacobi_eval}.get(type(poly))
+    if evaluate is None:
+        raise ConfigurationError(f"expected LaguerreSpec or JacobiSpec, got {type(poly).__name__}")
+    f = partial(evaluate, poly)
+    xs = np.linspace(lo, hi, max(samples_per_degree * (poly.degree + 1), 128))
+    fs = np.asarray(f(xs))
+    floor = 1e-13 * max(np.max(np.abs(fs)), 1e-300)
+    return sign_change_zeros(f, xs, fs, floor, bisect_tol)

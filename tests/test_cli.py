@@ -225,3 +225,12 @@ class TestRobustness:
         code, err = self._exit_code(capsys, argv)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["extend", "interpolate"])
+    def test_negative_grid_points(self, tmp_path, capsys, command):
+        argv = [command, "--grid-points", "-3", "--out", str(tmp_path / "x")]
+        if command == "interpolate":
+            argv += ["--R", "1"]
+        code, err = self._exit_code(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:") and "grid_points" in err

@@ -22,6 +22,7 @@ from isoshift.deform import (
 )
 from isoshift.catalog import Function1D
 from isoshift.errors import ConfigurationError, SingularExtensionError
+from isoshift.polyengine import LaguerreSpec, real_zeros
 
 
 class TestSeedPolynomial:
@@ -171,6 +172,16 @@ class TestW0:
         assert exc.value.points
         assert exc.value.points[0] == pytest.approx(3.0, abs=0.1)
 
+    def test_sign_change_point_is_bisected(self):
+        psi = Function1D(
+            f=lambda x: np.asarray(x, dtype=float) - math.pi,
+            df=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            domain=(0.0, 10.0),
+        )
+        with pytest.raises(SingularExtensionError) as exc:
+            w0_from_ground_state(psi)
+        assert exc.value.points == [pytest.approx(math.pi, abs=1e-11)]
+
 
 class TestGeneralR:
     def test_matches_polynomial_seed_at_R_2omega(self):
@@ -197,3 +208,28 @@ class TestGeneralR:
         r = np.linspace(0.2, 10, 100)
         dev = pair.V_tilde_plus.f(r) - vplus.f(r) - R
         assert np.max(np.abs(dev)) <= 1e-8
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("ell", [0.1, 1.0, 2.5])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("j", range(5))
+def test_general_R_singular_points_oracle(omega, ell, k, j):
+    """At R = -2 omega (a + 1/2 + j) the regular seed M(-R/2b, a + 1/2, -y)
+    is e^(-y) L_j^(a-1/2)(y) / L_j^(a-1/2)(0) by Kummer's transformation
+    (DLMF 13.2.39), so its zeros are those of the Laguerre polynomial, and
+    its decaying tail has none."""
+    fam = RadialOscillator(omega, ell)
+    # effective a of the branch (branch 3 is deformed sign-reversed); b = +omega
+    a = {1: -ell - 1.0, 2: ell, 3: ell + 1.0}[k]
+    R = -2.0 * omega * (a + 0.5 + j)
+    if a + 0.5 <= 0.0 and float(a + 0.5).is_integer():
+        # 2i(2i - 1 + 2a) = 0 at i = 1/2 - a: no even power-series solution
+        with pytest.raises(ConfigurationError):
+            extend_general_R(fam, k, R)
+        return
+    pair = extend_general_R(fam, k, R)
+    ys = real_zeros(LaguerreSpec(j, a - 0.5), (1e-12, 4.0 * j + 2.0 * abs(a) + 20.0)).zeros
+    want = [math.sqrt(2.0 * y / omega) for y in ys]
+    assert len(pair.singular_points) == len(want)
+    assert pair.singular_points == pytest.approx(want, rel=0.0, abs=1e-6)

@@ -407,3 +407,8 @@ class TestZeroCensus:
         inside, outside = zero_census(EOPSpec("L3", 2, 2, RadialOscillator(1.0, 1.0)))
         assert inside + outside == 5
         assert inside == 3
+
+    def test_zero_sample_is_not_a_crossing(self):
+        # the first sample (y = 1e-9) of this polynomial evaluates to -0.0
+        spec = EOPSpec("L3", 0, 4, RadialOscillator(0.5, 2.5))
+        assert zero_census(spec) == (0, 5)

@@ -25,7 +25,9 @@ from isoshift.polyengine import (
     laguerre_eval,
     laguerre_jet,
     real_zeros,
+    sign_change_zeros,
 )
+from isoshift.errors import ConfigurationError
 
 
 def gbinom(t, k):
@@ -345,6 +347,21 @@ class TestRealZeros:
             assert rep.zeros == one_by_one(f, xs, f(xs))
             assert rep.count >= 1
 
+    def test_roots_where_the_tolerance_is_below_the_float_spacing(self):
+        # the float spacing near 1e4 is 1.8e-12, so no bracket ever gets
+        # narrower than bisect_tol = 1e-12; bisection stops at adjacent floats
+        spec = LaguerreSpec(2, 9999.123456)
+        rep = real_zeros(spec, (9000.0, 11000.0))
+        coeffs = [(-1.0) ** k * gbinom(2 + spec.alpha, 2 - k) / math.factorial(k) for k in range(3)]
+        roots = sorted(np.roots(coeffs[::-1]).real)
+        assert roots == pytest.approx([9901.11783888, 10101.12907312], abs=1e-8)
+        assert rep.count == 2
+        assert rep.zeros == pytest.approx(roots, rel=1e-12)
+
+    def test_unknown_spec_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError):
+            real_zeros((2, 0.5), (0.0, 1.0))
+
     def test_jacobi_zero_count(self):
         rep = real_zeros(JacobiSpec(4, 0.5, 0.5), (-1.0, 1.0))
         assert rep.count == 4
@@ -358,3 +375,31 @@ class TestRealZeros:
             LaguerreSpec(-1, 0.5)
         with pytest.raises(ValueError):
             JacobiSpec(-2, 0.0, 0.0)
+
+
+class TestSignChangeZeros:
+    def test_floor_flags_samples_and_skips_their_brackets(self):
+        xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        fs = np.array([1.0, 1e-12, -1.0, -1.0, 1.0])
+        f = lambda x: np.interp(x, xs, fs)
+        rep = sign_change_zeros(f, xs, fs, 1e-10, 1e-12)
+        assert rep.multiplicity_flags == [True, False]
+        assert rep.zeros[0] == 1.0
+        assert rep.zeros[1] == pytest.approx(3.5, abs=1e-12)
+        assert rep.crossings == rep.zeros[1:]
+
+    def test_wide_tolerance_returns_midpoints_without_evaluating(self):
+        def f(x):
+            raise AssertionError("no bisection step expected")
+
+        xs = np.linspace(0.0, 1.0, 11)
+        rep = sign_change_zeros(f, xs, np.cos(8.0 * xs), 0.0, math.inf)
+        assert rep.zeros == pytest.approx([0.15, 0.55, 0.95], abs=1e-15)
+
+    def test_exact_zero_collapses_and_zero_tolerance_ends_at_adjacent_floats(self):
+        f = lambda x: np.asarray(x) - 0.25
+        xs = np.array([0.0, 1.0])
+        assert sign_change_zeros(f, xs, f(xs), 0.0, 0.0).zeros == [0.25]
+        g = lambda x: np.asarray(x) - 0.3
+        z = sign_change_zeros(g, xs, g(xs), 0.0, 0.0).zeros[0]
+        assert abs(z - 0.3) <= np.spacing(0.3)
