@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -238,7 +239,15 @@ def cmd_certify(args):
     }
     for k in args.branches:
         for m in args.m:
-            record, failures = _certify_cell(family, k, m, args)
+            try:
+                record, failures = _certify_cell(family, k, m, args)
+            except ConfigurationError:
+                raise
+            except IsoshiftError as exc:
+                # a cell that cannot be certified fails alone; the report stays
+                error = f"{type(exc).__name__}: {exc}"
+                record = {"branch": k, "m": m, "error": error}
+                failures = [f"branch {k} m={m}: {error}"]
             report["cells"].append(record)
             report["failures"].extend(failures)
     # the linking superpotential W0 joins the L1 and L2 extensions
@@ -419,9 +428,15 @@ def _validate(args):
         args.m = [int(m) for m in args.m]
 
 
+@functools.cache
+def _parser():
+    """build_parser(), once per process: parse_args leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         args = _apply_config_file(parser, args, argv)

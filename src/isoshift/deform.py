@@ -184,7 +184,10 @@ def seed_polynomial(family, branch, m) -> Deformation:
 
 
 def certification_grid(family, n_points=400, exclude=(), pad=None):
-    """A uniform interior grid with a neighborhood of each excluded point removed."""
+    """A uniform interior grid with a neighborhood of each excluded point removed.
+
+    Raises SingularExtensionError when the neighborhoods cover every sample.
+    """
     lo, hi = Family.check(family).certification_interval()
     pts = np.linspace(lo, hi, n_points)
     if exclude:
@@ -194,6 +197,11 @@ def certification_grid(family, n_points=400, exclude=(), pad=None):
         for x0 in exclude:
             mask &= np.abs(pts - x0) > pad
         pts = pts[mask]
+        if pts.size == 0:
+            raise SingularExtensionError(
+                f"every certification sample lies within {pad:.3g} of a singular point",
+                points=exclude,
+            )
     return pts
 
 

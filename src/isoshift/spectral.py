@@ -1,11 +1,14 @@
 """Numerical certification: bound-state solver, residual checks, regularity.
 
 The solver discretizes -d^2/dx^2 + V on a uniform grid with a 3-point
-Laplacian and Dirichlet ends, extracts the lowest eigenvalues of the
-symmetric tridiagonal matrix by bisection (Sturm sequences) with inverse
-iteration for vectors, and Richardson-extrapolates each eigenvalue from the
-(n, 2n) grid pair.  Everything else in the module is a pointwise residual
-evaluator or a classifier built on the polynomial zero scan.
+Laplacian and Dirichlet ends and Richardson-extrapolates each of the lowest
+eigenvalues from the (n, 2n+1) grid pair.  On the coarse grid they come from
+bisection (Sturm sequences).  On the fine grid, Rayleigh-quotient iteration
+started from them gives eigenpairs that a residual bound and two Sturm counts
+certify to be the lowest ones; where that certificate fails, the fine grid
+goes back to bisection with inverse-iteration vectors.  Everything else in
+the module is a pointwise residual evaluator or a classifier built on the
+polynomial zero scan.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .catalog import Family, Function1D
 from .errors import ConfigurationError, SingularPotentialError
@@ -87,7 +90,8 @@ def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     return Grid(*Family.check(family).solver_interval(k, m), n_points)
 
 
-def _tridiagonal_eigs(V: Function1D, grid: Grid, k: int, want_vectors: bool):
+def _fd_hamiltonian(V: Function1D, grid: Grid):
+    """Diagonal, off-diagonal and potential samples of the FD Hamiltonian."""
     x = grid.nodes
     v = np.asarray(V.f(x), dtype=float)
     bad = np.nonzero(~np.isfinite(v))[0]
@@ -97,27 +101,98 @@ def _tridiagonal_eigs(V: Function1D, grid: Grid, k: int, want_vectors: bool):
             f"potential non-finite at grid node x={x[i]:.8g}", node=float(x[i])
         )
     h2 = grid.spacing**2
-    diag = 2.0 / h2 + v
-    off = np.full(grid.n_points - 1, -1.0 / h2)
-    if want_vectors:
-        vals, vecs = eigh_tridiagonal(
-            diag, off, select="i", select_range=(0, k - 1), lapack_driver="stebz"
-        )
-        return vals, vecs
-    vals = eigh_tridiagonal(
+    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2), v
+
+
+def _bisection(diag, off, k, eigvals_only):
+    """The lowest k eigenvalues (and vectors) by Sturm bisection."""
+    return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1),
-        eigvals_only=True, lapack_driver="stebz",
+        eigvals_only=eigvals_only, lapack_driver="stebz",
     )
-    return vals, None
+
+
+def _start_vector(n, j):
+    """sin(j pi t) at t = i/(n+1): the j-th discrete Dirichlet mode.
+
+    It has the parity of level j in a symmetric well, which a constant
+    vector lacks for every even j.
+    """
+    return np.sin(j * np.pi * np.arange(1, n + 1) / (n + 1))
+
+
+def _eigenvalue_count(diag, off, lo, hi):
+    """Sturm count of the eigenvalues in (lo, hi]; dstebz stops before bisecting."""
+    m, _, _, _, info = lapack.dstebz(diag, off, 1, lo, hi, 1, 1, 1e300, "E")
+    return m if info == 0 else -1
+
+
+# RQI converges cubically, in two or three steps from a coarse-grid eigenvalue;
+# a level still moving after this many steps goes to the fallback
+_RQI_MAX_STEPS = 30
+
+
+def _certified_rqi(diag, off, v, guesses):
+    """Rayleigh-quotient iteration for the lowest len(guesses) eigenpairs.
+
+    Level j starts at shift guesses[j-1] with the vector _start_vector(n, j)
+    and stops when successive Rayleigh quotients agree to 8 eps ||T||.  The
+    result is certified or refused (None): with residuals r_j, the intervals
+    lambda_j +- r_j each hold an eigenvalue, so if they are increasing and
+    disjoint and Sturm counts find no eigenvalue in (lo, lambda_1 - r_1] and
+    exactly k in (lo, lambda_k + r_k], they hold the lowest k, one each.
+    lo = min V - 1 lies below the Gershgorin bound min V of the spectrum.
+    (Parlett, The Symmetric Eigenvalue Problem, sections 4.6 and 10.4.)
+    """
+    n, k = diag.size, len(guesses)
+    tol = 8.0 * np.finfo(float).eps * (4.0 * abs(off[0]) + np.max(np.abs(v)))
+    vals, vecs, radii = np.empty(k), np.empty((n, k)), np.empty(k)
+    for j, lam in enumerate(guesses):
+        x, prev = _start_vector(n, j + 1), np.nan
+        for _ in range(_RQI_MAX_STEPS):
+            *_, y, info = lapack.dgtsv(off, diag - lam, off, x)
+            if info != 0:
+                return None
+            x = y / np.linalg.norm(y)
+            tx = diag * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            prev, lam = lam, float(x @ tx)
+            if abs(lam - prev) <= tol:
+                break
+        else:
+            return None
+        vals[j], vecs[:, j] = lam, x
+        radii[j] = np.linalg.norm(tx - lam * x)
+    lower, upper = vals - radii, vals + radii
+    lo = float(np.min(v)) - 1.0
+    certified = (
+        np.all(upper[:-1] < lower[1:])
+        and lo < lower[0]  # dstebz refuses an empty (lo, hi] with a printed error
+        and _eigenvalue_count(diag, off, lo, lower[0]) == 0
+        and _eigenvalue_count(diag, off, lo, upper[-1]) == k
+    )
+    return (vals, vecs) if certified else None
 
 
 def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
-    """Lowest k eigenvalues, Richardson-extrapolated from grids (n, 2n+1)."""
-    if k < 1:
-        raise ConfigurationError(f"need at least one state, got k={k}")
-    coarse, _ = _tridiagonal_eigs(V, grid, k, want_vectors=False)
-    fine_grid = grid.refined()
-    fine, vecs = _tridiagonal_eigs(V, fine_grid, k, want_vectors=True)
+    """Lowest k eigenvalues, Richardson-extrapolated from grids (n, 2n+1).
+
+    Bisection gives the coarse eigenvalues; certified Rayleigh-quotient
+    iteration from them gives the fine eigenpairs, with bisection as the
+    fallback wherever the certificate fails.
+    """
+    if not 1 <= k <= grid.n_points:
+        raise ConfigurationError(
+            f"need between 1 and {grid.n_points} states on this grid, got k={k}"
+        )
+    diag, off, _ = _fd_hamiltonian(V, grid)
+    coarse = _bisection(diag, off, k, eigvals_only=True)
+    diag, off, v = _fd_hamiltonian(V, grid.refined())
+    fine_pairs = _certified_rqi(diag, off, v, coarse)
+    if fine_pairs is None:
+        fine_pairs = _bisection(diag, off, k, eigvals_only=False)
+    fine, vecs = fine_pairs
     extrap = (4.0 * fine - coarse) / 3.0
     conv = np.abs(fine - coarse) / 3.0
     decay = []

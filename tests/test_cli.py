@@ -119,6 +119,20 @@ class TestConfig:
         cfg.write_text(json.dumps({"no_such_key": 1}))
         assert main(["catalog", "radial_oscillator", "--config", str(cfg)]) == 2
 
+    def test_config_does_not_carry_into_the_next_run(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 2.0, "m": [2], "skip_gram": True}))
+        argv = ["certify", "--branches", "2", "--skip-spectral"]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert first["params"]["omega"] == 2.0
+        assert [c["m"] for c in first["cells"]] == [2]
+        assert main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert second["params"]["omega"] == 1.0
+        assert [c["m"] for c in second["cells"]] == [0, 1, 2]
+        assert isinstance(second["cells"][1]["gram_offdiag_max"], float)
+
     def test_invalid_m_exits_2(self, tmp_path):
         assert main(["extend", "--m", "-2", "--out", str(tmp_path / "x")]) == 2
 
@@ -168,6 +182,36 @@ class TestCertify:
         assert code == 0
         assert seeds.count((1, 2)) == 1
         assert cell["regularity"] == "regular" and cell["gram_offdiag_max"] <= 1e-8
+
+    def test_empty_certification_grid_is_a_failed_cell(self, capsys):
+        # every seed zero is padded out, so no certification sample is left
+        code = main([
+            "certify", "--family", "trig_dpt", "--A", "0.5", "--B", "2.5",
+            "--branches", "4", "--m", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        assert report["status"] == "fail"
+        assert report["cells"][0]["error"].startswith("SingularExtensionError")
+        assert report["failures"] == [f"branch 4 m=4: {report['cells'][0]['error']}"]
+
+    def test_raising_cell_keeps_the_report(self, capsys):
+        # branch 2, m=4 violates the partner-shift identity; the others pass
+        code = main([
+            "certify", "--family", "trig_dpt", "--A", "2.5", "--B", "0.45",
+            "--branches", "1", "2", "--m", "3", "4",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("FAILED: branch 2 m=4: InternalInconsistencyError")
+        report = json.loads(captured.out)
+        cells = {(c["branch"], c["m"]): c for c in report["cells"]}
+        assert list(cells) == [(1, 3), (1, 4), (2, 3), (2, 4)]
+        assert cells[(2, 4)]["error"].startswith("InternalInconsistencyError")
+        assert all("error" not in cells[key] for key in [(1, 3), (1, 4), (2, 3)])
+        assert len(report["failures"]) == 1
 
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from isoshift.catalog import (
     Function1D,
@@ -15,6 +16,7 @@ from isoshift.catalog import (
 )
 from isoshift.deform import extend, seed_polynomial
 from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
+from isoshift import spectral
 from isoshift.spectral import (
     Grid,
     classify_regularity,
@@ -31,6 +33,39 @@ def _const_fn(c, domain=(0.0, 1.0)):
     g = lambda x: np.full_like(np.asarray(x, dtype=float), c)
     return Function1D(f=g, df=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                       domain=domain)
+
+
+def _tridiagonal(V, grid):
+    h2 = grid.spacing**2
+    return 2.0 / h2 + V.f(grid.nodes), np.full(grid.n_points - 1, -1.0 / h2)
+
+
+def _stebz(V, grid, k, **kwargs):
+    return eigh_tridiagonal(*_tridiagonal(V, grid), select="i", select_range=(0, k - 1),
+                            lapack_driver="stebz", **kwargs)
+
+
+def _bisection_report(V, grid, k):
+    """The reference solver: Sturm bisection, with inverse-iteration vectors, on both grids."""
+    coarse = _stebz(V, grid, k, eigvals_only=True)
+    fine, vecs = _stebz(V, grid.refined(), k)
+    return spectral.SpectralReport(
+        eigenvalues=tuple(float(e) for e in (4.0 * fine - coarse) / 3.0),
+        boundary_decay_ok=tuple(
+            bool(abs(vec[-1]) <= 1e-8 * np.max(np.abs(vec))) for vec in vecs.T
+        ),
+        grid_convergence=tuple(float(c) for c in np.abs(fine - coarse) / 3.0),
+    )
+
+
+def _harmonic_line():
+    x2 = lambda x: np.asarray(x, dtype=float) ** 2
+    return Function1D(f=x2, df=lambda x: 2.0 * np.asarray(x, dtype=float),
+                      domain=(-12.0, 12.0))
+
+
+def _partner_vminus(fam):
+    return partner_potentials(superpotential(fam, 1))[0]
 
 
 class TestGrid:
@@ -50,12 +85,7 @@ class TestGrid:
 
 class TestSolver:
     def test_harmonic_oscillator_line(self):
-        V = Function1D(
-            f=lambda x: np.asarray(x, dtype=float) ** 2,
-            df=lambda x: 2.0 * np.asarray(x, dtype=float),
-            domain=(-12.0, 12.0),
-        )
-        rep = solve_bound_states(V, Grid(-12.0, 12.0, 3000), k=5)
+        rep = solve_bound_states(_harmonic_line(), Grid(-12.0, 12.0, 3000), k=5)
         for n, E in enumerate(rep.eigenvalues):
             assert E == pytest.approx(2 * n + 1, abs=1e-7)
         assert all(rep.boundary_decay_ok)
@@ -96,8 +126,67 @@ class TestSolver:
         assert exc.value.node == pytest.approx(grid.nodes[0])
 
     def test_k_validation(self):
-        with pytest.raises(ConfigurationError):
-            solve_bound_states(_const_fn(0.0), Grid(0.0, 1.0, 100), k=0)
+        for k in (0, -1, 101, 10**6):
+            with pytest.raises(ConfigurationError):
+                solve_bound_states(_const_fn(0.0), Grid(0.0, 1.0, 100), k=k)
+
+    # the setups of the solver tests above
+    @pytest.mark.parametrize("setup", [
+        lambda: (_harmonic_line(), Grid(-12.0, 12.0, 3000), 5),
+        lambda: (_partner_vminus(RadialOscillator(2.0, 1.0)),
+                 default_grid(RadialOscillator(2.0, 1.0), k=5), 5),
+        lambda: (_partner_vminus(TrigDPT(1.0, 2.0)), default_grid(TrigDPT(1.0, 2.0), k=4), 4),
+        lambda: (_partner_vminus(RadialOscillator(1.0, 1.0)),
+                 default_grid(RadialOscillator(1.0, 1.0), k=2, n_points=2000), 2),
+    ])
+    def test_boundary_decay_matches_bisection_vectors(self, setup):
+        V, grid, k = setup()
+        rep = solve_bound_states(V, grid, k)
+        assert rep.boundary_decay_ok == _bisection_report(V, grid, k).boundary_decay_ok
+
+
+# RO (omega, ell) and DPT (A, B) cells of the fine-grid checks; A = B is a
+# symmetric well, whose odd levels a start vector without odd part misses
+_FINE_GRID_CASES = [
+    RadialOscillator(2.0, 1.0),
+    RadialOscillator(0.6, 0.2),
+    TrigDPT(1.5, 1.5),
+    TrigDPT(2.5, 0.7),
+]
+
+
+class TestFineGridRayleighQuotient:
+    def _fine_problem(self, fam, k=4):
+        """The certify grid's fine Hamiltonian for V- of branch 1, and the coarse guesses."""
+        V = _partner_vminus(fam)
+        grid = default_grid(fam, k=k, n_points=3000)
+        fine = grid.refined()
+        coarse = _stebz(V, grid, k, eigvals_only=True)
+        return V, grid, *_tridiagonal(V, fine), V.f(fine.nodes), coarse
+
+    @pytest.mark.parametrize("fam", _FINE_GRID_CASES, ids=repr)
+    def test_eigenvalues_match_tight_bisection(self, fam):
+        _, _, diag, off, v, coarse = self._fine_problem(fam)
+        vals, vecs = spectral._certified_rqi(diag, off, v, coarse)
+        m, ref, *_ = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 4, 1e-300, "E")
+        assert m == 4
+        norm_t = 4.0 * abs(off[0]) + np.max(np.abs(v))
+        assert np.max(np.abs(vals - ref[:4])) <= 8.0 * np.finfo(float).eps * norm_t
+        assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
+
+    def test_certificate_refuses_levels_above_the_lowest(self):
+        # shifts at levels 2-5 converge to disjoint intervals that miss level 1
+        _, _, diag, off, v, coarse = self._fine_problem(RadialOscillator(2.0, 1.0), k=5)
+        assert spectral._certified_rqi(diag, off, v, coarse[:4]) is not None
+        assert spectral._certified_rqi(diag, off, v, coarse[1:]) is None
+
+    def test_bad_start_vector_falls_back_to_bisection(self, monkeypatch):
+        V, grid, diag, off, v, coarse = self._fine_problem(TrigDPT(1.5, 1.5))
+        expected = _bisection_report(V, grid, 4)
+        # a constant vector has no odd component in the symmetric well
+        monkeypatch.setattr(spectral, "_start_vector", lambda n, j: np.ones(n))
+        assert spectral._certified_rqi(diag, off, v, coarse) is None
+        assert solve_bound_states(V, grid, 4) == expected
 
 
 class TestIsospectrality:
