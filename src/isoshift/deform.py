@@ -271,7 +271,7 @@ def w0_from_ground_state(psi0: Function1D, scan_points=400) -> Function1D:
     """-psi0'/psi0 via the analytic derivative carried by psi0.
 
     psi0 must be strictly positive on the interior; the first detected sign
-    change raises SingularExtensionError with the bisected root in `points`;
+    change raises SingularExtensionError with the refined root in `points`;
     a sample where psi0 is 0 (an underflowed tail) has no sign.
     """
     lo, hi = psi0.domain
@@ -351,7 +351,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
     if not sol.success:
         raise InternalInconsistencyError(f"seed ODE integration failed: {sol.message}")
 
-    # zeros of u on (r0, r_max): sign changes of the interpolant, bisected to
+    # zeros of u on (r0, r_max): sign changes of the interpolant, refined to
     # adjacent floats.  u(0) = 1 and the integration is to atol 1e-12, so
     # where |u| <= 1e-10 its sign is noise, not a zero
     scan = np.linspace(r0, r_max, 4000)

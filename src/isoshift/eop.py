@@ -580,6 +580,6 @@ def zero_census(spec: EOPSpec):
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
     poly = lambda y: S(y, 0)[0]
-    # only the count is used, so the brackets are not bisected
+    # only the count is used, so the brackets are not refined
     inside = len(pe.sign_change_zeros(poly, ys, poly(ys), 0.0, math.inf).crossings)
     return inside, deg - inside

@@ -17,8 +17,9 @@ allocates; the results are bitwise independent of the blocking.
 laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
 derivatives still use the parameter-shift identities.
 
-sign_change_zeros, a sign scan with batched bisection, is the package's one
-zero finder; real_zeros applies it to a polynomial spec.
+sign_change_zeros, a sign scan whose brackets are refined together by ITP
+(interpolate, truncate, project), is the package's one zero finder;
+real_zeros applies it to a polynomial spec.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ class LaguerreSpec:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.n}")
+            raise ConfigurationError(f"degree must be nonnegative, got {self.n}")
 
     @property
     def degree(self):
@@ -79,7 +80,7 @@ class JacobiSpec:
 
     def __post_init__(self):
         if self.N < 0:
-            raise ValueError(f"degree must be nonnegative, got {self.N}")
+            raise ConfigurationError(f"degree must be nonnegative, got {self.N}")
 
     @property
     def degree(self):
@@ -91,11 +92,14 @@ class ZeroReport:
     """Real roots found in an interval, sorted ascending.
 
     multiplicity_flags[i] is True when zeros[i] is a scan sample whose value
-    lay within the floor, so no sign change certifies it.
+    lay within the floor, so no sign change certifies it.  half_widths[i] is
+    the half-width of the final bracket of crossings[i]: a sign change of f
+    lies within that distance of it, its certified error.
     """
 
     zeros: list = field(default_factory=list)
     multiplicity_flags: list = field(default_factory=list)
+    half_widths: list = field(default_factory=list)
 
     @property
     def count(self):
@@ -168,7 +172,7 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     arrays shaped like x.
     """
     if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
+        raise ConfigurationError(f"order must be nonnegative, got {order}")
     arr, scalar = _wrap(x)
     n, a = spec.n, spec.alpha
     flat = arr.reshape(-1)
@@ -286,54 +290,92 @@ def sign_change_zeros(f, xs, fs, floor, bisect_tol):
 
     A sample with |fs| <= floor has no sign: it is reported as a zero with
     its multiplicity flag set.  Each strict sign change between neighbouring
-    samples is bisected, all brackets together with one array call of f per
-    halving step.  An exact zero collapses its bracket; a bracket stops at
-    width bisect_tol, or once its midpoint is not strictly inside it (so
-    bisect_tol = 0 ends at adjacent floats).  With bisect_tol at least the
-    sample spacing, f is not called and the bracket midpoints are returned.
+    samples is refined by ITP (Oliveira and Takahashi, ACM TOMS 47(1), 2020),
+    all brackets together with one array call of f per step.  A step takes
+    the regula-falsi point, truncates it toward the midpoint by
+    kappa1 * width^2 (kappa1 = 0.2 / initial width, exponent 2), and projects
+    it into the interval about the midpoint that keeps bisection's minmax
+    bound with n0 = 1: a bracket takes at most one evaluation more than
+    bisection, and superlinearly fewer on smooth f.  The bound's 2 eps is
+    bisect_tol, or the float spacing at the bracket where that is wider.
+    f should be finite on the brackets; at a non-finite value the step
+    bisects, and numpy may warn.
+
+    An exact zero collapses its bracket; a bracket stops at width
+    bisect_tol, or once its midpoint is not strictly inside it (so
+    bisect_tol = 0 ends at adjacent floats).  A crossing is the midpoint of
+    its final bracket, and half_widths holds that bracket's half-width.
+    With bisect_tol at least the sample spacing, f is not called and the
+    sample brackets' midpoints are returned.
     """
     on_floor = np.abs(fs) <= floor
     sign = np.where(on_floor, 0.0, np.sign(fs))
     idx = np.nonzero(sign[:-1] * sign[1:] < 0.0)[0]
-    a, b, sa = xs[idx], xs[idx + 1], sign[idx]
-
-    def bisectable(a, b):
-        mid = 0.5 * (a + b)
-        return (b - a > bisect_tol) & (a < mid) & (mid < b)
-
-    active = bisectable(a, b)
-    while np.any(active):
-        i = np.nonzero(active)[0]
-        mid = 0.5 * (a[i] + b[i])
-        fm = np.asarray(f(mid))
+    lo, hi = xs[idx], xs[idx + 1]  # the final brackets, written as they finish
+    w, mid, go = _refinable(lo, hi, bisect_tol)
+    live = np.nonzero(go)[0]
+    # each live bracket: its ends a, b and g = s f there, g(a) > 0 > g(b);
+    # kappa1; and reach = eps 2^(n_max - j), the bisection bound of step j
+    a, b, w, mid, s = lo[live], hi[live], w[live], mid[live], sign[idx[live]]
+    ga, gb = s * fs[idx[live]], s * fs[idx[live] + 1]
+    k1 = 0.2 / w
+    spacing = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+    two_eps = np.maximum(bisect_tol, spacing)
+    mant, expo = np.frexp(w / two_eps)
+    # reach starts a little under two_eps 2^n_half, still at least w / 2, so
+    # that rounding cannot carry the last width past bisect_tol
+    reach = np.ldexp(two_eps - np.minimum(2.0 * spacing, 0.5 * bisect_tol),
+                     expo - (mant == 0.5))
+    while live.size:
+        h = 0.5 - ga / (ga - gb)  # (midpoint - regula falsi point) / width
+        step = np.maximum(np.minimum(w * (np.abs(h) - k1 * w), reach - 0.5 * w), 0.0)
+        x = mid - np.copysign(step, h)
+        x = np.where((a < x) & (x < b), x, mid)
+        gx = s * np.asarray(f(x), dtype=float)
         # an exact zero collapses its bracket; otherwise keep the sign change
-        exact = fm == 0.0
-        left = ~exact & (sa[i] * np.sign(fm) < 0.0)
-        right = ~exact & ~left
-        b[i[exact | left]] = mid[exact | left]
-        a[i[exact | right]] = mid[exact | right]
-        sa[i[right]] = np.sign(fm[right])
-        active[i] = bisectable(a[i], b[i])
+        # (a NaN moves a, so no step leaves its bracket as it was)
+        move_a = ~(gx < 0.0)
+        np.copyto(a, x, where=move_a)
+        np.copyto(ga, gx, where=move_a)
+        move_b = gx <= 0.0
+        np.copyto(b, x, where=move_b)
+        np.copyto(gb, gx, where=move_b)
+        reach *= 0.5
+        w, mid, go = _refinable(a, b, bisect_tol)
+        if np.count_nonzero(go) < go.size:
+            lo[live], hi[live] = a, b
+            live, a, b, ga, gb, s, k1, reach, w, mid = (
+                v[go] for v in (live, a, b, ga, gb, s, k1, reach, w, mid)
+            )
 
-    zeros = np.concatenate([xs[on_floor], 0.5 * (a + b)])
+    zeros = np.concatenate([xs[on_floor], 0.5 * (lo + hi)])
     order = np.argsort(zeros, kind="stable")
+    n_floor = np.count_nonzero(on_floor)
+    flags = order < n_floor
     return ZeroReport(
         zeros=zeros[order].tolist(),
-        multiplicity_flags=(order < np.count_nonzero(on_floor)).tolist(),
+        multiplicity_flags=flags.tolist(),
+        half_widths=(0.5 * (hi - lo))[order[~flags] - n_floor].tolist(),
     )
+
+
+def _refinable(a, b, tol):
+    """(width, midpoint, refinable): wider than tol, midpoint strictly inside."""
+    w, mid = b - a, 0.5 * (a + b)
+    return w, mid, (w > tol) & (a < mid) & (mid < b)
 
 
 def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
     """Locate all real roots of a polynomial spec inside an open interval.
 
-    sign_change_zeros on at least 64*(degree+1) samples, bisected to 1e-12
+    sign_change_zeros on at least 64*(degree+1) samples, refined to 1e-12
     absolute (or to adjacent floats where those are wider apart).  A sample
     within 1e-13 of the largest sampled |value| is flagged in
     multiplicity_flags rather than treated as an error.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"invalid interval ({lo}, {hi})")
+        raise ConfigurationError(f"invalid interval ({lo}, {hi})")
     evaluate = {LaguerreSpec: laguerre_eval, JacobiSpec: jacobi_eval}.get(type(poly))
     if evaluate is None:
         raise ConfigurationError(f"expected LaguerreSpec or JacobiSpec, got {type(poly).__name__}")

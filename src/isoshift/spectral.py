@@ -90,8 +90,8 @@ def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     return Grid(*Family.check(family).solver_interval(k, m), n_points)
 
 
-def _fd_hamiltonian(V: Function1D, grid: Grid):
-    """Diagonal, off-diagonal and potential samples of the FD Hamiltonian."""
+def _potential_samples(V: Function1D, grid: Grid):
+    """V at the grid nodes; SingularPotentialError where it is not finite."""
     x = grid.nodes
     v = np.asarray(V.f(x), dtype=float)
     bad = np.nonzero(~np.isfinite(v))[0]
@@ -100,8 +100,13 @@ def _fd_hamiltonian(V: Function1D, grid: Grid):
         raise SingularPotentialError(
             f"potential non-finite at grid node x={x[i]:.8g}", node=float(x[i])
         )
+    return v
+
+
+def _fd_hamiltonian(v, grid: Grid):
+    """Diagonal and off-diagonal of the FD Hamiltonian with potential samples v."""
     h2 = grid.spacing**2
-    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2), v
+    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2)
 
 
 def _bisection(diag, off, k, eigvals_only):
@@ -186,10 +191,16 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
         raise ConfigurationError(
             f"need between 1 and {grid.n_points} states on this grid, got k={k}"
         )
-    diag, off, _ = _fd_hamiltonian(V, grid)
+    v = _potential_samples(V, grid)
+    return _solve_sampled(v, _potential_samples(V, grid.refined()), grid, k)
+
+
+def _solve_sampled(v, v_fine, grid: Grid, k: int) -> SpectralReport:
+    """solve_bound_states from the potential's samples on grid and grid.refined()."""
+    diag, off = _fd_hamiltonian(v, grid)
     coarse = _bisection(diag, off, k, eigvals_only=True)
-    diag, off, v = _fd_hamiltonian(V, grid.refined())
-    fine_pairs = _certified_rqi(diag, off, v, coarse)
+    diag, off = _fd_hamiltonian(v_fine, grid.refined())
+    fine_pairs = _certified_rqi(diag, off, v_fine, coarse)
     if fine_pairs is None:
         fine_pairs = _bisection(diag, off, k, eigvals_only=False)
     fine, vecs = fine_pairs
@@ -211,9 +222,12 @@ def isospectrality_report(V_a: Function1D, V_b: Function1D, grid: Grid, k: int):
 
     The shift is the least-squares constant offset spec(V_a) - spec(V_b).
     """
-    ea = np.array(solve_bound_states(V_a, grid, k).eigenvalues)
-    eb = np.array(solve_bound_states(V_b, grid, k).eigenvalues)
-    diff = ea - eb
+    return _spectral_offset(solve_bound_states(V_a, grid, k), solve_bound_states(V_b, grid, k))
+
+
+def _spectral_offset(report_a: SpectralReport, report_b: SpectralReport):
+    """isospectrality_report's (shift, deviation) from the two solver reports."""
+    diff = np.array(report_a.eigenvalues) - np.array(report_b.eigenvalues)
     shift = float(np.mean(diff))
     return shift, float(np.max(np.abs(diff - shift)))
 

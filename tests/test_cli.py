@@ -1,6 +1,7 @@
 """Command-line interface: determinism, exit codes, config handling."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,30 @@ class TestCertify:
         assert cells[(2, 4)]["error"].startswith("InternalInconsistencyError")
         assert all("error" not in cells[key] for key in [(1, 3), (1, 4), (2, 3)])
         assert len(report["failures"]) == 1
+
+    @pytest.mark.parametrize("family, distinct", [("trig_dpt", 4), ("radial_oscillator", 11)])
+    def test_identical_fd_solves_run_once(self, monkeypatch, capsys, family, distinct):
+        from isoshift import cli, spectral
+
+        solves = []
+        real_solve = spectral._solve_sampled
+
+        def counting_solve(*args):
+            solves.append(args)
+            return real_solve(*args)
+
+        def run():
+            solves.clear()
+            assert main(["certify", "--family", family]) == 0
+            # every byte but the timings
+            return len(solves), re.sub(r'"wall_time_s": [^,\n]*', "", capsys.readouterr().out)
+
+        monkeypatch.setattr(spectral, "_solve_sampled", counting_solve)
+        memoized = run()
+        monkeypatch.setattr(cli, "_solve", lambda memo, V, grid, k: spectral.solve_bound_states(V, grid, k))
+        assert memoized == (distinct, run()[1])
+        # 9 cells, of which 6 solve two spectra
+        assert run()[0] == 12
 
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([

@@ -224,7 +224,7 @@ class TestLaguerreJet:
         assert not np.any(got[3]) and not np.any(got[4])
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             laguerre_jet(LaguerreSpec(2, 0.5), 1.0, -1)
 
 
@@ -315,20 +315,33 @@ class TestRealZeros:
 
     def test_batched_bisection_matches_one_bracket_at_a_time(self):
         def one_by_one(f, xs, fs, tol=1e-12):
+            # the ITP step on one bracket at a time, in scalar arithmetic
             out = []
             for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
                 if fa * fb >= 0.0:
                     continue
-                while b - a > tol:
-                    mid = 0.5 * (a + b)
-                    fm = f(mid)
-                    if fm == 0.0:
-                        a = b = mid
-                        break
-                    if fa * fm < 0.0:
-                        b = mid
+                s = math.copysign(1.0, fa)
+                ga, gb = s * fa, s * fb
+                k1 = 0.2 / (b - a)
+                spacing = math.ulp(max(abs(a), abs(b)))
+                two_eps = max(tol, spacing)
+                mant, expo = math.frexp((b - a) / two_eps)
+                reach = math.ldexp(two_eps - min(2.0 * spacing, 0.5 * tol), expo - (mant == 0.5))
+                while b - a > tol and a < 0.5 * (a + b) < b:
+                    w, mid = b - a, 0.5 * (a + b)
+                    h = 0.5 - ga / (ga - gb)
+                    step = max(min(w * (abs(h) - k1 * w), reach - 0.5 * w), 0.0)
+                    x = mid - math.copysign(step, h)
+                    if not a < x < b:
+                        x = mid
+                    gx = s * f(x)
+                    if gx == 0.0:
+                        a = b = x
+                    elif gx < 0.0:
+                        b, gb = x, gx
                     else:
-                        a, fa = mid, fm
+                        a, ga = x, gx
+                    reach *= 0.5
                 out.append(0.5 * (a + b))
             return out
 
@@ -346,6 +359,62 @@ class TestRealZeros:
             assert not any(rep.multiplicity_flags)
             assert rep.zeros == one_by_one(f, xs, f(xs))
             assert rep.count >= 1
+
+    @staticmethod
+    def _mp_poly(spec):
+        """The polynomial as a 50-digit function, from its explicit sum."""
+        if isinstance(spec, LaguerreSpec):
+            n, a = spec.n, mpmath.mpf(spec.alpha)
+            c = [mpmath.binomial(n + a, n - k) * (-1) ** k / mpmath.factorial(k)
+                 for k in range(n + 1)]
+            return lambda x: mpmath.polyval(c[::-1], x)
+        N, nu, mu = spec.N, mpmath.mpf(spec.nu), mpmath.mpf(spec.mu)
+        c = [mpmath.binomial(N + nu, N - s) * mpmath.binomial(N + mu, s) for s in range(N + 1)]
+        return lambda y: mpmath.fsum(
+            c[s] * ((y - 1) / 2) ** s * ((y + 1) / 2) ** (N - s) for s in range(N + 1)
+        )
+
+    _ORACLE_CASES = [
+        # alpha near -n, where zeros crowd toward 0 and samples fall under the floor
+        *((LaguerreSpec(n, -n + d), side) for n in (1, 3, 5, 8)
+          for d in (1e-3, -1e-3, 0.25, -0.5) for side in (1.0, -1.0)),
+        # nu or mu near a negative integer, alone and with nu + mu near one too
+        *(JacobiSpec(N, nu, mu) for N in (1, 2, 4, 7) for d in (1e-3, -1e-3, 0.3)
+          for nu, mu in ((-1 + d, 0.5), (1.3, -2 - d), (-2 + d, -N - 1 + d))),
+    ]
+
+    @pytest.mark.parametrize("case", _ORACLE_CASES, ids=repr)
+    def test_mpmath_oracle_sweep(self, case):
+        # The scan on the same samples in 50-digit arithmetic gives the
+        # expected flags and crossings, and a 50-digit root solve on each
+        # sample bracket the root each crossing must lie within bisect_tol of
+        if isinstance(case, JacobiSpec):
+            spec, interval = case, (-1.0 + 1e-9, 1.0 - 1e-9)
+        else:
+            spec, side = case
+            hi = 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0
+            interval = (1e-12, hi) if side > 0 else (-hi, -1e-12)
+        tol = 1e-12
+        rep = real_zeros(spec, interval, bisect_tol=tol)
+        xs = np.linspace(*interval, max(64 * (spec.degree + 1), 128))
+        with mpmath.workdps(50):
+            p = self._mp_poly(spec)
+            vals = [p(mpmath.mpf(float(x))) for x in xs]
+            floor = 1e-13 * max(float(abs(v)) for v in vals)
+            sign = [0 if abs(v) <= floor else int(mpmath.sign(v)) for v in vals]
+            flags, roots = [], []
+            for i, s in enumerate(sign):
+                if s == 0:
+                    flags.append(True)
+                if i + 1 < len(xs) and s * sign[i + 1] < 0:
+                    flags.append(False)
+                    bracket = (mpmath.mpf(float(xs[i])), mpmath.mpf(float(xs[i + 1])))
+                    roots.append(float(mpmath.findroot(p, bracket, solver="illinois")))
+        assert rep.multiplicity_flags == flags
+        assert len(rep.crossings) == len(roots) == len(rep.half_widths)
+        for z, root, hw in zip(rep.crossings, roots, rep.half_widths):
+            assert abs(z - root) <= tol
+            assert hw <= 0.5 * tol
 
     def test_roots_where_the_tolerance_is_below_the_float_spacing(self):
         # the float spacing near 1e4 is 1.8e-12, so no bracket ever gets
@@ -367,13 +436,13 @@ class TestRealZeros:
         assert rep.count == 4
 
     def test_invalid_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             real_zeros(LaguerreSpec(2, 0.5), (3.0, 1.0))
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LaguerreSpec(-1, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             JacobiSpec(-2, 0.0, 0.0)
 
 
@@ -403,3 +472,57 @@ class TestSignChangeZeros:
         g = lambda x: np.asarray(x) - 0.3
         z = sign_change_zeros(g, xs, g(xs), 0.0, 0.0).zeros[0]
         assert abs(z - 0.3) <= np.spacing(0.3)
+
+    @staticmethod
+    def _counted(f, xs):
+        """f, and the number of its evaluations inside each sample bracket."""
+        counts = np.zeros(xs.size - 1, dtype=int)
+
+        def g(x):
+            np.add.at(counts, np.searchsorted(xs, x) - 1, 1)
+            return f(x)
+
+        return g, counts
+
+    # smooth polynomials, a near-step where regula falsi stalls, a root of
+    # multiplicity 9, a one-sided convex exponential and an infinite slope
+    _HARD_CASES = [
+        (lambda x: laguerre_eval(LaguerreSpec(8, 1.5), x), np.linspace(1e-12, 60.0, 300)),
+        (lambda x: jacobi_eval(JacobiSpec(7, -1.5 + 1e-3, 0.5), x), np.linspace(-1.0, 1.0, 64)),
+        (lambda x: np.tanh(1e4 * (x - 0.3141)), np.linspace(0.0, 1.0, 7)),
+        (lambda x: (x - 0.4123) ** 9, np.linspace(0.0, 1.0, 5)),
+        (lambda x: np.exp(40.0 * x) - 2.0, np.linspace(-1.0, 1.0, 3)),
+        (lambda x: np.cbrt(x - 0.7071), np.linspace(0.0, 1.0, 4)),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(_HARD_CASES)))
+    def test_each_bracket_takes_at_most_one_evaluation_more_than_bisection(self, case):
+        f, xs = self._HARD_CASES[case]
+        fs = f(xs)
+        for tol in (1e-12, 1e-7):
+            g, counts = self._counted(f, xs)
+            rep = sign_change_zeros(g, xs, fs, 0.0, tol)
+            brackets = np.nonzero(fs[:-1] * fs[1:] < 0.0)[0]
+            assert len(rep.crossings) == brackets.size >= 1
+            bound = np.ceil(np.log2(np.diff(xs)[brackets] / tol)) + 1
+            assert np.all(counts[brackets] <= bound), (counts[brackets], bound)
+            assert np.all(np.array(rep.half_widths) <= 0.5 * tol)
+            if case < 2:  # superlinear on smooth f: well under bisection's count
+                assert np.all(counts[brackets] <= 0.5 * (bound - 1)), counts[brackets]
+
+    def test_zero_tolerance_ends_on_adjacent_floats(self):
+        adjacent = 0
+        for f, xs in self._HARD_CASES:
+            rep = sign_change_zeros(f, xs, f(xs), 0.0, 0.0)
+            assert len(rep.half_widths) == len(rep.crossings) >= 1
+            for z, hw in zip(rep.crossings, rep.half_widths):
+                fz = f(np.array([z - 2.0 * hw, z, z + 2.0 * hw]))
+                if hw == 0.0:  # an exact zero collapsed the bracket
+                    assert fz[1] == 0.0
+                    continue
+                # the final bracket is (z - 2 hw, z) or (z, z + 2 hw): one
+                # float spacing wide, with a sign change
+                assert 2.0 * hw <= np.spacing(abs(z))
+                assert fz[0] * fz[1] < 0.0 or fz[1] * fz[2] < 0.0
+                adjacent += 1
+        assert adjacent >= 3
