@@ -140,12 +140,22 @@ def _solve(memo, V, grid, k):
 
     memo maps (grid, k, V's samples on grid and grid.refined()) to the
     report.  Multi-cell runs repeat inputs: V- of branch k once per m, and
-    at m = 0 the extension V~- can equal V- bit for bit.
+    at m = 0 the extension V~- can equal V- bit for bit.  On a miss the
+    solver gets V with an f that remembers the samples taken for the key,
+    so V is not sampled twice.
     """
-    v, v_fine = (spectral._potential_samples(V, g) for g in (grid, grid.refined()))
-    key = (grid, k, v.tobytes(), v_fine.tobytes())
+    seen = {}
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        at = x.tobytes()
+        if at not in seen:
+            seen[at] = np.asarray(V.f(x), dtype=float)
+        return seen[at]
+
+    key = (grid, k, *(f(g.nodes).tobytes() for g in (grid, grid.refined())))
     if key not in memo:
-        memo[key] = spectral._solve_sampled(v, v_fine, grid, k)
+        memo[key] = spectral.solve_bound_states(dataclasses.replace(V, f=f), grid, k)
     return memo[key]
 
 

@@ -375,7 +375,7 @@ def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ConfigurationError(f"invalid interval ({lo}, {hi})")
+        raise ValueError(f"invalid interval ({lo}, {hi})")
     evaluate = {LaguerreSpec: laguerre_eval, JacobiSpec: jacobi_eval}.get(type(poly))
     if evaluate is None:
         raise ConfigurationError(f"expected LaguerreSpec or JacobiSpec, got {type(poly).__name__}")

@@ -90,8 +90,8 @@ def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     return Grid(*Family.check(family).solver_interval(k, m), n_points)
 
 
-def _potential_samples(V: Function1D, grid: Grid):
-    """V at the grid nodes; SingularPotentialError where it is not finite."""
+def _fd_hamiltonian(V: Function1D, grid: Grid):
+    """Diagonal, off-diagonal and potential samples of the FD Hamiltonian."""
     x = grid.nodes
     v = np.asarray(V.f(x), dtype=float)
     bad = np.nonzero(~np.isfinite(v))[0]
@@ -100,13 +100,8 @@ def _potential_samples(V: Function1D, grid: Grid):
         raise SingularPotentialError(
             f"potential non-finite at grid node x={x[i]:.8g}", node=float(x[i])
         )
-    return v
-
-
-def _fd_hamiltonian(v, grid: Grid):
-    """Diagonal and off-diagonal of the FD Hamiltonian with potential samples v."""
     h2 = grid.spacing**2
-    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2)
+    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2), v
 
 
 def _bisection(diag, off, k, eigvals_only):
@@ -191,16 +186,10 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
         raise ConfigurationError(
             f"need between 1 and {grid.n_points} states on this grid, got k={k}"
         )
-    v = _potential_samples(V, grid)
-    return _solve_sampled(v, _potential_samples(V, grid.refined()), grid, k)
-
-
-def _solve_sampled(v, v_fine, grid: Grid, k: int) -> SpectralReport:
-    """solve_bound_states from the potential's samples on grid and grid.refined()."""
-    diag, off = _fd_hamiltonian(v, grid)
+    diag, off, _ = _fd_hamiltonian(V, grid)
     coarse = _bisection(diag, off, k, eigvals_only=True)
-    diag, off = _fd_hamiltonian(v_fine, grid.refined())
-    fine_pairs = _certified_rqi(diag, off, v_fine, coarse)
+    diag, off, v = _fd_hamiltonian(V, grid.refined())
+    fine_pairs = _certified_rqi(diag, off, v, coarse)
     if fine_pairs is None:
         fine_pairs = _bisection(diag, off, k, eigvals_only=False)
     fine, vecs = fine_pairs

@@ -219,7 +219,7 @@ class TestCertify:
         from isoshift import cli, spectral
 
         solves = []
-        real_solve = spectral._solve_sampled
+        real_solve = spectral.solve_bound_states
 
         def counting_solve(*args):
             solves.append(args)
@@ -231,12 +231,32 @@ class TestCertify:
             # every byte but the timings
             return len(solves), re.sub(r'"wall_time_s": [^,\n]*', "", capsys.readouterr().out)
 
-        monkeypatch.setattr(spectral, "_solve_sampled", counting_solve)
+        monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
         memoized = run()
-        monkeypatch.setattr(cli, "_solve", lambda memo, V, grid, k: spectral.solve_bound_states(V, grid, k))
+        monkeypatch.setattr(cli, "_solve", lambda memo, V, grid, k: counting_solve(V, grid, k))
         assert memoized == (distinct, run()[1])
         # 9 cells, of which 6 solve two spectra
         assert run()[0] == 12
+
+    def test_fd_solve_samples_the_potential_once(self):
+        from isoshift import cli, spectral
+        from isoshift.catalog import Function1D
+
+        sizes = []
+
+        def f(x):
+            sizes.append(np.size(x))
+            return 0.5 * np.asarray(x) ** 2
+
+        V = Function1D(f=f, df=lambda x: np.asarray(x), domain=(-8.0, 8.0))
+        grid = spectral.Grid(-8.0, 8.0, 200)
+        memo = {}
+        report = cli._solve(memo, V, grid, 3)
+        # the key's samples on both grids feed the solver too
+        assert sizes == [200, 401]
+        assert cli._solve(memo, V, grid, 3) is report
+        assert sizes == [200, 401] * 2
+        assert report == spectral.solve_bound_states(V, grid, 3)
 
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([

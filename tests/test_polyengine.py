@@ -418,7 +418,7 @@ class TestRealZeros:
 
     def test_roots_where_the_tolerance_is_below_the_float_spacing(self):
         # the float spacing near 1e4 is 1.8e-12, so no bracket ever gets
-        # narrower than bisect_tol = 1e-12; bisection stops at adjacent floats
+        # narrower than bisect_tol = 1e-12; refinement ends on adjacent floats
         spec = LaguerreSpec(2, 9999.123456)
         rep = real_zeros(spec, (9000.0, 11000.0))
         coeffs = [(-1.0) ** k * gbinom(2 + spec.alpha, 2 - k) / math.factorial(k) for k in range(3)]
@@ -436,7 +436,7 @@ class TestRealZeros:
         assert rep.count == 4
 
     def test_invalid_interval(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValueError):
             real_zeros(LaguerreSpec(2, 0.5), (3.0, 1.0))
 
     def test_negative_degree_rejected(self):
