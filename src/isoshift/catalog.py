@@ -189,12 +189,14 @@ class RadialOscillator(Family):
         return sorted(math.sqrt(2.0 * y / self.omega) for y in ys if y > 0.0)
 
     def seed_zero_prediction(self, spec, s):
-        """The classical zero criterion of seeds at negative argument: one
-        negative zero iff m is odd and -m - 1/2 < alpha < -m."""
-        if s != -1 or spec.n == 0:
+        """The classical zero count of seeds at negative argument (Szegő,
+        Orthogonal Polynomials, Thm 6.73): for non-integer alpha, L_m^alpha
+        has one negative zero iff alpha < -1 and max(floor(alpha), -m - 1)
+        is even, and none otherwise.  None at integer alpha."""
+        if s != -1 or spec.n == 0 or float(spec.alpha).is_integer():
             return None
-        m, alpha = spec.n, spec.alpha
-        return "singular" if (m % 2 == 1) and (-m - 0.5 < alpha < -m) else "regular"
+        one = spec.alpha < -1 and max(math.floor(spec.alpha), -spec.n - 1) % 2 == 0
+        return "singular" if one else "regular"
 
     def certification_interval(self):
         scale = 1.0 / math.sqrt(self.omega)

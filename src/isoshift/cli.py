@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,6 +42,18 @@ def _fmt(x):
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
+
+
+def _finite(obj):
+    """obj with every non-finite float replaced by its repr ("nan", "inf"),
+    which JSON has no number for."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
 
 
 def _family_from_args(args):
@@ -162,7 +175,8 @@ def _solve(memo, V, grid, k):
 def _certify_cell(family, k, m, args, memo):
     """All invariant checks for one (branch, m); returns (record, failures).
 
-    memo holds the run's FD solves (see _solve).
+    memo holds the run's FD solves (see _solve).  Each gate is written
+    `not value <= tol`, so a NaN value fails it.
     """
     t0 = time.perf_counter()
     record = {"branch": k, "m": m}
@@ -173,7 +187,7 @@ def _certify_cell(family, k, m, args, memo):
 
     rr = d.riccati_residual(grid)
     record["riccati_residual"] = rr
-    if rr > 1e-9 * (1.0 + abs(d.R)):
+    if not rr <= 1e-9 * (1.0 + abs(d.R)):
         failures.append(f"branch {k} m={m}: riccati residual {rr:.3e}")
 
     pair = deform.extend(d)  # raises InternalInconsistencyError on violation
@@ -192,7 +206,7 @@ def _certify_cell(family, k, m, args, memo):
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
         record["gram_quadrature_error"] = gerr
-        if gmax > 1e-8:
+        if not gmax <= 1e-8:
             failures.append(f"branch {k} m={m}: gram off-diagonal {gmax:.3e}")
         spec = eop.EOPSpec(series, 2, m, family)
         inside, outside = eop.zero_census(spec)
@@ -214,7 +228,7 @@ def _certify_cell(family, k, m, args, memo):
             _solve(memo, pair.V_tilde_minus, gridspec, 4), _solve(memo, v_minus, gridspec, 4)
         )
         record["isospectrality"] = {"shift": shift, "deviation": deviation}
-        if deviation > 1e-3:
+        if not deviation <= 1e-3:
             failures.append(
                 f"branch {k} m={m}: isospectral deviation {deviation:.3e}"
             )
@@ -287,12 +301,13 @@ def cmd_certify(args):
             report["w0"].append(w0rec)
             for key in ("minus_partner_residual", "plus_partner_residual",
                         "ground_state_residual"):
-                if w0rec[key] > 1e-9:
+                if not w0rec[key] <= 1e-9:
                     report["failures"].append(
                         f"w0 m={m}: {key} = {w0rec[key]:.3e}"
                     )
     report["status"] = "pass" if not report["failures"] else "fail"
-    text = json.dumps(report, indent=2, default=_fmt)
+    report = _finite(report)
+    text = json.dumps(report, indent=2, default=_fmt, allow_nan=False)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         _write_json(Path(args.out) / "certify.json", report)

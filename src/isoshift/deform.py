@@ -25,7 +25,6 @@ from functools import partial
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import polyengine as pe
 from .catalog import (
@@ -219,7 +218,7 @@ def extend(d: Deformation) -> ExtensionPair:
     dev = np.abs(Vp.f(grid) - v_plus_ref - d.R)
     scale = 1.0 + np.abs(v_plus_ref) + abs(d.R)
     tol = 1e-10 * scale
-    if np.any(dev > tol):
+    if not np.all(dev <= tol):  # a NaN deviation fails too
         i = int(np.argmax(dev - tol))
         raise InternalInconsistencyError(
             f"partner-shift identity violated at x={grid[i]:.6g}: "
@@ -301,7 +300,13 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
     integrator, then builds phi = u'/u and the partner pair exactly as in
     the polynomial case.  Zeros of u on the domain are recorded as
     singular points of the returned pair.
+
+    The integrator, scipy.integrate's solve_ivp, is imported here and not
+    with the module: no other isoshift call needs it, and it loads most of
+    scipy.
     """
+    from scipy.integrate import solve_ivp
+
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("extend_general_R is defined for the radial oscillator only")
     if isinstance(branch, int):

@@ -32,11 +32,11 @@ error estimate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import polyengine as pe
@@ -435,11 +435,15 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
 def weight_from_superpotential(w_tilde: Function1D, anchor: float) -> Function1D:
     """exp(-int_anchor^x w~ dt) by adaptive quadrature; the operational weight.
 
-    Unique up to an overall constant (the choice of anchor).
+    Unique up to an overall constant (the choice of anchor).  The quadrature
+    is the module attribute `quad`, scipy.integrate's, loaded on first use
+    (see __getattr__); it is looked up at each call, so a replacement bound
+    to eop.quad is the one used.
     """
+    module = sys.modules[__name__]
 
     def one(x):
-        val, _ = quad(lambda t: float(w_tilde.f(t)), anchor, x, limit=200)
+        val, _ = module.quad(lambda t: float(w_tilde.f(t)), anchor, x, limit=200)
         return math.exp(-val)
 
     def f(x):
@@ -452,6 +456,17 @@ def weight_from_superpotential(w_tilde: Function1D, anchor: float) -> Function1D
 
     return Function1D(f=f, df=df, domain=w_tilde.domain,
                       singular_points=w_tilde.singular_points)
+
+
+def __getattr__(name):
+    """`quad` on first access: importing scipy.integrate loads most of scipy,
+    and only weight_from_superpotential integrates this way."""
+    if name != "quad":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import quad
+
+    globals()["quad"] = quad
+    return quad
 
 
 def _panel_rules(a, b, c):

@@ -278,8 +278,8 @@ def classify_regularity(family, branch, m) -> RegularityReport:
 
     The classification comes from scanning the seed polynomial for zeros in
     the physical domain.  Where the family states a closed-form criterion
-    (radial-oscillator seeds at negative argument: "one negative zero iff m
-    is odd and -m - 1/2 < alpha < -m") it is evaluated alongside; a
+    (radial-oscillator seeds at negative argument and non-integer alpha, see
+    RadialOscillator.seed_zero_prediction) it is evaluated alongside; a
     disagreement is reported as a finding, never as a failure.
     """
     from .deform import seed_polynomial

@@ -259,8 +259,9 @@ def test_regularity_classifier():
         rep = classify_regularity(RadialOscillator(omega, 0.2), series_branch("L3"), 1)
         assert rep.classification == "singular"
         assert abs(rep.points[0] - math.sqrt(1.4 / omega)) <= 1e-8
-        # the closed-form prediction disagrees here: reported, never raised
-        assert rep.finding is not None
+        # the closed-form zero count predicts this pole
+        assert rep.klh_prediction == "singular"
+        assert rep.finding is None
     for ell in (0.0, 0.5, 1.0, 3.0):
         for m in range(7):
             rep = classify_regularity(RadialOscillator(1.0, ell), series_branch("L1"), m)

@@ -19,6 +19,7 @@ from isoshift.catalog import (
 )
 from isoshift import deform, eop, spectral
 from isoshift.errors import ConfigurationError
+from isoshift.polyengine import LaguerreSpec
 
 
 @pytest.fixture
@@ -199,6 +200,34 @@ class TestShapeInvariance:
         fam = RadialOscillator(1.0, 2.0)
         grid = np.linspace(0.1, 10, 50)
         assert si_pair_check(fam, 1, 2, grid) > 0.1
+
+
+class TestSeedZeroPrediction:
+    def test_matches_a_50_digit_zero_census(self):
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        fam = RadialOscillator(1.0, 1.0)
+        rng = np.random.default_rng(8)
+        ms = rng.integers(1, 9, size=100)
+        # the default certify's branch 1, m = 1 first, then random cells
+        cases = [(1, -2.5)] + [(int(m), float(rng.uniform(-m - 5, 2))) for m in ms]
+        for m, alpha in cases:
+            # L_m^alpha(x) = sum_i (-1)^i binom(m + alpha, m - i) x^i / i!
+            a = mp.mpf(alpha)
+            coeffs = [(-1) ** i * mp.binomial(m + a, m - i) / mp.factorial(i)
+                      for i in range(m, -1, -1)]
+            roots = mp.polyroots(coeffs)
+            negative = sum(1 for z in roots if abs(mp.im(z)) < mp.mpf(10) ** -30 and mp.re(z) < 0)
+            want = "singular" if negative else "regular"
+            assert negative <= 1
+            assert fam.seed_zero_prediction(LaguerreSpec(m, alpha), -1) == want, (m, alpha)
+
+    def test_none_at_integer_alpha_and_positive_argument(self):
+        fam = RadialOscillator(1.0, 1.0)
+        assert fam.seed_zero_prediction(LaguerreSpec(5, -5.0), -1) is None
+        assert fam.seed_zero_prediction(LaguerreSpec(3, -2.5), 1) is None
+        assert fam.seed_zero_prediction(LaguerreSpec(0, -2.5), -1) is None
 
 
 _DPT = TrigDPT(1.0, 1.0)

@@ -2,10 +2,14 @@
 
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import isoshift
 from isoshift.cli import main
 
 
@@ -14,6 +18,20 @@ def _read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return header, data
+
+
+def test_import_loads_no_integrator():
+    # scipy.integrate, and the optimize and sparse packages it pulls in,
+    # load only where a call integrates (extend_general_R, the weight quad)
+    probe = (
+        "import sys, isoshift.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))"
+    )
+    src = str(Path(isoshift.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 class TestCatalog:
@@ -258,6 +276,31 @@ class TestCertify:
         assert sizes == [200, 401] * 2
         assert report == spectral.solve_bound_states(V, grid, 3)
 
+    def test_default_radial_report_has_no_finding(self, capsys):
+        # branch 1, m = 1 has its seed zero at r = sqrt(3), and the
+        # closed-form zero count predicts it
+        assert main(["certify", "--skip-gram", "--skip-spectral"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(cells) == 9
+        assert [c for c in cells if "finding" in c] == []
+        assert next(c for c in cells if (c["branch"], c["m"]) == (1, 1))["regularity"] == "singular"
+
+    def test_nan_residual_fails_and_the_report_parses(self, monkeypatch, tmp_path, capsys):
+        from isoshift import deform
+
+        monkeypatch.setattr(deform.Deformation, "riccati_residual", lambda self, grid: float("nan"))
+        code = main([
+            "certify", "--branches", "2", "--m", "1", "--skip-spectral", "--skip-gram",
+            "--out", str(tmp_path / "r"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        report = json.loads(captured.out)
+        assert report["status"] == "fail"
+        assert report["cells"][0]["riccati_residual"] == "nan"
+        assert report["failures"] == ["branch 2 m=1: riccati residual nan"]
+        assert json.loads((tmp_path / "r" / "certify.json").read_text(encoding="utf-8")) == report
+
     def test_singular_cell_skips_gram_and_passes(self, tmp_path, capsys):
         code = main([
             "certify", "--omega", "1", "--ell", "0.2", "--branches", "1",
@@ -269,7 +312,8 @@ class TestCertify:
         cell = report["cells"][0]
         assert cell["regularity"] == "singular"
         assert str(cell["gram_offdiag_max"]).startswith("skipped")
-        assert "finding" in cell
+        # the closed-form zero count predicts this pole: no finding
+        assert "finding" not in cell
         assert (tmp_path / "r" / "certify.json").exists()
 
 

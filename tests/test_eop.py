@@ -209,6 +209,21 @@ class TestWeights:
         ratio = ws.weight.f(r) / ref.f(r)
         assert np.ptp(ratio) <= 1e-8 * np.max(np.abs(ratio))
 
+    def test_weight_integrates_with_the_module_quad(self, monkeypatch):
+        # eop.quad loads on first use and stays the integrator the weight calls
+        real_quad = eop.quad
+        calls = []
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(eop, "quad", counting_quad)
+        # w1 = r - 2/r, so the weight from anchor 1 at r = 2 is 4 exp(-3/2)
+        w = weight_from_superpotential(superpotential(FAM, 1), anchor=1.0)
+        assert w.f(2.0) == pytest.approx(4.0 * math.exp(-1.5), rel=1e-12)
+        assert calls == [(1.0, 2.0)]
+
 
 class TestGram:
     def test_orthogonality_l1(self):

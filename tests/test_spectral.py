@@ -266,13 +266,22 @@ class TestRegularity:
         assert rep.points == ()
         assert rep.finding is None
 
-    def test_branch1_fractional_ell_pole_and_finding(self):
+    def test_branch1_fractional_ell_pole_is_predicted(self):
         rep = classify_regularity(RadialOscillator(1.0, 0.2), 1, 1)
         assert rep.classification == "singular"
         assert rep.points[0] == pytest.approx(math.sqrt(1.4), abs=1e-8)
-        # scan and stated closed-form criterion disagree here: a finding,
-        # never an exception
-        assert rep.klh_prediction == "regular"
+        # the seed L_1^(-1.7)(-y) has its one zero at y = 0.7, as the
+        # closed-form zero count predicts: no finding
+        assert rep.klh_prediction == "singular"
+        assert rep.finding is None
+
+    def test_disagreement_is_a_finding(self, monkeypatch):
+        fam = RadialOscillator(1.0, 0.2)
+        monkeypatch.setattr(RadialOscillator, "seed_zero_prediction",
+                            lambda self, spec, s: "regular")
+        rep = classify_regularity(fam, 1, 1)
+        # scan and closed-form criterion disagree: a finding, never an exception
+        assert rep.classification == "singular"
         assert rep.finding is not None
 
     def test_m0_always_regular(self):
