@@ -363,9 +363,6 @@ def _add_common(p, family_positional=False):
     for cls in FAMILIES.values():
         for param in dataclasses.fields(cls):
             p.add_argument(f"--{param.name}", type=float, default=1.0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--grid-points", type=int, default=None, dest="grid_points")
-    p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="JSON config file; command-line flags override it")
 
@@ -376,42 +373,45 @@ def build_parser():
         description="rational extensions of shape-invariant potentials",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand takes only its own flags, and whole: an abbreviation
+    # would escape the config file's explicit-flag scan
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("catalog", help="list the superpotential branches")
+    p = add("catalog", help="list the superpotential branches")
     _add_common(p, family_positional=True)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser("extend", help="sample extended potentials and eigenfunctions")
+    p = add("extend", help="sample extended potentials and eigenfunctions")
     _add_common(p)
     p.add_argument("--branch", type=int, choices=[1, 2, 3, 4], default=2)
     p.add_argument("--m", type=int, nargs="+", default=[1])
     p.add_argument("--nmax", type=int, default=3)
+    p.add_argument("--grid-points", type=int, default=None)
+    p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--out", type=str, default="isoshift_out")
     p.set_defaults(func=cmd_extend)
 
-    p = sub.add_parser("certify", help="run the invariant suite")
+    p = add("certify", help="run the invariant suite")
     _add_common(p)
     p.add_argument("--branches", type=int, nargs="+", default=[1, 2, 3])
     p.add_argument("--m", type=int, nargs="+", default=[0, 1, 2])
     p.add_argument("--nmax", type=int, default=4)
+    p.add_argument("--grid-points", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--skip-spectral", action="store_true", dest="skip_spectral")
     p.add_argument("--skip-gram", action="store_true", dest="skip_gram")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("interpolate", help="extensions at arbitrary shift R")
+    p = add("interpolate", help="extensions at arbitrary shift R")
     _add_common(p)
     p.add_argument("--branch", type=int, choices=[1, 2, 3, 4], default=2)
     p.add_argument("--R", type=float, nargs="+", default=None)
+    p.add_argument("--grid-points", type=int, default=None)
+    p.add_argument("--rmax", type=float, default=None)
     p.add_argument("--out", type=str, default="isoshift_out")
     p.set_defaults(func=cmd_interpolate)
     return parser
-
-
-def _config_action(parser, command, attr):
-    """The argparse action of `command` that stores into attr, if any."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return next((a for a in sub.choices[command]._actions if a.dest == attr), None)
 
 
 def _coerce_config_value(action, key, value):
@@ -448,10 +448,14 @@ def _apply_config_file(parser, args, argv):
         raise ConfigurationError(f"cannot read config file {args.config}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigurationError("config file must hold a JSON object")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for a in sub.choices[args.command]._actions}
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
+    # a positional argument is always on the command line
+    explicit.update(dest for dest, a in actions.items() if not a.option_strings)
     for key, value in cfg.items():
         attr = key.replace("-", "_")
-        action = _config_action(parser, args.command, attr)
+        action = actions.get(attr)
         if action is None:
             raise ConfigurationError(f"unknown config key {key!r}")
         if attr not in explicit:
@@ -463,6 +467,8 @@ def _validate(args):
     for attr in ("nmax", "grid_points"):
         if hasattr(args, attr) and getattr(args, attr) is not None and getattr(args, attr) < 0:
             raise ConfigurationError(f"{attr} must be nonnegative")
+    if getattr(args, "rmax", None) is not None and not 0.0 <= args.rmax < math.inf:
+        raise ConfigurationError(f"rmax must be finite and nonnegative, got {args.rmax}")
     if hasattr(args, "m"):
         if not args.m:
             raise ConfigurationError("m list must be nonempty")

@@ -182,16 +182,16 @@ def seed_polynomial(family, branch, m) -> Deformation:
     )
 
 
-def certification_grid(family, n_points=400, exclude=(), pad=None):
+def certification_grid(family, n_points=400, exclude=()):
     """A uniform interior grid with a neighborhood of each excluded point removed.
 
-    Raises SingularExtensionError when the neighborhoods cover every sample.
+    The neighborhoods are 3 % of the interval wide on each side.  Raises
+    SingularExtensionError when they cover every sample.
     """
     lo, hi = Family.check(family).certification_interval()
     pts = np.linspace(lo, hi, n_points)
     if exclude:
-        if pad is None:
-            pad = 0.03 * (hi - lo)
+        pad = 0.03 * (hi - lo)
         mask = np.ones_like(pts, dtype=bool)
         for x0 in exclude:
             mask &= np.abs(pts - x0) > pad
@@ -266,18 +266,18 @@ def w0_partner_constant(family: RadialOscillator, m: int) -> float:
     return (2.0 * family.ell + 1.0) * family.omega + 2.0 * m * family.omega
 
 
-def w0_from_ground_state(psi0: Function1D, scan_points=400) -> Function1D:
+def w0_from_ground_state(psi0: Function1D) -> Function1D:
     """-psi0'/psi0 via the analytic derivative carried by psi0.
 
-    psi0 must be strictly positive on the interior; the first detected sign
-    change raises SingularExtensionError with the refined root in `points`;
-    a sample where psi0 is 0 (an underflowed tail) has no sign.
+    psi0 must be strictly positive on the interior; the first sign change
+    among 400 samples raises SingularExtensionError with the refined root in
+    `points`; a sample where psi0 is 0 (an underflowed tail) has no sign.
     """
     lo, hi = psi0.domain
     if not math.isfinite(hi):
         hi = 40.0
     lo = max(lo, 1e-6) + 1e-9
-    xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), scan_points)
+    xs = np.linspace(lo + 0.01 * (hi - lo), hi - 0.01 * (hi - lo), 400)
     vals = np.asarray(psi0.f(xs), dtype=float)
     roots = pe.sign_change_zeros(psi0.f, xs, vals, 0.0, 1e-12).crossings
     if roots:
@@ -291,111 +291,95 @@ def w0_from_ground_state(psi0: Function1D, scan_points=400) -> Function1D:
     return Function1D(f=f, df=None, domain=psi0.domain)
 
 
-def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None,
-                     n_series=40) -> ExtensionPair:
-    """Deform with an arbitrary shift constant R by integrating the seed ODE.
+# an alpha within this many float spacings of a nonpositive integer -j is
+# -j: the terms it is computed from, R / 2b and a + 1/2, carry no more digits
+_SNAP_ULPS = 8
 
-    Solves u'' + 2 w0 u' - R u = 0 for the solution regular at the origin
-    (launched by its even power series) with an adaptive 8th-order
-    integrator, then builds phi = u'/u and the partner pair exactly as in
-    the polynomial case.  Zeros of u on the domain are recorded as
-    singular points of the returned pair.
 
-    The integrator, scipy.integrate's solve_ivp, is imported here and not
-    with the module: no other isoshift call needs it, and it loads most of
-    scipy.
+def _kummer_series(alpha, gamma, lam, y):
+    """(M, M' - lam M) for Kummer's M(alpha, gamma, y) at y >= 0, both up to
+    one positive factor per point (DLMF 13.2.2).
+
+    M sums t_k = (alpha)_k / (gamma)_k y^k / k!, and M' - lam M sums
+    t_k (alpha + k - lam (gamma + k)) / (gamma + k), so that for lam = 1 the
+    near-equal M' and M of large y never cancel.  Every 8 terms, a point whose
+    sum of |t_k| passed 1e150 is scaled down, and the sum stops once at every
+    point t_k is 0 (alpha = -j), or k is past y + |alpha| + |gamma|, where the
+    terms shrink, and t_k is below the float spacing of the sum of |t_k|.  The
+    count of terms is capped from max y, so a NaN point ends too.
     """
-    from scipy.integrate import solve_ivp
+    y = np.asarray(y, dtype=float)
+    t, total, der, size = np.ones_like(y), np.zeros_like(y), np.zeros_like(y), np.zeros_like(y)
+    reach = abs(alpha) + abs(gamma)
+    top = float(np.max(y, initial=0.0, where=np.isfinite(y)))
+    for k in range(int(top + 10.0 * math.sqrt(top) + 2.0 * reach) + 64):
+        total += t
+        der += t * ((alpha + k - lam * (gamma + k)) / (gamma + k))
+        size += np.abs(t)
+        t *= y * ((alpha + k) / ((gamma + k) * (k + 1.0)))
+        if k % 8 == 7:
+            big = size > 1e150
+            for v in (t, total, der, size):
+                v[big] *= 1e-150
+            if np.all((t == 0.0) | ((k > y + reach) & (np.abs(t) <= np.spacing(size)))):
+                break
+    return total, der
 
+
+def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> ExtensionPair:
+    """Deform with an arbitrary shift constant R, from the closed-form seed.
+
+    The seed regular at the origin, u'' + 2 w0 u' - R u = 0 with
+    w0 = b r / 2 + a / r, is u = M(-R/2b, a + 1/2, -b r^2 / 2) (DLMF 13.2.1).
+    For b > 0 it is summed as e^(-y) M(a + 1/2 + R/2b, a + 1/2, y) at
+    y = b r^2 / 2 (Kummer's transformation, DLMF 13.2.39), for b < 0 as
+    M(-R/2b, a + 1/2, y) at y = -b r^2 / 2: either way at a positive
+    argument, where only the terms before k = -alpha change sign.  Then
+    w~ = w0 + u'/u, with phi' = (u'/u)' from the Riccati identity.  Sign
+    changes of M on (0, r_max) are the singular points of the returned pair.
+    """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("extend_general_R is defined for the radial oscillator only")
+    if not math.isfinite(R):
+        raise ConfigurationError(f"the shift R must be finite, got {R}")
     if isinstance(branch, int):
         branch = get_branch(family, branch)
     a, b, _ = _effective_ab(family, branch)
     w0 = family.superpotential(a, b)
-    omega = family.omega
     if r_max is None:
-        r_max = 16.0 / math.sqrt(omega)
+        r_max = 16.0 / math.sqrt(family.omega)
+    if not 0.0 < r_max < math.inf:
+        raise ConfigurationError(f"r_max must be positive and finite, got {r_max}")
+    gamma = a + 0.5
+    if gamma <= 0.0 and gamma.is_integer():
+        raise ConfigurationError(
+            f"the regular power series is resonant (a + 1/2 = {gamma}); branch "
+            f"{branch.k} at ell = {family.ell} has no even power-series seed"
+        )
+    q = R / (2.0 * b)
+    lam = 1 if b > 0 else 0
+    alpha = gamma + q if lam else -q
+    j = max(round(-alpha), 0)
+    if abs(alpha + j) <= _SNAP_ULPS * np.spacing(abs(gamma) + abs(q)):
+        alpha = -float(j)
 
-    # regular Frobenius branch u = sum_j c_j r^(2j):
-    # 2j(2j - 1 + 2a) c_j = (R - 2b(j-1)) c_{j-1}
-    coeffs = [1.0]
-    for j in range(1, n_series):
-        denom = 2.0 * j * (2.0 * j - 1.0 + 2.0 * a)
-        if denom == 0.0:
-            raise ConfigurationError(
-                f"the regular Frobenius series is resonant at order r^{2 * j} "
-                f"(a = {a}); branch {branch.k} at ell = {family.ell} has no "
-                "even power-series solution"
-            )
-        coeffs.append((R - 2.0 * b * (j - 1)) * coeffs[-1] / denom)
-    cs = np.array(coeffs)
-    dcs = (cs * np.arange(n_series))[1:]
+    def seed(r):
+        return _kummer_series(alpha, gamma, lam, 0.5 * abs(b) * np.asarray(r, dtype=float) ** 2)
 
-    def series_u(r):
-        return np.polynomial.polynomial.polyval(r * r, cs)
+    def phi(r):
+        r = np.asarray(r, dtype=float)
+        M, dM = seed(r)
+        out = abs(b) * r * dM / M  # dy/dr (M' - lam M) / M
+        return out if out.ndim else float(out)
 
-    def series_du(r):
-        return 2.0 * r * np.polynomial.polynomial.polyval(r * r, dcs)
+    def w_df(r):
+        p = phi(r)
+        return w0.df(r) + (R - 2.0 * w0.f(r) * p - p * p)
 
-    r0 = 0.05 / math.sqrt(omega)
-
-    def rhs(r, yv):
-        u, du = yv
-        return [du, R * u - 2.0 * w0.f(r) * du]
-
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        [float(series_u(r0)), float(series_du(r0))],
-        method="DOP853",
-        rtol=1e-11,
-        atol=1e-12,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise InternalInconsistencyError(f"seed ODE integration failed: {sol.message}")
-
-    # zeros of u on (r0, r_max): sign changes of the interpolant, refined to
-    # adjacent floats.  u(0) = 1 and the integration is to atol 1e-12, so
-    # where |u| <= 1e-10 its sign is noise, not a zero
-    scan = np.linspace(r0, r_max, 4000)
-    u_at = lambda r: sol.sol(r)[0]
-    singular = pe.sign_change_zeros(u_at, scan, u_at(scan), 1e-10, 0.0).crossings
-
-    def u_du(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        u, du = sol.sol(np.maximum(r, r0))
-        # below r0, where the integration starts, the series gives u
-        near = r < r0
-        u[near], du[near] = series_u(r[near]), series_du(r[near])
-        return u, du
-
-    def phi_f(r):
-        u, du = u_du(r)
-        out = du / u
-        return out if np.ndim(r) else float(out[0])
-
-    def phi_df(r):
-        # phi' = R - 2 w0 phi - phi^2 (exact along the integrated solution)
-        p = phi_f(r)
-        return R - 2.0 * w0.f(r) * p - p * p
-
-    domain = (0.0, r_max)
-    phi = Function1D(f=phi_f, df=phi_df, domain=domain, singular_points=tuple(singular))
-    w_tilde = Function1D(
-        f=lambda r: w0.f(r) + phi.f(r),
-        df=lambda r: w0.df(r) + phi.df(r),
-        domain=domain,
-        singular_points=tuple(singular),
-    )
-
+    scan = np.linspace(0.0, r_max, 4001)[1:]
+    singular = pe.sign_change_zeros(lambda r: seed(r)[0], scan, seed(scan)[0], 0.0, 0.0).crossings
+    w_tilde = Function1D(f=lambda r: w0.f(r) + phi(r), df=w_df, domain=(0.0, r_max),
+                         singular_points=tuple(singular))
     Vm, Vp = partner_potentials(w_tilde)
-    return ExtensionPair(
-        V_tilde_minus=Vm,
-        V_tilde_plus=Vp,
-        shift=float(R),
-        singular_points=list(singular),
-        w_tilde=w_tilde,
-    )
-
+    return ExtensionPair(V_tilde_minus=Vm, V_tilde_plus=Vp, shift=float(R),
+                         singular_points=list(singular), w_tilde=w_tilde)

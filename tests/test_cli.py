@@ -20,18 +20,21 @@ def _read_csv(path):
     return header, data
 
 
-def test_import_loads_no_integrator():
+def test_import_loads_no_integrator(tmp_path):
     # scipy.integrate, and the optimize and sparse packages it pulls in,
-    # load only where a call integrates (extend_general_R, the weight quad)
+    # load only where a call integrates (the weight quad); an interpolate
+    # run sums its seed's series
     probe = (
         "import sys, isoshift.cli\n"
+        "assert isoshift.cli.main(['interpolate', '--R', '-3', '2.5', '--out', sys.argv[1]]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
         "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))"
     )
     src = str(Path(isoshift.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=src, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.strip() == "[]"
+    assert (tmp_path / "interpolate.json").exists()
 
 
 class TestCatalog:
@@ -154,6 +157,45 @@ class TestConfig:
 
     def test_invalid_m_exits_2(self, tmp_path):
         assert main(["extend", "--m", "-2", "--out", str(tmp_path / "x")]) == 2
+
+    def test_abbreviated_flag_is_refused(self, tmp_path, capsys):
+        # an abbreviation would escape the explicit-flag scan, and the
+        # config's omega would win over the command line's
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 3.0}))
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--om", "2", "--config", str(cfg), "--branches", "2",
+                  "--m", "0", "--skip-spectral"])
+        assert exc.value.code == 2
+        assert main(["certify", "--omega", "2", "--config", str(cfg), "--branches", "2",
+                     "--m", "0", "--skip-spectral"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["omega"] == 2.0
+
+    def test_positional_family_overrides_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "trig_dpt"}))
+        assert main(["catalog", "radial_oscillator", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["family"] == "radial_oscillator"
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "radial_oscillator", "--rmax", "3"],
+        ["catalog", "radial_oscillator", "--grid-points", "50"],
+        ["extend", "--format", "csv"],
+        ["certify", "--format", "csv"],
+        ["certify", "--rmax", "3"],
+        ["interpolate", "--R", "1", "--format", "csv"],
+    ])
+    def test_flag_a_subcommand_does_not_read_exits_2(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_config_key_a_subcommand_does_not_read_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        for key, value in (("format", "csv"), ("rmax", 3.0)):
+            cfg.write_text(json.dumps({key: value}))
+            assert main(["certify", "--config", str(cfg)]) == 2
+            assert "unknown config key" in capsys.readouterr().err
 
 
 class TestCertify:
@@ -358,6 +400,25 @@ class TestRobustness:
         code, err = self._exit_code(capsys, argv)
         assert code == 2
         assert "finite" in err
+
+    @pytest.mark.parametrize("R", ["nan", "inf"])
+    def test_non_finite_shift(self, tmp_path, capsys, R):
+        code, err = self._exit_code(capsys, [
+            "interpolate", "--R", R, "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert err.startswith("error:") and "finite" in err
+
+    @pytest.mark.parametrize("command", ["extend", "interpolate"])
+    @pytest.mark.parametrize("rmax", ["nan", "inf", "-2"])
+    def test_bad_rmax(self, tmp_path, capsys, command, rmax):
+        # a NaN rmax would sample nothing but NaN, and still exit 0
+        argv = [command, f"--rmax={rmax}", "--out", str(tmp_path / "x")]
+        if command == "interpolate":
+            argv += ["--R", "1"]
+        code, err = self._exit_code(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:") and "rmax" in err
 
     @pytest.mark.parametrize("command", ["extend", "interpolate"])
     def test_negative_grid_points(self, tmp_path, capsys, command):

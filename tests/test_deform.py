@@ -210,6 +210,129 @@ class TestGeneralR:
         assert np.max(np.abs(dev)) <= 1e-8
 
 
+# effective (a, b) of each radial-oscillator branch: branch 3 is deformed
+# sign-reversed, so only branch 4 has b < 0
+def _effective_ab(omega, ell, k):
+    return {1: (-ell - 1.0, omega), 2: (ell, omega), 3: (ell + 1.0, omega), 4: (ell, -omega)}[k]
+
+
+def _random_cell(rng, branches):
+    """(omega, ell, k): omega log-uniform in [0.3, 4], ell in [0, 3], never
+    resonant (a + 1/2 a nonpositive integer)."""
+    while True:
+        omega = float(np.exp(rng.uniform(math.log(0.3), math.log(4.0))))
+        ell, k = float(rng.uniform(0.0, 3.0)), int(rng.choice(branches))
+        gamma = _effective_ab(omega, ell, k)[0] + 0.5
+        if not (gamma <= 0.0 and gamma.is_integer()):
+            return omega, ell, k
+
+
+class TestKummerSeed:
+    """extend_general_R against the seed's closed form: the Laguerre zeros of
+    the lattice R and 50-digit mpmath.hyp1f1 off it, at the same doubles."""
+
+    @staticmethod
+    def _mpmath_seed(omega, ell, k, R):
+        """(M(r), phi(r)) of the seed u = e^(-lam y) M(alpha, gamma, y),
+        y = |b| r^2 / 2, with (alpha, gamma) the doubles extend_general_R
+        sums; lam = 1 for b > 0 (Kummer's transformation), 0 for b < 0."""
+        mp = pytest.importorskip("mpmath").mp.clone()
+        mp.dps = 50
+        a, b = _effective_ab(omega, ell, k)
+        gamma, q = a + 0.5, R / (2.0 * b)
+        alpha, lam = (gamma + q, 1) if b > 0 else (-q, 0)
+
+        def M(r):
+            return mp.hyp1f1(alpha, gamma, mp.mpf(abs(b)) * mp.mpf(r) ** 2 / 2)
+
+        def phi(r):
+            y = mp.mpf(abs(b)) * mp.mpf(r) ** 2 / 2
+            dM = alpha / mp.mpf(gamma) * mp.hyp1f1(alpha + 1, gamma + 1, y)
+            return float(abs(b) * r * (dM / mp.hyp1f1(alpha, gamma, y) - lam))
+
+        return M, phi
+
+    @staticmethod
+    def _sign_changes(M, r_max):
+        signs = [M(r) > 0 for r in np.linspace(0.0, r_max, 41)[1:]]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    def test_lattice_zeros_are_laguerre_zeros(self):
+        # R = -2 omega (a + 1/2 + j): u = e^(-y) L_j^(a-1/2)(y) up to a constant
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            omega, ell, k = _random_cell(rng, [1, 2, 3])
+            j = int(rng.integers(0, 7))
+            a, _ = _effective_ab(omega, ell, k)
+            pair = extend_general_R(RadialOscillator(omega, ell), k, -2.0 * omega * (a + 0.5 + j))
+            ys = real_zeros(LaguerreSpec(j, a - 0.5), (1e-12, 4.0 * j + 2.0 * abs(a) + 20.0)).zeros
+            want = [math.sqrt(2.0 * y / omega) for y in ys]
+            case = (omega, ell, k, j)
+            assert len(pair.singular_points) == len(want), case
+            assert pair.singular_points == pytest.approx(want, rel=0.0, abs=1e-9), case
+
+    def test_generic_R_matches_mpmath(self):
+        rng = np.random.default_rng(10)
+        for _ in range(40):
+            omega, ell, k = _random_cell(rng, [1, 2, 3, 4])
+            R = float(rng.uniform(-10.0, 10.0)) * omega
+            fam = RadialOscillator(omega, ell)
+            pair = extend_general_R(fam, k, R)
+            r_max = pair.w_tilde.domain[1]
+            M, phi = self._mpmath_seed(omega, ell, k, R)
+            case = (omega, ell, k, R)
+            assert len(pair.singular_points) == self._sign_changes(M, r_max), case
+            w0 = fam.superpotential(*_effective_ab(omega, ell, k))
+            for r in np.linspace(0.05, r_max, 8):
+                if any(abs(r - z) <= 0.05 / math.sqrt(omega) for z in pair.singular_points):
+                    continue
+                got = pair.w_tilde.f(r) - w0.f(r)
+                want = phi(r)
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (case, r)
+
+    def test_near_lattice_R_is_not_snapped(self):
+        # R a relative 1e-9 off the lattice: the seed's growing part is real
+        # and may add a far zero, which the count must keep
+        rng = np.random.default_rng(11)
+        extra = 0
+        for _ in range(40):
+            omega, ell, k = _random_cell(rng, [1, 2, 3])
+            j = int(rng.integers(0, 7))
+            a, _ = _effective_ab(omega, ell, k)
+            R = -2.0 * omega * (a + 0.5 + j) * (1.0 + 1e-9)
+            pair = extend_general_R(RadialOscillator(omega, ell), k, R)
+            M, _ = self._mpmath_seed(omega, ell, k, R)
+            count = self._sign_changes(M, pair.w_tilde.domain[1])
+            assert len(pair.singular_points) == count, (omega, ell, k, j)
+            extra += count > j
+        assert extra > 0
+
+    def test_found_cells(self):
+        fam = RadialOscillator(0.5, 2.5)
+        for k, z in ((2, 9.7952), (3, 9.3095)):
+            assert min(abs(p - z) for p in extend_general_R(fam, k, -7.1).singular_points) <= 1e-4
+        # alpha = 0: u = e^(-y), so w~ = 1/r - r/2 exactly
+        pair = extend_general_R(RadialOscillator(1.0, 1.0), 2, -3.0)
+        r = np.linspace(0.24, 12.0, 500)
+        closed = (1.0 / r - 0.5 * r) ** 2 + 1.0 / r**2 + 0.5
+        assert np.max(np.abs(pair.V_tilde_minus.f(r) - closed)) <= 1e-10
+
+    def test_large_argument_stays_finite(self):
+        # y = omega r^2 / 2 reaches 7200: the series terms pass any float
+        pair = extend_general_R(RadialOscillator(4.0, 1.0), 2, 2.7, r_max=60.0)
+        assert np.all(np.isfinite(pair.V_tilde_minus.f(np.linspace(0.05, 60.0, 200))))
+
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    def test_non_finite_R(self, R):
+        with pytest.raises(ConfigurationError):
+            extend_general_R(RadialOscillator(1.0, 1.0), 2, R)
+
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_r_max(self, r_max):
+        with pytest.raises(ConfigurationError):
+            extend_general_R(RadialOscillator(1.0, 1.0), 2, 1.0, r_max=r_max)
+
+
 @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("ell", [0.1, 1.0, 2.5])
 @pytest.mark.parametrize("k", [1, 2, 3])
