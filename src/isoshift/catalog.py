@@ -62,6 +62,17 @@ class Function1D:
         return self.f(x)
 
 
+def _chain(P, y1, y2):
+    """Jet in x of P(y(x)), to the order of the jet P = (P, dP/dy, d2P/dy2)
+    (at most 2), from y' = y1 and y'' = y2."""
+    out = [P[0]]
+    if len(P) > 1:
+        out.append(y1 * P[1])
+    if len(P) > 2:
+        out.append(y2 * P[1] + y1 * y1 * P[2])
+    return tuple(out)
+
+
 class Family:
     """Base class of the potential families; one deformation algorithm serves all.
 
@@ -169,13 +180,8 @@ class RadialOscillator(Family):
         w = self.omega
         r = np.asarray(r, dtype=float)
         L = pe.laguerre_jet(spec, s * 0.5 * w * r**2, order)
-        # chain rule: d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
-        out = [L[0]]
-        if order > 0:
-            out.append(s * w * r * L[1])
-        if order > 1:
-            out.append(s * w * L[1] + (w * r) ** 2 * L[2])
-        return out
+        # d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
+        return _chain(L, s * w * r, s * w)
 
     def seed_zeros(self, spec, s):
         if spec.n == 0:
@@ -207,7 +213,8 @@ class RadialOscillator(Family):
         return 1e-4 * s, 16.0 * s * (1.0 + math.sqrt(k + m))
 
     def sample_interval(self, rmax=None):
-        rmax = rmax if rmax else 12.0 / np.sqrt(self.omega)
+        if rmax is None:
+            rmax = 12.0 / np.sqrt(self.omega)
         return 0.02 * rmax, rmax
 
 
@@ -287,13 +294,8 @@ class TrigDPT(Family):
     def seed_jet(self, spec, s, x, order):
         x = np.asarray(x, dtype=float)
         y = np.cos(2.0 * x)
-        out = [pe.jacobi_eval(spec, y)]
-        if order > 0:
-            dP = pe.jacobi_deriv(spec, y)
-            out.append(-2.0 * np.sin(2.0 * x) * dP)
-        if order > 1:
-            out.append(-4.0 * y * dP + 4.0 * (1.0 - y**2) * pe.jacobi_deriv2(spec, y))
-        return out
+        rows = (pe.jacobi_eval, pe.jacobi_deriv, pe.jacobi_deriv2)[: order + 1]
+        return _chain([d(spec, y) for d in rows], -2.0 * np.sin(2.0 * x), -4.0 * y)
 
     def seed_zeros(self, spec, s):
         if spec.N == 0:

@@ -73,7 +73,8 @@ def _write_json(path: Path, obj):
 
 
 def _sample_grid(family, args):
-    return np.linspace(*family.sample_interval(args.rmax), args.grid_points or 400)
+    n = 400 if args.grid_points is None else args.grid_points
+    return np.linspace(*family.sample_interval(args.rmax), n)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,8 @@ def _certify_cell(family, k, m, args, memo):
         )
 
     if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
-        gridspec = spectral.default_grid(family, k=4, m=m,
-                                         n_points=args.grid_points or 3000)
+        n = 3000 if args.grid_points is None else args.grid_points
+        gridspec = spectral.default_grid(family, k=4, m=m, n_points=n)
         w = superpotential(family, k)
         v_minus, _ = partner_potentials(w)
         shift, deviation = spectral._spectral_offset(
@@ -464,11 +465,12 @@ def _apply_config_file(parser, args, argv):
 
 
 def _validate(args):
-    for attr in ("nmax", "grid_points"):
-        if hasattr(args, attr) and getattr(args, attr) is not None and getattr(args, attr) < 0:
-            raise ConfigurationError(f"{attr} must be nonnegative")
-    if getattr(args, "rmax", None) is not None and not 0.0 <= args.rmax < math.inf:
-        raise ConfigurationError(f"rmax must be finite and nonnegative, got {args.rmax}")
+    if getattr(args, "nmax", 0) < 0:
+        raise ConfigurationError("nmax must be nonnegative")
+    if getattr(args, "grid_points", None) is not None and args.grid_points <= 0:
+        raise ConfigurationError("grid_points must be positive")
+    if getattr(args, "rmax", None) is not None and not 0.0 < args.rmax < math.inf:
+        raise ConfigurationError(f"rmax must be finite and positive, got {args.rmax}")
     if hasattr(args, "m"):
         if not args.m:
             raise ConfigurationError("m list must be nonempty")

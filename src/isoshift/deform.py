@@ -12,9 +12,9 @@ its natural variables are chi = -v'/v and w_bar = w3 + chi, whose minus
 partner is trivially shifted and whose plus partner is the rational
 extension.  That construction is identical to the first process applied to
 the sign-reversed superpotential -w3, so internally every branch is handled
-uniformly with effective parameters (a, b) -> (-a, -b) for branch 3; the
-process-2 view (chi, w_bar) is exposed on the Deformation for callers who
-want it.  All DPT branches deform directly with a Jacobi seed in cos 2x.
+uniformly with effective parameters (a, b) -> (-a, -b) for branch 3.  Of
+the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
+All DPT branches deform directly with a Jacobi seed in cos 2x.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class Deformation:
     `w0` is the effective superpotential entering the Riccati identity
     (the branch superpotential, sign-reversed for RO branch 3), `phi` its
     logarithmic-derivative deformation and `w_tilde = w0 + phi`.  For the
-    process-2 branch, `chi = -phi` and `w_bar = branch superpotential + chi`
-    recover the second-process variables (`w_bar = -w_tilde`).
+    process-2 branch, `chi = -phi` is the second-process deformation; its
+    w_bar = branch superpotential + chi equals -w_tilde and has no attribute.
     """
 
     family: Family

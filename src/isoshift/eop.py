@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator
+from .catalog import Function1D, RadialOscillator, _chain
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -59,7 +59,6 @@ __all__ = [
     "eigenfunction_closed_form",
     "eigenvalue",
     "ro_psi_plus",
-    "psi_plus_eigenvalue",
     "classical_ro_eigenfunction",
     "gram_matrix",
     "gram_offdiag_max",
@@ -143,17 +142,6 @@ def _jmul(a, b):
     return tuple(out)
 
 
-def _jmul_y(a, y, c=0.0):
-    """Jet of (y - c) a(y)."""
-    z = y - c
-    out = [z * a[0]]
-    if len(a) > 1:
-        out.append(z * a[1] + a[0])
-    if len(a) > 2:
-        out.append(z * a[2] + 2.0 * a[1])
-    return tuple(out)
-
-
 def _jdiv(a, b):
     """Quotient a/b of two jets of the same order (at most 2)."""
     g0 = a[0] / b[0]
@@ -186,64 +174,48 @@ def _operational(spec: EOPSpec):
     return spec
 
 
-def _l1_S(spec: EOPSpec):
-    alpha = spec.params.ell - 0.5
-    n, m = spec.n, spec.m
-
-    def S(y, order):
-        # S = B_m L_n - U_m L_n'; L_n and L_n' come from one jet of order + 1
-        Bm = _lagjet(m, alpha + 1.0, -1, y, order)
-        Um = _lagjet(m, alpha, -1, y, order)
-        Ln = _lagjet(n, alpha, 1, y, order + 1)
-        return _jsub(_jmul(Bm, Ln[:-1]), _jmul(Um, Ln[1:]))
-
-    return S
+def _l1_S(n, seed, T, y, order):
+    """S = B_m L_n - U_m L_n' with U_m = T = L_m^alpha(-y) the seed,
+    B_m = L_m^(alpha+1)(-y) and L_n = L_n^alpha(y)."""
+    # L_n and L_n' come from one jet of order + 1
+    Bm = _lagjet(seed.n, seed.alpha + 1.0, -1, y, order)
+    Ln = _lagjet(n, seed.alpha, 1, y, order + 1)
+    return _jsub(_jmul(Bm, Ln[:-1]), _jmul(T(y, order), Ln[1:]))
 
 
-def _seed_T(m, alpha):
-    """The seed denominator T(y) = L_m^alpha(-y) as a jet function."""
-
-    def T(y, order):
-        return _lagjet(m, alpha, -1, y, order)
-
-    return T
-
-
-def _l3_S(spec: EOPSpec):
-    ell = spec.params.ell
-    beta = ell + 1.5
-    a3 = -ell - 1.5
-    n, m = spec.n, spec.m
-
-    def S(y, order):
-        # S = (y - ell - 3/2) L_n G + y (L_n G' - L_n' G), G(y) = L_m^a3(-y);
-        # each factor and its derivative come from one jet of order + 1
-        y = np.asarray(y, dtype=float)
-        Ln = _lagjet(n, beta, 1, y, order + 1)
-        G = _lagjet(m, a3, -1, y, order + 1)
-        LG = _jmul(Ln[:-1], G[:-1])
-        W = _jsub(_jmul(Ln[:-1], G[1:]), _jmul(Ln[1:], G[:-1]))
-        return tuple(u + v for u, v in zip(_jmul_y(LG, y, ell + 1.5), _jmul_y(W, y)))
-
-    return S
+def _l3_S(n, seed, T, y, order):
+    """S = (y + alpha) L_n G + y (L_n G' - L_n' G) with G = T = L_m^alpha(-y)
+    the seed and L_n = L_n^(-alpha)(y)."""
+    # each factor and its derivative come from one jet of order + 1
+    y = np.asarray(y, dtype=float)
+    Ln = _lagjet(n, -seed.alpha, 1, y, order + 1)
+    G = T(y, order + 1)
+    LG = _jmul(Ln[:-1], G[:-1])
+    W = _jsub(_jmul(Ln[:-1], G[1:]), _jmul(Ln[1:], G[:-1]))
+    lin = (1.0, 0.0)[:order]  # derivatives of a linear factor
+    left, right = _jmul((y + seed.alpha, *lin), LG), _jmul((y, *lin), W)
+    return tuple(u + v for u, v in zip(left, right))
 
 
 def _series_data(spec: EOPSpec):
-    """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed, family)."""
+    """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed, family).
+
+    T is the seed of the series' branch, L_m^alpha(s y) with (alpha, s) as
+    family.seed gives them."""
     op = _operational(spec)
     fam = op.params
     w, ell = fam.omega, fam.ell
+    branch = fam.branches()[_SERIES_BRANCH[op.series] - 1]
+    seed, s, _ = fam.seed(branch.a, branch.b, op.m)
+    T = partial(_lagjet, seed.n, seed.alpha, s)
+    p = ell + 1.0
     if op.series == "L1":
-        S, T = _l1_S(op), _seed_T(op.m, ell - 0.5)
-        p = ell + 1.0
+        S = partial(_l1_S, op.n, seed, T)
         E = (2.0 * op.n + 2.0 * op.m + 2.0 * ell + 1.0) * w
-        denom = (pe.LaguerreSpec(op.m, ell - 0.5), -1)
     else:  # L3
-        S, T = _l3_S(op), _seed_T(op.m, -ell - 1.5)
-        p = ell + 1.0
+        S = partial(_l3_S, op.n, seed, T)
         E = 2.0 * (op.n + op.m + 1.0) * w
-        denom = (pe.LaguerreSpec(op.m, -ell - 1.5), -1)
-    return S, T, p, E, denom, fam
+    return S, T, p, E, (seed, s), fam
 
 
 def eop_polynomial_degree(spec: EOPSpec) -> int:
@@ -285,6 +257,11 @@ def eop_eval(spec: EOPSpec, r):
 # ---------------------------------------------------------------------------
 
 
+def _one(y, order):
+    """The jet of S = 1."""
+    return (1.0, 0.0, 0.0)[: order + 1]
+
+
 def _product_function(omega, p, S_fn, T_fn, singular):
     """r^p exp(-omega r^2/4) S(y)/T(y) with analytic first two derivatives.
 
@@ -298,16 +275,14 @@ def _product_function(omega, p, S_fn, T_fn, singular):
         g = S_fn(y, order)
         if T_fn is not None:
             g = _jdiv(g, T_fn(y, order))
-        # chain rule through y = omega r^2/2, with y' = omega r and y'' = omega
+        # through y = omega r^2/2, with y' = omega r and y'' = omega
         wr = omega * r
-        F = [g[0]]
+        F = _chain(g, wr, omega)
         A = [r**p * np.exp(-0.25 * omega * r * r)]
         if order > 0:
-            F.append(wr * g[1])
             la = p / r - 0.5 * wr
             A.append(la * A[0])
         if order > 1:
-            F.append(omega * g[1] + wr * wr * g[2])
             A.append((la * la - p / r**2 - 0.5 * omega) * A[0])
         return _jmul(A, F)
 
@@ -333,33 +308,21 @@ def eigenvalue(spec: EOPSpec) -> float:
     return _series_data(spec)[3]
 
 
-def ro_psi_plus(spec: EOPSpec, n=None) -> Function1D:
-    """Eigenfunction of the shifted partner V~+ = V+ + R for this series.
+def ro_psi_plus(spec: EOPSpec) -> Function1D:
+    """Eigenfunction of the shifted partner V~+ = V+ + R for this state.
 
-    V~+ is a plain radial oscillator, so these are classical states; they
-    feed the intertwining operator, which maps them onto the closed forms.
+    V~+ is a plain radial oscillator, so these are classical states,
+    r^p exp(-omega r^2/4) L_n^(p-1/2)(y); they feed the intertwining
+    operator, which maps them onto the closed forms.  The energy is
+    eigenvalue(spec).
     """
     op = _operational(spec)
     fam = op.params
-    if n is None:
-        n = op.n
     if op.series == "L1":
         p, alpha = fam.ell, fam.ell - 0.5
     else:  # L3
         p, alpha = fam.ell + 2.0, fam.ell + 1.5
-
-    def S(y, order):
-        return _lagjet(n, alpha, 1, y, order)
-
-    return _product_function(fam.omega, p, S, None, ())
-
-
-def psi_plus_eigenvalue(spec: EOPSpec, n=None) -> float:
-    """Energy of ro_psi_plus(spec, n) in V~+; equal to the V~- ladder value."""
-    op = _operational(spec)
-    if n is None:
-        n = op.n
-    return eigenvalue(EOPSpec(op.series, n, op.m, op.params))
+    return _product_function(fam.omega, p, partial(_lagjet, op.n, alpha, 1), None, ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
@@ -367,11 +330,7 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
     Eigenfunction of V- of branch 1 (V - omega(ell + 3/2)) at E = 2 n omega.
     """
-    alpha = fam.ell + 0.5
-
-    def S(y, order):
-        return _lagjet(n, alpha, 1, y, order)
-
+    S = partial(_lagjet, n, fam.ell + 0.5, 1)
     return _product_function(fam.omega, fam.ell + 1.0, S, None, ())
 
 
@@ -403,32 +362,18 @@ def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
 
 
 def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
-    """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y)."""
-    probe = _operational(EOPSpec(series, 0, m, params))
-    _, T, p, _, denom, fam = _series_data(probe)
-    singular = fam.seed_zeros(*denom)
-    omega = fam.omega
-
-    def f(r):
-        r = np.asarray(r, dtype=float)
-        y = 0.5 * omega * r * r
-        return r**p * np.exp(-0.25 * omega * r * r) / T(y, 0)[0]
-
-    def df(r):
-        r = np.asarray(r, dtype=float)
-        y = 0.5 * omega * r * r
-        Tj = T(y, 1)
-        logd = p / r - 0.5 * omega * r - omega * r * Tj[1] / Tj[0]
-        return logd * f(r)
-
-    fn = Function1D(f=f, df=df, domain=(0.0, math.inf), singular_points=tuple(singular))
+    """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y), with
+    analytic df and d2f and a `jet`."""
+    _, T, p, _, denom, fam = _series_data(EOPSpec(series, 0, m, params))
+    singular = tuple(fam.seed_zeros(*denom))
+    weight = _product_function(fam.omega, p, _one, T, singular)
     return WeightSpec(
         series=series,
         m=m,
         params=params,
-        weight=fn,
+        weight=weight,
         interval=(0.0, math.inf),
-        singular_points=tuple(singular),
+        singular_points=singular,
     )
 
 

@@ -410,9 +410,10 @@ class TestRobustness:
         assert err.startswith("error:") and "finite" in err
 
     @pytest.mark.parametrize("command", ["extend", "interpolate"])
-    @pytest.mark.parametrize("rmax", ["nan", "inf", "-2"])
+    @pytest.mark.parametrize("rmax", ["nan", "inf", "-2", "0"])
     def test_bad_rmax(self, tmp_path, capsys, command, rmax):
-        # a NaN rmax would sample nothing but NaN, and still exit 0
+        # a NaN rmax would sample nothing but NaN, and still exit 0; a zero
+        # one would quietly stand for the default
         argv = [command, f"--rmax={rmax}", "--out", str(tmp_path / "x")]
         if command == "interpolate":
             argv += ["--R", "1"]
@@ -422,9 +423,11 @@ class TestRobustness:
 
     @pytest.mark.parametrize("command", ["extend", "interpolate"])
     def test_negative_grid_points(self, tmp_path, capsys, command):
-        argv = [command, "--grid-points", "-3", "--out", str(tmp_path / "x")]
-        if command == "interpolate":
-            argv += ["--R", "1"]
-        code, err = self._exit_code(capsys, argv)
-        assert code == 2
-        assert err.startswith("error:") and "grid_points" in err
+        # zero is refused too, and does not stand for the default
+        for points in ("-3", "0"):
+            argv = [command, "--grid-points", points, "--out", str(tmp_path / "x")]
+            if command == "interpolate":
+                argv += ["--R", "1"]
+            code, err = self._exit_code(capsys, argv)
+            assert code == 2
+            assert err.startswith("error:") and "grid_points" in err

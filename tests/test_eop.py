@@ -153,6 +153,8 @@ class TestEigenfunctions:
         lambda: eigenfunction_closed_form(EOPSpec("L3", 4, 3, RadialOscillator(1.5, 2.5))),
         lambda: ro_psi_plus(EOPSpec("L3", 3, 2, FAM)),
         lambda: classical_ro_eigenfunction(FAM, 6),
+        lambda: weight_spec("L1", 2, FAM).weight,
+        lambda: weight_spec("L3", 2, RadialOscillator(1.0, 1.0)).weight,
     ])
     def test_jet_is_f_df_d2f(self, make):
         psi = make()
@@ -193,6 +195,18 @@ class TestWeights:
     def test_l3_regular_case(self):
         ws = weight_spec("L3", 2, RadialOscillator(1.0, 1.0))
         assert ws.is_regular
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_weight_log_derivative_is_minus_superpotential(self, m):
+        # W = exp(-int w~) with w~ = w1 + phi, phi the branch-2 deformation
+        w1 = superpotential(FAM, 1)
+        phi = seed_polynomial(FAM, 2, m).phi
+        W = weight_spec("L1", m, FAM).weight
+        r = np.linspace(0.3, 4, 200)
+        wt, dwt = w1.f(r) + phi.f(r), w1.df(r) + phi.df(r)
+        f, df, d2f = W.jet(r)
+        assert np.allclose(df / f, -wt, rtol=1e-10, atol=0.0)
+        assert np.allclose(d2f / f, wt * wt - dwt, rtol=1e-10, atol=0.0)
 
     def test_weight_matches_superpotential_integral(self):
         m = 1
