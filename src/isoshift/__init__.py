@@ -1,6 +1,12 @@
 """Shape-invariant rational extensions of the radial oscillator and
 trigonometric Darboux-Poschl-Teller potentials, their exceptional-polynomial
-eigenfunctions, and numerical certification of the defining identities."""
+eigenfunctions, and numerical certification of the defining identities.
+
+Library modules log to the `isoshift` logger, which is silent until the
+application configures logging.
+"""
+
+import logging
 
 from .catalog import (
     Branch,
@@ -66,3 +72,5 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

@@ -2,17 +2,21 @@
 
 The solver discretizes -d^2/dx^2 + V on a uniform grid with a 3-point
 Laplacian and Dirichlet ends and Richardson-extrapolates each of the lowest
-eigenvalues from the (n, 2n+1) grid pair.  On the coarse grid they come from
-bisection (Sturm sequences).  On the fine grid, Rayleigh-quotient iteration
-started from them gives eigenpairs that a residual bound and two Sturm counts
-certify to be the lowest ones; where that certificate fails, the fine grid
-goes back to bisection with inverse-iteration vectors.  Everything else in
-the module is a pointwise residual evaluator or a classifier built on the
-polynomial zero scan.
+eigenvalues from the (n, 2n+1) grid pair.  The eigenvalues pass along a
+chain of three grids over the same interval: bisection (Sturm sequences) on
+a small seed grid of max(256, n // 8, k) points gives start shifts for
+Rayleigh-quotient iteration on the coarse grid n, and the coarse eigenvalues
+give those on the fine grid 2n+1.  On both grids a residual bound and two
+Sturm counts certify that the iteration found the lowest eigenpairs; where
+that certificate fails, the grid goes back to bisection with
+inverse-iteration vectors, and the `isoshift.spectral` logger records it at
+DEBUG level.  Everything else in the module is a pointwise residual
+evaluator or a classifier built on the polynomial zero scan.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +25,8 @@ from scipy.linalg import eigh_tridiagonal, lapack
 
 from .catalog import Family, Function1D
 from .errors import ConfigurationError, SingularPotentialError
+
+_log = logging.getLogger(__name__)
 
 __all__ = [
     "Grid",
@@ -64,7 +70,12 @@ class Grid:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Extrapolated eigenvalues with convergence and decay diagnostics."""
+    """Extrapolated eigenvalues with convergence and decay diagnostics.
+
+    grid_convergence is |fine - coarse| / 3 per level: the Richardson
+    estimate of the error of the fine grid's eigenvalue, not of the
+    extrapolated one in `eigenvalues`, which is usually far smaller.
+    """
 
     eigenvalues: tuple
     boundary_decay_ok: tuple
@@ -127,8 +138,8 @@ def _eigenvalue_count(diag, off, lo, hi):
     return m if info == 0 else -1
 
 
-# RQI converges cubically, in two or three steps from a coarse-grid eigenvalue;
-# a level still moving after this many steps goes to the fallback
+# RQI converges cubically, in two or three steps from a coarser grid's
+# eigenvalue; a level still moving after this many steps goes to the fallback
 _RQI_MAX_STEPS = 30
 
 
@@ -175,24 +186,41 @@ def _certified_rqi(diag, off, v, guesses):
     return (vals, vecs) if certified else None
 
 
+def _lowest_pairs(diag, off, v, guesses):
+    """Certified RQI from guesses, else bisection: the lowest len(guesses) eigenpairs."""
+    pairs = _certified_rqi(diag, off, v, guesses)
+    if pairs is None:
+        _log.debug("RQI certificate failed on %d points, k=%d: bisection",
+                   diag.size, len(guesses))
+        pairs = _bisection(diag, off, len(guesses), eigvals_only=False)
+    return pairs
+
+
+# the seed grid's floor: with n // 8 points alone, RQI on 1000-point grids
+# missed levels of m = 8 radial-oscillator extensions and fell back
+_SEED_POINTS = 256
+
+
 def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     """Lowest k eigenvalues, Richardson-extrapolated from grids (n, 2n+1).
 
-    Bisection gives the coarse eigenvalues; certified Rayleigh-quotient
-    iteration from them gives the fine eigenpairs, with bisection as the
-    fallback wherever the certificate fails.
+    Bisection on a seed grid of max(256, n // 8, k) points gives the start
+    shifts of certified Rayleigh-quotient iteration on the coarse grid, whose
+    eigenvalues start it on the fine grid; a grid whose certificate fails
+    goes back to bisection.
     """
     if not 1 <= k <= grid.n_points:
         raise ConfigurationError(
             f"need between 1 and {grid.n_points} states on this grid, got k={k}"
         )
-    diag, off, _ = _fd_hamiltonian(V, grid)
-    coarse = _bisection(diag, off, k, eigvals_only=True)
-    diag, off, v = _fd_hamiltonian(V, grid.refined())
-    fine_pairs = _certified_rqi(diag, off, v, coarse)
-    if fine_pairs is None:
-        fine_pairs = _bisection(diag, off, k, eigvals_only=False)
-    fine, vecs = fine_pairs
+    # the seed grid is sampled last: a non-finite V is reported at a node
+    # of the grids the extrapolation uses
+    coarse_h = _fd_hamiltonian(V, grid)
+    fine_h = _fd_hamiltonian(V, grid.refined())
+    seed = Grid(grid.lo, grid.hi, max(_SEED_POINTS, grid.n_points // 8, k))
+    diag, off, _ = _fd_hamiltonian(V, seed)
+    coarse, _ = _lowest_pairs(*coarse_h, _bisection(diag, off, k, eigvals_only=True))
+    fine, vecs = _lowest_pairs(*fine_h, coarse)
     extrap = (4.0 * fine - coarse) / 3.0
     conv = np.abs(fine - coarse) / 3.0
     decay = []

@@ -312,10 +312,11 @@ class TestCertify:
         grid = spectral.Grid(-8.0, 8.0, 200)
         memo = {}
         report = cli._solve(memo, V, grid, 3)
-        # the key's samples on both grids feed the solver too
-        assert sizes == [200, 401]
+        # the key's samples on both grids feed the solver too; only its
+        # 256-point seed grid, which picks start shifts, is sampled anew
+        assert sizes == [200, 401, 256]
         assert cli._solve(memo, V, grid, 3) is report
-        assert sizes == [200, 401] * 2
+        assert sizes == [200, 401, 256, 200, 401]
         assert report == spectral.solve_bound_states(V, grid, 3)
 
     def test_default_radial_report_has_no_finding(self, capsys):

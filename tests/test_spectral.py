@@ -1,5 +1,6 @@
 """Bound-state solver, residual evaluators, and the regularity classifier."""
 
+import logging
 import math
 
 import numpy as np
@@ -138,11 +139,52 @@ class TestSolver:
         lambda: (_partner_vminus(TrigDPT(1.0, 2.0)), default_grid(TrigDPT(1.0, 2.0), k=4), 4),
         lambda: (_partner_vminus(RadialOscillator(1.0, 1.0)),
                  default_grid(RadialOscillator(1.0, 1.0), k=2, n_points=2000), 2),
+        # every level of the grid: the seed grid must still hold k levels
+        lambda: (_const_fn(0.0), Grid(0.0, 1.0, 100), 100),
     ])
     def test_boundary_decay_matches_bisection_vectors(self, setup):
         V, grid, k = setup()
         rep = solve_bound_states(V, grid, k)
-        assert rep.boundary_decay_ok == _bisection_report(V, grid, k).boundary_decay_ok
+        expected = _bisection_report(V, grid, k)
+        assert rep.boundary_decay_ok == expected.boundary_decay_ok
+        # The diagonal 2/h^2 + V rounds V to about eps/h^2, so two solvers of
+        # one matrix differ by about eps ||T||: 1.6e-9 relative at 8000 points
+        # on the DPT interval, and without bound relative to a zero mode.  The
+        # gate is the RQI stopping tolerance on the fine grid.
+        fine = grid.refined()
+        norm_t = 4.0 / fine.spacing**2 + np.max(np.abs(V.f(fine.nodes)))
+        deviation = np.abs(np.array(rep.eigenvalues) - expected.eigenvalues)
+        assert np.max(deviation) <= 8.0 * np.finfo(float).eps * norm_t
+
+    def test_bisection_runs_only_on_the_seed_grid(self, monkeypatch):
+        sizes = []
+        real_bisection = spectral._bisection
+
+        def counting_bisection(diag, off, k, eigvals_only):
+            sizes.append(diag.size)
+            return real_bisection(diag, off, k, eigvals_only)
+
+        monkeypatch.setattr(spectral, "_bisection", counting_bisection)
+        # regular broken-SUSY certify cells: V- and V~- on the certify grid
+        cells = [
+            (RadialOscillator(2.0, 1.0), 2, 1),
+            (RadialOscillator(0.7, 0.3), 3, 2),
+            (RadialOscillator(0.7, 2.5), 2, 8),
+            (TrigDPT(1.5, 3.0), 2, 1),
+            (TrigDPT(2.5, 0.7), 3, 2),
+        ]
+        for fam, branch, m in cells:
+            d = seed_polynomial(fam, branch, m)
+            assert not d.singular_points
+            v_minus, _ = partner_potentials(superpotential(fam, branch))
+            potentials = (extend(d).V_tilde_minus, v_minus)
+            for n in (1000, 3000, 8000):
+                grid = default_grid(fam, k=4, m=m, n_points=n)
+                for V in potentials:
+                    sizes.clear()
+                    solve_bound_states(V, grid, 4)
+                    # one bisection per solve, on the seed grid only
+                    assert sizes == [max(256, n // 8)]
 
 
 # RO (omega, ell) and DPT (A, B) cells of the fine-grid checks; A = B is a
@@ -180,13 +222,20 @@ class TestFineGridRayleighQuotient:
         assert spectral._certified_rqi(diag, off, v, coarse[:4]) is not None
         assert spectral._certified_rqi(diag, off, v, coarse[1:]) is None
 
-    def test_bad_start_vector_falls_back_to_bisection(self, monkeypatch):
+    def test_bad_start_vector_falls_back_to_bisection(self, monkeypatch, caplog):
         V, grid, diag, off, v, coarse = self._fine_problem(TrigDPT(1.5, 1.5))
         expected = _bisection_report(V, grid, 4)
         # a constant vector has no odd component in the symmetric well
         monkeypatch.setattr(spectral, "_start_vector", lambda n, j: np.ones(n))
         assert spectral._certified_rqi(diag, off, v, coarse) is None
+        handlers = logging.getLogger("isoshift").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+        caplog.set_level(logging.DEBUG, logger="isoshift")
         assert solve_bound_states(V, grid, 4) == expected
+        # one record per grid that fell back: the coarse and the fine one
+        records = [(r.name, r.levelno, r.args) for r in caplog.records]
+        assert records == [("isoshift.spectral", logging.DEBUG, (3000, 4)),
+                           ("isoshift.spectral", logging.DEBUG, (6001, 4))]
 
 
 class TestIsospectrality:
