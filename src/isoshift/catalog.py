@@ -46,9 +46,11 @@ class Function1D:
     `df` is the first derivative and is always analytic (never a finite
     difference); `d2f` is optional and present whenever a downstream residual
     check needs it.  `singular_points` lists interior points where evaluation
-    is not finite.  `jet`, when present, maps x to (f(x), df(x), d2f(x))
-    computed in one evaluation; callers that need several of the three use it
-    instead of calling f, df and d2f one by one.
+    is not finite.  `jet`, when present, maps x to the rows the function
+    carries, (f(x), df(x), d2f(x)), or (f(x), df(x)) when d2f is None,
+    computed in one evaluation; `jet(x, order)` returns only the first
+    order + 1 rows and evaluates no further.  Callers that need several rows
+    use it instead of calling f, df and d2f one by one.
     """
 
     f: Callable
@@ -353,15 +355,24 @@ def superpotential(family, branch) -> Function1D:
     return Family.check(family).superpotential(branch.a, branch.b)
 
 
+def _value_and_slope(w: Function1D, x):
+    """(w(x), w'(x)), from one evaluation of w.jet when w carries one."""
+    if w.jet is not None:
+        return w.jet(x, 1)
+    return w.f(x), w.df(x)
+
+
 def partner_potentials(w: Function1D):
-    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w')."""
+    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'); their f takes w and w'
+    from one evaluation of w.jet when w carries one."""
     if w.df is None:
         raise ConfigurationError("superpotential must carry an analytic derivative")
     has_d2 = w.d2f is not None
 
     def make(sign):
         def f(x):
-            return w.f(x) ** 2 + sign * w.df(x)
+            v, dv = _value_and_slope(w, x)
+            return v**2 + sign * dv
 
         def df(x):
             return 2.0 * w.f(x) * w.df(x) + sign * w.d2f(x)

@@ -29,6 +29,7 @@ from . import deform, eop, spectral
 from .catalog import (
     FAMILIES,
     RadialOscillator,
+    _value_and_slope,
     branches,
     get_branch,
     partner_potentials,
@@ -255,7 +256,7 @@ def _certify_w0(family, m):
     )
     v2 = deform.extend(d2).V_tilde_minus.f(grid)
     v3 = deform.extend(d3).V_tilde_minus.f(grid)
-    w0v, w0d = W0.f(grid), W0.df(grid)
+    w0v, w0d = _value_and_slope(W0, grid)
     res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
     res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
     psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))

@@ -15,6 +15,10 @@ the sign-reversed superpotential -w3, so internally every branch is handled
 uniformly with effective parameters (a, b) -> (-a, -b) for branch 3.  Of
 the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
 All DPT branches deform directly with a Jacobi seed in cos 2x.
+
+phi, w_tilde = w0 + phi and w0_explicit's W0 carry a jet (value, slope)
+taken from one order-2 jet of each seed, so the partner potentials V~-/+,
+the Riccati residual and W0 with W0' evaluate each seed once per call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,12 @@ from .catalog import (
     partner_potentials,
     superpotential,
 )
-from .errors import ConfigurationError, InternalInconsistencyError, SingularExtensionError
+from .errors import (
+    ConfigurationError,
+    InternalInconsistencyError,
+    SingularExtensionError,
+    check_index,
+)
 
 __all__ = [
     "Deformation",
@@ -88,8 +97,8 @@ class Deformation:
     def riccati_residual(self, grid):
         """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|."""
         r = np.asarray(grid, dtype=float)
-        p = self.phi.f(r)
-        res = p * p + 2.0 * self.w0.f(r) * p + self.phi.df(r) - self.R
+        p, dp = self.phi.jet(r, 1)
+        res = p * p + 2.0 * self.w0.f(r) * p + dp - self.R
         return float(np.max(np.abs(res)))
 
 
@@ -115,23 +124,36 @@ def _effective_ab(family, branch: Branch):
     return branch.a, branch.b, 1
 
 
-def _log_derivative_pair(ujet):
-    """(g, g') for g = u'/u, from the jet of u.
+def _log_derivative_jet(ujet):
+    """The jet (g, g') of g = u'/u, from one jet of u to order + 1.
 
     g' = u''/u - (u'/u)^2 is computed from the seed itself, so that Riccati
-    residual checks are non-circular.
+    residual checks are non-circular.  Order 0 evaluates u only to order 1.
     """
 
-    def g(x):
-        u, du = ujet(x, 1)
-        return du / u
+    def jet(x, order=1):
+        u = ujet(x, order + 1)
+        g = u[1] / u[0]
+        if not order:
+            return (g,)
+        return g, u[2] / u[0] - g * g
 
-    def dg(x):
-        u, du, d2u = ujet(x, 2)
-        ratio = du / u
-        return d2u / u - ratio * ratio
+    return jet
 
-    return g, dg
+
+def _jet_function(jet, domain, singular_points=()):
+    """A Function1D whose f and df are the rows of a jet of order at most 1."""
+    return Function1D(f=lambda x: jet(x, 0)[0], df=lambda x: jet(x, 1)[1],
+                      domain=domain, singular_points=singular_points, jet=jet)
+
+
+def _plus_jet(w0, g):
+    """The jet of w0 + g, for a closed-form w0 and the jet g."""
+
+    def jet(x, order=1):
+        return tuple(fn(x) + v for fn, v in zip((w0.f, w0.df), g(x, order)))
+
+    return jet
 
 
 def seed_polynomial(family, branch, m) -> Deformation:
@@ -141,8 +163,7 @@ def seed_polynomial(family, branch, m) -> Deformation:
     effective branch parameters (a, b).  Singular points (seed zeros in the
     physical domain) are recorded, never raised.
     """
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-        raise ConfigurationError(f"hierarchy index m must be a nonnegative integer, got {m}")
+    check_index(m, "hierarchy index m")
     family = Family.check(family)
     if isinstance(branch, int):
         branch = get_branch(family, branch)
@@ -152,21 +173,13 @@ def seed_polynomial(family, branch, m) -> Deformation:
     singular = family.seed_zeros(seed, s)
 
     if m == 0:
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        phi = Function1D(f=zero, df=zero, domain=w0.domain)
+        phi_jet = lambda x, order=1: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
         R = 0.0
     else:
-        phi_f, phi_df = _log_derivative_pair(partial(family.seed_jet, seed, s))
-        phi = Function1D(
-            f=phi_f, df=phi_df, domain=w0.domain, singular_points=tuple(singular)
-        )
-
-    w_tilde = Function1D(
-        f=lambda x: w0.f(x) + phi.f(x),
-        df=lambda x: w0.df(x) + phi.df(x),
-        domain=w0.domain,
-        singular_points=tuple(singular),
-    )
+        phi_jet = _log_derivative_jet(partial(family.seed_jet, seed, s))
+    # phi and w~ take value and slope from one order-2 seed jet
+    phi = _jet_function(phi_jet, w0.domain, tuple(singular))
+    w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, tuple(singular))
     return Deformation(
         family=family,
         branch=branch,
@@ -241,28 +254,29 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     y = omega r^2 / 2.  Its minus/plus partners reproduce the branch-2 and
     branch-3 extended potentials up to the common constant
     w0_partner_constant(family, m), and it equals -d/dr log of the extended
-    ground state.
+    ground state.  For m > 0 it carries a `jet` that takes W0 and W0' from
+    one order-2 jet of each seed.
     """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("w0_explicit is defined for the radial oscillator only")
+    check_index(m, "hierarchy index m")
     w1 = superpotential(family, 1)
     if m == 0:
         return w1
-    gu, dgu = _log_derivative_pair(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell - 0.5), -1))
-    gv, dgv = _log_derivative_pair(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell + 0.5), -1))
+    gu = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell - 0.5), -1))
+    gv = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell + 0.5), -1))
 
-    def f(r):
-        return w1.f(r) + gu(r) - gv(r)
+    def jet(r, order=1):
+        rows = zip((w1.f, w1.df), gu(r, order), gv(r, order))
+        return tuple(fn(r) + u - v for fn, u, v in rows)
 
-    def df(r):
-        return w1.df(r) + dgu(r) - dgv(r)
-
-    return Function1D(f=f, df=df, domain=family.domain)
+    return _jet_function(jet, family.domain)
 
 
 def w0_partner_constant(family: RadialOscillator, m: int) -> float:
     """The constant c with W0^2 - W0' = V~- - c (branch 2) and
     W0^2 + W0' = V~- - c (branch 3 extension)."""
+    check_index(m, "hierarchy index m")
     return (2.0 * family.ell + 1.0) * family.omega + 2.0 * m * family.omega
 
 

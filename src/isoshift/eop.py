@@ -13,15 +13,20 @@ Polynomial values and their derivatives are carried as "jets", tuples
 arithmetic, so that every eigenfunction carries analytic first and second
 derivatives.  Each Laguerre factor is one call of polyengine.laguerre_jet,
 whose blocked, differentiated recurrence yields a polynomial and all its
-derivatives in one pass; S and T take the order they must reach, so a
-value costs an order-0 jet (order 1 for the factors whose derivative enters
-S), and L_n and L_n' come from the same call.  An eigenfunction's f, df and
-d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three from one
-order-2 evaluation.
+derivatives in one pass.  The seed T enters an eigenfunction three times:
+in S, as the denominator and, for L1, through its contiguous partner
+B_m = L_m^(alpha+1)(-y).  It is evaluated once per point set, to one order
+above the eigenfunction's, and every factor is taken from that jet:
+B_m = T + dT/dy (DLMF 18.9.14 with 18.9.23 at x = -y), so B_m costs no
+kernel call.  L_n and L_n' come from one call too, so a state costs two
+kernel calls whatever the order.  An eigenfunction's f, df and d2f evaluate
+to orders 0, 1 and 2, and its `jet` returns all three from one order-2
+evaluation.  The S = 1 weight evaluates T only to its own order.
 
 Gram matrices are integrated in y, where W^2 dr is a constant times
 y^(p-1/2) e^(-y) / T(y)^2 dy, up to the cut omega r_cut^2/2.  One composite
-Gauss rule serves every entry: each S_n is evaluated once at all nodes and
+Gauss rule serves every entry: T is evaluated once at all nodes and shared
+by every S_n and the weight, each S_n is evaluated once there, and
 G = P diag(w e^(-y)/T^2) P^T.  The first panel [0, h0] is Gauss-Jacobi with
 the weight y^(p-1/2); the panels after it double in width and are
 Gauss-Legendre.  A panel that disagrees with the sum over its two halves is
@@ -46,6 +51,7 @@ from .errors import (
     DegenerateParameterError,
     QuadratureError,
     SingularExtensionError,
+    check_index,
 )
 
 __all__ = [
@@ -98,8 +104,8 @@ class EOPSpec:
     def __post_init__(self):
         if self.series not in _SERIES:
             raise ConfigurationError(f"series must be one of {_SERIES}, got {self.series!r}")
-        if self.n < 0 or self.m < 0:
-            raise ConfigurationError("state and hierarchy indices must be nonnegative")
+        check_index(self.n, "state index n")
+        check_index(self.m, "hierarchy index m")
         if not isinstance(self.params, RadialOscillator):
             raise ConfigurationError(
                 "exceptional series are defined for the radial oscillator only, "
@@ -163,7 +169,8 @@ def _lagjet(n, alpha, sign, y, order):
 
 
 # ---------------------------------------------------------------------------
-# series definitions: S(y, order) and T(y, order) return jets in y
+# series definitions: T(y, order) and S(y, T, order) return jets in y, S
+# from the seed's jet T to order + 1
 # ---------------------------------------------------------------------------
 
 
@@ -174,26 +181,25 @@ def _operational(spec: EOPSpec):
     return spec
 
 
-def _l1_S(n, seed, T, y, order):
+def _l1_S(n, alpha, y, T, order):
     """S = B_m L_n - U_m L_n' with U_m = T = L_m^alpha(-y) the seed,
-    B_m = L_m^(alpha+1)(-y) and L_n = L_n^alpha(y)."""
-    # L_n and L_n' come from one jet of order + 1
-    Bm = _lagjet(seed.n, seed.alpha + 1.0, -1, y, order)
-    Ln = _lagjet(n, seed.alpha, 1, y, order + 1)
-    return _jsub(_jmul(Bm, Ln[:-1]), _jmul(T(y, order), Ln[1:]))
+    B_m = L_m^(alpha+1)(-y) = T + dT/dy and L_n = L_n^alpha(y)."""
+    # L_n and L_n' come from one jet of order + 1, B_m from the seed's jet
+    Bm = tuple(u + v for u, v in zip(T[:-1], T[1:]))
+    Ln = _lagjet(n, alpha, 1, y, order + 1)
+    return _jsub(_jmul(Bm, Ln[:-1]), _jmul(T[:-1], Ln[1:]))
 
 
-def _l3_S(n, seed, T, y, order):
+def _l3_S(n, alpha, y, G, order):
     """S = (y + alpha) L_n G + y (L_n G' - L_n' G) with G = T = L_m^alpha(-y)
     the seed and L_n = L_n^(-alpha)(y)."""
-    # each factor and its derivative come from one jet of order + 1
+    # L_n and L_n' come from one jet of order + 1
     y = np.asarray(y, dtype=float)
-    Ln = _lagjet(n, -seed.alpha, 1, y, order + 1)
-    G = T(y, order + 1)
+    Ln = _lagjet(n, -alpha, 1, y, order + 1)
     LG = _jmul(Ln[:-1], G[:-1])
     W = _jsub(_jmul(Ln[:-1], G[1:]), _jmul(Ln[1:], G[:-1]))
     lin = (1.0, 0.0)[:order]  # derivatives of a linear factor
-    left, right = _jmul((y + seed.alpha, *lin), LG), _jmul((y, *lin), W)
+    left, right = _jmul((y + alpha, *lin), LG), _jmul((y, *lin), W)
     return tuple(u + v for u, v in zip(left, right))
 
 
@@ -201,7 +207,8 @@ def _series_data(spec: EOPSpec):
     """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed, family).
 
     T is the seed of the series' branch, L_m^alpha(s y) with (alpha, s) as
-    family.seed gives them."""
+    family.seed gives them; s = -1 for both series.  S(y, T(y, order + 1),
+    order) is the jet of S to `order`."""
     op = _operational(spec)
     fam = op.params
     w, ell = fam.omega, fam.ell
@@ -210,10 +217,10 @@ def _series_data(spec: EOPSpec):
     T = partial(_lagjet, seed.n, seed.alpha, s)
     p = ell + 1.0
     if op.series == "L1":
-        S = partial(_l1_S, op.n, seed, T)
+        S = partial(_l1_S, op.n, seed.alpha)
         E = (2.0 * op.n + 2.0 * op.m + 2.0 * ell + 1.0) * w
     else:  # L3
-        S = partial(_l3_S, op.n, seed, T)
+        S = partial(_l3_S, op.n, seed.alpha)
         E = 2.0 * (op.n + op.m + 1.0) * w
     return S, T, p, E, (seed, s), fam
 
@@ -247,8 +254,8 @@ def eop_eval(spec: EOPSpec, r):
         term2 = y * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 0.5), y) * dLn
         out = (term1 + term2) / c
     else:
-        S = _series_data(spec)[0]
-        out = S(y, 0)[0]
+        S, T = _series_data(spec)[:2]
+        out = S(y, T(y, 1), 0)[0]
     return float(out) if scalar else out
 
 
@@ -257,24 +264,30 @@ def eop_eval(spec: EOPSpec, r):
 # ---------------------------------------------------------------------------
 
 
-def _one(y, order):
-    """The jet of S = 1."""
-    return (1.0, 0.0, 0.0)[: order + 1]
+def _quotient(S, T, y, order):
+    """The jet of S/T, from one jet of T to order + 1 shared by S and the
+    denominator."""
+    Tj = T(y, order + 1)
+    return _jdiv(S(y, Tj, order), Tj[:-1])
 
 
-def _product_function(omega, p, S_fn, T_fn, singular):
-    """r^p exp(-omega r^2/4) S(y)/T(y) with analytic first two derivatives.
+def _reciprocal(T, y, order):
+    """The jet of 1/T, from T to `order` only."""
+    return _jdiv((1.0, 0.0, 0.0)[: order + 1], T(y, order))
 
-    T_fn None stands for T = 1.  f, df and d2f each evaluate the jet only to
-    their own order; `jet` gives all three from one evaluation.
+
+def _product_function(omega, p, ratio, singular):
+    """r^p exp(-omega r^2/4) g(y) with analytic first two derivatives, where
+    ratio(y, order) is the jet of g in y: S/T, S alone (T = 1) or 1/T.
+
+    f, df and d2f each evaluate the jet only to their own order; `jet(r,
+    order=2)` gives the rows up to `order` from one evaluation.
     """
 
-    def jet(r, order):
+    def jet(r, order=2):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r
-        g = S_fn(y, order)
-        if T_fn is not None:
-            g = _jdiv(g, T_fn(y, order))
+        g = ratio(y, order)
         # through y = omega r^2/2, with y' = omega r and y'' = omega
         wr = omega * r
         F = _chain(g, wr, omega)
@@ -292,7 +305,7 @@ def _product_function(omega, p, S_fn, T_fn, singular):
         d2f=lambda r: jet(r, 2)[2],
         domain=(0.0, math.inf),
         singular_points=tuple(singular),
-        jet=lambda r: jet(r, 2),
+        jet=jet,
     )
 
 
@@ -300,7 +313,7 @@ def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
     S, T, p, _, denom, fam = _series_data(spec)
     singular = fam.seed_zeros(*denom)
-    return _product_function(fam.omega, p, S, T, singular)
+    return _product_function(fam.omega, p, partial(_quotient, S, T), singular)
 
 
 def eigenvalue(spec: EOPSpec) -> float:
@@ -322,7 +335,7 @@ def ro_psi_plus(spec: EOPSpec) -> Function1D:
         p, alpha = fam.ell, fam.ell - 0.5
     else:  # L3
         p, alpha = fam.ell + 2.0, fam.ell + 1.5
-    return _product_function(fam.omega, p, partial(_lagjet, op.n, alpha, 1), None, ())
+    return _product_function(fam.omega, p, partial(_lagjet, op.n, alpha, 1), ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
@@ -331,7 +344,7 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
     Eigenfunction of V- of branch 1 (V - omega(ell + 3/2)) at E = 2 n omega.
     """
     S = partial(_lagjet, n, fam.ell + 0.5, 1)
-    return _product_function(fam.omega, fam.ell + 1.0, S, None, ())
+    return _product_function(fam.omega, fam.ell + 1.0, S, ())
 
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
@@ -366,7 +379,7 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     analytic df and d2f and a `jet`."""
     _, T, p, _, denom, fam = _series_data(EOPSpec(series, 0, m, params))
     singular = tuple(fam.seed_zeros(*denom))
-    weight = _product_function(fam.omega, p, _one, T, singular)
+    weight = _product_function(fam.omega, p, partial(_reciprocal, T), singular)
     return WeightSpec(
         series=series,
         m=m,
@@ -449,8 +462,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     sums the halves of the accepted panels.  err is the largest entry of the
     summed |halves - whole| of those panels, normalized the same way.
     """
-    if n_max < 0:
-        raise ConfigurationError(f"n_max must be nonnegative, got {n_max}")
+    check_index(n_max, "n_max")
     if singular_points is None:
         singular_points = weight_spec(series, m, params).singular_points
     if singular_points:
@@ -486,8 +498,10 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
         mid = 0.5 * (a + b)
         # rows: each panel whole, then its left halves, then its right halves
         y, w = _panel_rules(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), c)
-        w = w * np.exp(-y) / T(y, 0)[0] ** 2
-        P = np.stack([S(y, 0)[0] for S in polys])
+        # one seed jet per node set, shared by the weight and every S_n
+        Tj = T(y, 1)
+        w = w * np.exp(-y) / Tj[0] ** 2
+        P = np.stack([S(y, Tj, 0)[0] for S in polys])
         parts = np.einsum("ikq,jkq->kij", P * w, P)
         whole, halves = parts[:k], parts[k : 2 * k] + parts[2 * k :]
         diff = np.abs(halves - whole)
@@ -534,12 +548,12 @@ def zero_census(spec: EOPSpec):
     complex zeros).
     """
     op = _operational(spec)
-    S = _series_data(op)[0]
+    S, T = _series_data(op)[:2]
     deg = eop_polynomial_degree(spec)
     y_hi = 10.0 + 6.0 * (op.n + op.m + 2.0)
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
-    poly = lambda y: S(y, 0)[0]
+    poly = lambda y: S(y, T(y, 1), 0)[0]
     # only the count is used, so the brackets are not refined
     inside = len(pe.sign_change_zeros(poly, ys, poly(ys), 0.0, math.inf).crossings)
     return inside, deg - inside

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of integer sizes."""
+
+import numbers
 
 
 class IsoshiftError(Exception):
@@ -35,3 +37,15 @@ class SingularExtensionError(IsoshiftError):
 
 class QuadratureError(IsoshiftError):
     """A quadrature rule did not reach its tolerance within its refinement cap."""
+
+
+def check_index(value, what):
+    """value, if it is a nonnegative integer; ConfigurationError otherwise.
+
+    Python and numpy integers pass; bools, floats (2.0 included) and other
+    types do not.  Degrees, orders, state and hierarchy indices and matrix
+    sizes all go through this one rule.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigurationError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value

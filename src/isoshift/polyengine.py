@@ -13,9 +13,14 @@ recurrence differentiated term by term carries (L, L', ..., L^(order)) of
 every degree in one upward pass.  Array arguments are cut into blocks of
 _BLOCK points and each block runs the whole recurrence in preallocated
 buffers (in-place ufuncs), so the working set stays in cache and no step
-allocates; the results are bitwise independent of the blocking.
-laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
-derivatives still use the parameter-shift identities.
+allocates.  Each step is pre-scaled by 1/(k + 1): its scalar coefficients
+-(k + alpha)/(k + 1) and j/(k + 1) and the row t' = ((2k + alpha + 1) - x)
+* (1/(k + 1)) replace a division of every row, so a step of R jet rows
+makes about 5R array passes, none of them a division.  A point's arithmetic
+does not depend on the blocking or on the order asked for, so results are
+bitwise independent of the block size and every row equals the same row of
+a lower-order call.  laguerre_eval, laguerre_deriv and laguerre_deriv2 are
+its rows.  Jacobi derivatives still use the parameter-shift identities.
 
 sign_change_zeros, a sign scan whose brackets are refined together by ITP
 (interpolate, truncate, project), is the package's one zero finder;
@@ -29,7 +34,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_index
 
 __all__ = [
     "LaguerreSpec",
@@ -51,15 +56,15 @@ __all__ = [
 class LaguerreSpec:
     """Degree and parameter of an associated Laguerre polynomial L_n^alpha.
 
-    alpha may be any real number, including alpha <= -1.
+    n is a nonnegative integer (see errors.check_index); alpha may be any
+    real number, including alpha <= -1.
     """
 
     n: int
     alpha: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ConfigurationError(f"degree must be nonnegative, got {self.n}")
+        check_index(self.n, "degree")
 
     @property
     def degree(self):
@@ -70,7 +75,8 @@ class LaguerreSpec:
 class JacobiSpec:
     """Degree and parameters of a Jacobi polynomial P_N^(nu,mu).
 
-    nu and mu may be any reals; the degenerate recurrence cases
+    N is a nonnegative integer (see errors.check_index); nu and mu may be
+    any reals; the degenerate recurrence cases
     (nu + mu a nonpositive integer >= -2N) are handled by series evaluation.
     """
 
@@ -79,8 +85,7 @@ class JacobiSpec:
     mu: float
 
     def __post_init__(self):
-        if self.N < 0:
-            raise ConfigurationError(f"degree must be nonnegative, got {self.N}")
+        check_index(self.N, "degree")
 
     @property
     def degree(self):
@@ -130,6 +135,10 @@ def _jet_block(n, a, x, prev, cur, t, w):
 
     prev and cur hold the jets of degrees k - 1 and k and trade places every
     step; the jet of degree n ends in prev when n is even, in cur when odd.
+    A step is the recurrence pre-scaled by 1/(k + 1), so that no array is
+    divided: with t' = ((2k + alpha + 1) - x) * (1/(k + 1)),
+    prev <- -((k + alpha)/(k + 1)) prev + t' cur - (j/(k + 1)) cur_(j-1),
+    about 5 passes over the rows and two over t.
     """
     order = prev.shape[0] - 1
     # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - x, L_1' = -1
@@ -145,13 +154,13 @@ def _jet_block(n, a, x, prev, cur, t, w):
         rows = min(order, k + 1) + 1
         p, c, u = prev[:rows], cur[:rows], w[:rows]
         np.subtract(2.0 * k + a + 1.0, x, out=t)
-        np.multiply(p, k + a, out=p)
+        np.multiply(t, 1.0 / (k + 1.0), out=t)
+        np.multiply(p, -(k + a) / (k + 1.0), out=p)
         np.multiply(t, c, out=u)
-        np.subtract(u, p, out=p)
+        np.add(p, u, out=p)
         if rows > 1:
-            np.multiply(c[:-1], j[: rows - 1], out=u[1:])
+            np.multiply(c[:-1], j[: rows - 1] / (k + 1.0), out=u[1:])
             np.subtract(p[1:], u[1:], out=p[1:])
-        np.divide(p, k + 1.0, out=p)
         prev, cur = cur, prev
 
 
@@ -162,18 +171,21 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     / (k + 1) j times gives the same recurrence for the j-th derivatives,
     with the extra term -j L_k^(j-1) in the numerator.  One upward pass in
     the degree therefore carries the value and every derivative, with no
-    parameter shift.  Array x is processed in place over blocks of _BLOCK
-    points, so each step writes into buffers that stay in cache instead of
-    allocating full-length temporaries.  Each point's arithmetic is the same
-    whatever the block size, so a call on a long array equals, bit for bit,
-    calls on its pieces, and the value row equals laguerre_eval.
+    parameter shift.  The step is evaluated as t' L_k^(j)
+    - ((k + alpha)/(k + 1)) L_{k-1}^(j) - (j/(k + 1)) L_k^(j-1) with
+    t' = (2k + alpha + 1 - x) * (1/(k + 1)): scalar coefficients and no
+    array division (see _jet_block).  Array x is processed in place over
+    blocks of _BLOCK points, so each step writes into buffers that stay in
+    cache instead of allocating full-length temporaries.  Each point's
+    arithmetic is the same whatever the block size, so a call on a long
+    array equals, bit for bit, calls on its pieces; row j is the same
+    whatever the order, so the value row equals laguerre_eval.
 
     Accepts scalar or ndarray x; returns a tuple of order + 1 floats or of
     arrays shaped like x.  There is no scalar fast path: a 0-d x runs the
     array kernel on one point, about 22 us at n = 2 on one Xeon core.
     """
-    if order < 0:
-        raise ConfigurationError(f"order must be nonnegative, got {order}")
+    check_index(order, "order")
     arr, scalar = _wrap(x)
     n, a = spec.n, spec.alpha
     flat = arr.reshape(-1)

@@ -264,11 +264,11 @@ def _second_derivative(psi: Function1D, x):
 def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps).
 
-    Uses psi.jet, when present, for psi and psi'' in one evaluation.
+    Uses psi.jet, when present with d2f, for psi and psi'' in one evaluation.
     """
     x = np.asarray(samples, dtype=float)
-    if psi.jet is not None:
-        p, _, d2p = psi.jet(x)
+    if psi.jet is not None and psi.d2f is not None:
+        p, _, d2p = psi.jet(x, 2)
     else:
         p, d2p = psi.f(x), _second_derivative(psi, x)
     p = np.asarray(p, dtype=float)
@@ -284,11 +284,12 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
 def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi.
 
-    Uses psi.jet, when present, for psi, psi' and psi'' in one evaluation.
+    Uses psi.jet, when present with d2f, for psi, psi' and psi'' in one
+    evaluation.
     """
     x = np.asarray(samples, dtype=float)
-    if psi.jet is not None:
-        p, dp, d2p = psi.jet(x)
+    if psi.jet is not None and psi.d2f is not None:
+        p, dp, d2p = psi.jet(x, 2)
     else:
         p, dp, d2p = psi.f(x), psi.df(x), _second_derivative(psi, x)
     p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))

@@ -118,6 +118,16 @@ class TestExtend:
 
 
 class TestW0:
+    @pytest.mark.parametrize("m", [1.5, 0.0, True])
+    def test_non_integer_m_rejected(self, m):
+        fam = RadialOscillator(1.0, 1.0)
+        with pytest.raises(ConfigurationError):
+            w0_explicit(fam, m)
+        with pytest.raises(ConfigurationError):
+            w0_partner_constant(fam, m)
+        with pytest.raises(ConfigurationError):
+            seed_polynomial(fam, 2, m)
+
     def test_m0_is_branch1_superpotential(self):
         fam = RadialOscillator(2.0, 1.0)
         W0 = w0_explicit(fam, 0)

@@ -3,12 +3,16 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoshift import eop
+from isoshift import polyengine as pe
 from isoshift.catalog import Function1D, RadialOscillator, superpotential
-from isoshift.deform import extend, seed_polynomial
+from isoshift.deform import extend, seed_polynomial, w0_explicit
 from isoshift.eop import (
     EOPSpec,
     classical_ro_eigenfunction,
@@ -53,6 +57,17 @@ class TestEopEval:
             EOPSpec("L1", -1, 0, FAM)
         with pytest.raises(ConfigurationError):
             EOPSpec("Lx", 0, 0, FAM)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, "1"])
+    def test_non_integer_indices_rejected(self, bad):
+        # a float m would give the seed of degree floor(m) but the energy of m
+        with pytest.raises(ConfigurationError):
+            EOPSpec("L1", bad, 1, FAM)
+        with pytest.raises(ConfigurationError):
+            EOPSpec("L1", 2, bad, FAM)
+        with pytest.raises(ConfigurationError):
+            gram_matrix("L1", 1, FAM, bad)
+        assert EOPSpec("L1", np.int64(2), np.int64(1), FAM).n == 2
 
     def test_l1_handworked_value(self):
         # n=0, m=1, ell=1, omega=2, r=1: y=1, value (5/2 + y) = 7/2
@@ -441,3 +456,95 @@ class TestZeroCensus:
         # the first sample (y = 1e-9) of this polynomial evaluates to -0.0
         spec = EOPSpec("L3", 0, 4, RadialOscillator(0.5, 2.5))
         assert zero_census(spec) == (0, 5)
+
+
+def _mp_laguerre(n, alpha, x):
+    """L_n^alpha(x) as a 40-digit sum of sum_i C(n + alpha, n - i) (-x)^i / i!."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for i in range(n + 1):
+            c = mpmath.mpf(1)
+            for j in range(1, n - i + 1):
+                c *= (i + a + j) / j
+            total += c * (-x) ** i / mpmath.factorial(i)
+        return total
+
+
+@st.composite
+def _contiguous_cases(draw):
+    m = draw(st.integers(0, 8))
+    # alpha generic, at a negative integer, or within 1e-9 of one
+    k = draw(st.integers(1, m + 2))
+    alpha = draw(st.one_of(
+        st.floats(-m - 2, 5),
+        st.just(-float(k)),
+        st.floats(-1e-9, 1e-9).map(lambda e: e - k),
+    ))
+    y = draw(st.floats(0, 60, exclude_min=True))
+    return m, alpha, y
+
+
+class TestSharedSeedJet:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_contiguous_cases())
+    def test_contiguous_partner_is_T_plus_T_prime(self, case):
+        # L1's S at n = 0 is B_m, built from the seed's jet as T + T'
+        # (DLMF 18.9.14 and 18.9.23 at x = -y), against L_m^(alpha+1)(-y)
+        m, alpha, y = case
+        T = eop._lagjet(m, alpha, -1, np.array([y]), 1)
+        got = eop._l1_S(0, alpha, np.array([y]), T, 0)[0][0]
+        want = _mp_laguerre(m, alpha + 1.0, -y)
+        assert abs(float(got - want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+
+class TestKernelCallBudget:
+    """One seed jet per evaluation: polyengine.laguerre_jet calls per point array."""
+
+    R = np.linspace(0.1, 5.0, 101)
+
+    @staticmethod
+    def _calls(monkeypatch):
+        # each call is recorded by |x|, which is y for the argument +-y
+        calls = []
+        real = pe.laguerre_jet
+
+        def counted(spec, x, order):
+            calls.append(np.abs(np.asarray(x, dtype=float)).tobytes())
+            return real(spec, x, order)
+
+        monkeypatch.setattr(pe, "laguerre_jet", counted)
+        return calls
+
+    @pytest.mark.parametrize("series", ["L1", "L2", "L3"])
+    def test_eigenfunction_takes_two_calls(self, monkeypatch, series):
+        psi = eigenfunction_closed_form(EOPSpec(series, 4, 2, RadialOscillator(1.0, 1.0)))
+        calls = self._calls(monkeypatch)
+        psi.f(self.R)
+        assert len(calls) == 2
+        psi.jet(self.R)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_extended_potential_takes_one_call(self, monkeypatch, k):
+        pair = extend(seed_polynomial(FAM, k, 2))
+        calls = self._calls(monkeypatch)
+        pair.V_tilde_minus.f(self.R)
+        assert len(calls) == 1
+
+    def test_linking_superpotential_takes_one_call_per_seed(self, monkeypatch):
+        W0 = w0_explicit(FAM, 2)
+        calls = self._calls(monkeypatch)
+        v, dv = W0.jet(self.R, 1)
+        assert len(calls) == 2
+        assert np.array_equal(v, W0.f(self.R)) and np.array_equal(dv, W0.df(self.R))
+
+    @pytest.mark.parametrize("series,m", [("L1", 2), ("L2", 1), ("L3", 2)])
+    def test_gram_takes_n_max_plus_two_calls_per_node_set(self, monkeypatch, series, m):
+        fam, n_max = RadialOscillator(1.0, 1.0), 3
+        calls = self._calls(monkeypatch)
+        eop._gram_with_error(series, m, fam, n_max, ())
+        per_node_set = {}
+        for key in calls:
+            per_node_set[key] = per_node_set.get(key, 0) + 1
+        assert per_node_set and set(per_node_set.values()) == {n_max + 2}

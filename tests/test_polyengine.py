@@ -161,6 +161,20 @@ def _mp_laguerre_rows(n, alpha, x, order):
         return rows
 
 
+def _mp_laguerre_row(n, alpha, x, d):
+    """d^d/dx^d L_n^alpha(x) as a 40-digit sum of the termwise-differentiated
+    series sum_i C(n + alpha, n - i) (-x)^i / i!."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        total = mpmath.mpf(0)
+        for i in range(d, n + 1):
+            c = mpmath.mpf(1)
+            for j in range(1, n - i + 1):
+                c *= (i + a + j) / j
+            total += c * (-1) ** i * x ** (i - d) / mpmath.factorial(i - d)
+        return total
+
+
 @st.composite
 def _laguerre_cases(draw):
     n = draw(st.integers(0, 20))
@@ -226,6 +240,33 @@ class TestLaguerreJet:
     def test_negative_order_rejected(self):
         with pytest.raises(ConfigurationError):
             laguerre_jet(LaguerreSpec(2, 0.5), 1.0, -1)
+
+    @pytest.mark.parametrize("order", [1.5, 2.0, True, "2", None])
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ConfigurationError):
+            laguerre_jet(LaguerreSpec(2, 0.5), 1.0, order)
+
+    def test_seeded_mpmath_sweep_rows_0_to_3(self):
+        # 600 seeded draws over the ranges where the recurrence is known to
+        # lose digits near alpha = -n (n <= 20, alpha in [-n-1, 5), x in
+        # +-(0, 60)); rows 0-3 against 40-digit sums, relative to
+        # max(1, |value|).  The division form of the step that the
+        # reciprocal form replaced misses 1e-12 on 5 of these 2,400
+        # comparisons, worst 1.14e-11; the reciprocal form on 6, worst
+        # 8.71e-12.  The gate is twice the division form's figures.
+        rng = np.random.default_rng(20)
+        misses, worst = 0, 0.0
+        for _ in range(600):
+            n = int(rng.integers(0, 21))
+            alpha = float(rng.uniform(-n - 1, 5))
+            x = float(rng.uniform(0, 60)) * (1.0 if rng.random() < 0.5 else -1.0)
+            got = laguerre_jet(LaguerreSpec(n, alpha), x, 3)
+            for d in range(4):
+                want = float(_mp_laguerre_row(n, alpha, x, d))
+                err = abs(got[d] - want) / max(1.0, abs(want))
+                misses += err > 1e-12
+                worst = max(worst, err)
+        assert misses <= 2 * 5 and worst <= 2 * 1.14e-11, (misses, worst)
 
 
 class TestJacobi:
@@ -444,6 +485,15 @@ class TestRealZeros:
             LaguerreSpec(-1, 0.5)
         with pytest.raises(ConfigurationError):
             JacobiSpec(-2, 0.0, 0.0)
+
+    @pytest.mark.parametrize("degree", [2.5, 2.0, True, np.float64(3.0), "2"])
+    def test_non_integer_degree_rejected(self, degree):
+        # numpy integers pass; bools are not read as 0 or 1
+        assert LaguerreSpec(np.int64(2), 0.5).n == 2
+        with pytest.raises(ConfigurationError):
+            LaguerreSpec(degree, 0.5)
+        with pytest.raises(ConfigurationError):
+            JacobiSpec(degree, 0.5, 0.5)
 
 
 class TestSignChangeZeros:
