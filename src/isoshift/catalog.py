@@ -50,7 +50,10 @@ class Function1D:
     carries, (f(x), df(x), d2f(x)), or (f(x), df(x)) when d2f is None,
     computed in one evaluation; `jet(x, order)` returns only the first
     order + 1 rows and evaluates no further.  Callers that need several rows
-    use it instead of calling f, df and d2f one by one.
+    use it instead of calling f, df and d2f one by one.  The package's jets,
+    and the f, df and d2f taken from them, evaluate a 1-D x longer than
+    polyengine._BLOCK points one block at a time (see _blockwise), bitwise
+    as in one pass.
     """
 
     f: Callable
@@ -62,6 +65,33 @@ class Function1D:
 
     def __call__(self, x):
         return self.f(x)
+
+
+def _blockwise(fn):
+    """fn(x, *args), a tuple of rows pointwise in x, over blocks of x.
+
+    On a 1-D x longer than polyengine._BLOCK points, fn runs on one block at
+    a time and its rows are written into one preallocated (rows, len(x))
+    array, so the temporaries of fn stay in cache; any other x goes to fn
+    whole.  Each point's arithmetic does not depend on the blocking, so the
+    rows equal, bit for bit, those of one call of fn on all of x.
+    """
+
+    def run(x, *args):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim != 1 or arr.size <= pe._BLOCK:
+            return fn(x, *args)
+        out = None
+        for s in pe._blocks(arr.size):
+            rows = fn(arr[s], *args)
+            if out is None:
+                out = np.empty((len(rows), arr.size))
+            for j in range(len(rows)):
+                out[j, s] = rows[j]
+            del rows  # before the next block's temporaries are made
+        return tuple(out)
+
+    return run
 
 
 def _chain(P, y1, y2):
@@ -364,15 +394,20 @@ def _value_and_slope(w: Function1D, x):
 
 def partner_potentials(w: Function1D):
     """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'); their f takes w and w'
-    from one evaluation of w.jet when w carries one."""
+    from one evaluation of w.jet when w carries one, block by block (see
+    _blockwise)."""
     if w.df is None:
         raise ConfigurationError("superpotential must carry an analytic derivative")
     has_d2 = w.d2f is not None
 
     def make(sign):
-        def f(x):
+        @_blockwise
+        def value(x):
             v, dv = _value_and_slope(w, x)
-            return v**2 + sign * dv
+            return (v**2 + sign * dv,)
+
+        def f(x):
+            return value(x)[0]
 
         def df(x):
             return 2.0 * w.f(x) * w.df(x) + sign * w.d2f(x)

@@ -19,6 +19,8 @@ All DPT branches deform directly with a Jacobi seed in cos 2x.
 phi, w_tilde = w0 + phi and w0_explicit's W0 carry a jet (value, slope)
 taken from one order-2 jet of each seed, so the partner potentials V~-/+,
 the Riccati residual and W0 with W0' evaluate each seed once per call.
+Those jets, and V~-/+, evaluate a 1-D x longer than polyengine._BLOCK points
+block by block (catalog._blockwise), bitwise as in one pass.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .catalog import (
     Family,
     Function1D,
     RadialOscillator,
+    _blockwise,
     get_branch,
     partner_potentials,
     superpotential,
@@ -142,7 +145,9 @@ def _log_derivative_jet(ujet):
 
 
 def _jet_function(jet, domain, singular_points=()):
-    """A Function1D whose f and df are the rows of a jet of order at most 1."""
+    """A Function1D whose f and df are the rows of a jet of order at most 1,
+    evaluated block by block (catalog._blockwise)."""
+    jet = _blockwise(jet)
     return Function1D(f=lambda x: jet(x, 0)[0], df=lambda x: jet(x, 1)[1],
                       domain=domain, singular_points=singular_points, jet=jet)
 

@@ -21,7 +21,12 @@ B_m = T + dT/dy (DLMF 18.9.14 with 18.9.23 at x = -y), so B_m costs no
 kernel call.  L_n and L_n' come from one call too, so a state costs two
 kernel calls whatever the order.  An eigenfunction's f, df and d2f evaluate
 to orders 0, 1 and 2, and its `jet` returns all three from one order-2
-evaluation.  The S = 1 weight evaluates T only to its own order.
+evaluation.  The S = 1 weight evaluates T only to its own order.  On a 1-D
+r longer than polyengine._BLOCK points, an eigenfunction or weight jet runs
+block by block into one preallocated output (catalog._blockwise): the
+kernel calls, the product, quotient and chain rules, r^p and the Gaussian
+then make block-sized temporaries only, and the rows are bitwise those of
+one pass.
 
 Gram matrices are integrated in y, where W^2 dr is a constant times
 y^(p-1/2) e^(-y) / T(y)^2 dy, up to the cut omega r_cut^2/2.  One composite
@@ -45,7 +50,7 @@ import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator, _chain
+from .catalog import Function1D, RadialOscillator, _blockwise, _chain
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -162,10 +167,16 @@ def _jdiv(a, b):
 
 def _lagjet(n, alpha, sign, y, order):
     """Jet in y, up to `order`, of y -> L_n^alpha(sign * y), from one kernel call."""
-    jet = pe.laguerre_jet(pe.LaguerreSpec(n, alpha), sign * np.asarray(y, dtype=float), order)
+    y = np.asarray(y, dtype=float)
     if sign > 0:
-        return jet
-    return tuple(-v if j % 2 else v for j, v in enumerate(jet))
+        return pe.laguerre_jet(pe.LaguerreSpec(n, alpha), y, order)
+    jet = pe.laguerre_jet(pe.LaguerreSpec(n, alpha), -y, order)
+    if not y.ndim:  # the kernel returns floats for a scalar
+        return tuple(-v if j % 2 else v for j, v in enumerate(jet))
+    # the rows are the kernel's fresh output: odd ones change sign in place
+    for v in jet[1::2]:
+        np.negative(v, out=v)
+    return jet
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +196,9 @@ def _l1_S(n, alpha, y, T, order):
     """S = B_m L_n - U_m L_n' with U_m = T = L_m^alpha(-y) the seed,
     B_m = L_m^(alpha+1)(-y) = T + dT/dy and L_n = L_n^alpha(y)."""
     # L_n and L_n' come from one jet of order + 1, B_m from the seed's jet
-    Bm = tuple(u + v for u, v in zip(T[:-1], T[1:]))
+    # (made after the kernel call, so that it is not live during it)
     Ln = _lagjet(n, alpha, 1, y, order + 1)
+    Bm = tuple(u + v for u, v in zip(T[:-1], T[1:]))
     return _jsub(_jmul(Bm, Ln[:-1]), _jmul(T[:-1], Ln[1:]))
 
 
@@ -281,9 +293,11 @@ def _product_function(omega, p, ratio, singular):
     ratio(y, order) is the jet of g in y: S/T, S alone (T = 1) or 1/T.
 
     f, df and d2f each evaluate the jet only to their own order; `jet(r,
-    order=2)` gives the rows up to `order` from one evaluation.
+    order=2)` gives the rows up to `order` from one evaluation, block by
+    block on a long 1-D r (catalog._blockwise).
     """
 
+    @_blockwise
     def jet(r, order=2):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r

@@ -20,7 +20,8 @@ class InternalInconsistencyError(IsoshiftError):
 
 
 class SingularPotentialError(IsoshiftError):
-    """A potential is non-finite at a grid node."""
+    """A potential is non-finite at a grid node, or a residual has no sample
+    where the potential and the state are finite and usable."""
 
     def __init__(self, message, node=None):
         super().__init__(message)

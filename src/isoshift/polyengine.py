@@ -21,6 +21,10 @@ does not depend on the blocking or on the order asked for, so results are
 bitwise independent of the block size and every row equals the same row of
 a lower-order call.  laguerre_eval, laguerre_deriv and laguerre_deriv2 are
 its rows.  Jacobi derivatives still use the parameter-shift identities.
+_blocks, the slices of _BLOCK points, is the package's one block loop: the
+eigenfunction, phi, w~ and V~-/+ evaluations above this kernel
+(catalog._blockwise) and spectral.schrodinger_residual run over the same
+blocks, each bitwise as in one pass.
 
 sign_change_zeros, a sign scan whose brackets are refined together by ITP
 (interpolate, truncate, project), is the package's one zero finder;
@@ -125,9 +129,15 @@ def _unwrap(out, scalar):
     return float(out) if scalar else out
 
 
-# points per block of the array recurrence: its working set, two jets of
-# (order + 1) rows plus scratch rows, then stays in cache
+# points per block of an array evaluation: the working set of the Laguerre
+# recurrence (two jets of order + 1 rows plus scratch rows), and of the jet
+# arithmetic and residuals above it, then stays in cache
 _BLOCK = 8192
+
+
+def _blocks(size):
+    """Slices of at most _BLOCK consecutive points covering range(size)."""
+    return [slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
 
 
 def _jet_block(n, a, x, prev, cur, t, w):
@@ -193,12 +203,12 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     size = min(flat.size, _BLOCK)
     # rows: the step's (2k + alpha + 1 - x), a second jet, products
     scratch = np.empty((2 * order + 3, size))
-    for lo in range(0, flat.size, _BLOCK):
-        m = min(_BLOCK, flat.size - lo)
-        res, other = out[:, lo : lo + m], scratch[1 : order + 2, :m]
+    for s in _blocks(flat.size):
+        m = s.stop - s.start
+        res, other = out[:, s], scratch[1 : order + 2, :m]
         # the degree-n jet lands in the block of out, with no copy
         prev, cur = (other, res) if n % 2 else (res, other)
-        _jet_block(n, a, flat[lo : lo + m], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
+        _jet_block(n, a, flat[s], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
     if scalar:
         return tuple(float(v[0]) for v in out)
     return tuple(v.reshape(arr.shape) for v in out)

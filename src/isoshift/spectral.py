@@ -12,6 +12,11 @@ that certificate fails, the grid goes back to bisection with
 inverse-iteration vectors, and the `isoshift.spectral` logger records it at
 DEBUG level.  Everything else in the module is a pointwise residual
 evaluator or a classifier built on the polynomial zero scan.
+schrodinger_residual evaluates psi, psi'' and V over blocks of
+polyengine._BLOCK samples and carries only its two maxima across blocks,
+so its value is bitwise that of one pass.  Both residuals raise
+ConfigurationError for an empty sample set and SingularPotentialError when
+no sample is usable, never a pass.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, lapack
 
+from . import polyengine as pe
 from .catalog import Family, Function1D
 from .errors import ConfigurationError, SingularPotentialError
 
@@ -261,39 +267,70 @@ def _second_derivative(psi: Function1D, x):
     ) / (12.0 * h)
 
 
+def _samples(samples):
+    """The samples as a flat float array; ConfigurationError when there are none."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    if not x.size:
+        raise ConfigurationError("a residual needs at least one sample")
+    return x
+
+
 def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps).
 
-    Uses psi.jet, when present with d2f, for psi and psi'' in one evaluation.
+    Samples where the residual is not finite are skipped, and the max|psi|
+    runs over the others.  Uses psi.jet, when present with d2f, for psi and
+    psi'' in one evaluation.  psi, V and the residual are evaluated over
+    blocks of polyengine._BLOCK samples, and only the two maxima cross
+    blocks, so no temporary is longer than a block; the value is bitwise
+    that of one pass.  Raises ConfigurationError for an empty sample set and
+    SingularPotentialError when no sample gives a finite residual.
     """
-    x = np.asarray(samples, dtype=float)
-    if psi.jet is not None and psi.d2f is not None:
-        p, _, d2p = psi.jet(x, 2)
-    else:
-        p, d2p = psi.f(x), _second_derivative(psi, x)
-    p = np.asarray(p, dtype=float)
-    res = -np.asarray(d2p, dtype=float) + (np.asarray(V.f(x)) - E) * p
-    finite = np.isfinite(res)
-    if not np.any(finite):
-        return 0.0
+    x = _samples(samples)
+    worst = top = 0.0
+    finite = 0
+    for s in pe._blocks(x.size):
+        xb = x[s]
+        if psi.jet is not None and psi.d2f is not None:
+            p, _, d2p = psi.jet(xb, 2)
+        else:
+            p, d2p = psi.f(xb), _second_derivative(psi, xb)
+        p = np.asarray(p, dtype=float)
+        res = -np.asarray(d2p, dtype=float) + (np.asarray(V.f(xb)) - E) * p
+        ok = np.isfinite(res)
+        finite += np.count_nonzero(ok)
+        worst = max(worst, np.max(np.abs(res), where=ok, initial=0.0))
+        top = max(top, np.max(np.abs(p), where=ok, initial=0.0))
+    if not finite:
+        raise SingularPotentialError(
+            f"no sample of {x.size} gives a finite Schrodinger residual"
+        )
     # the |E| floor keeps the scale meaningful for zero modes
-    scale = max(abs(E), 1.0) * np.max(np.abs(p[finite])) + 1e-300
-    return float(np.max(np.abs(res[finite])) / scale)
+    scale = max(abs(E), 1.0) * top + 1e-300
+    return float(worst / scale)
 
 
 def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi.
 
-    Uses psi.jet, when present with d2f, for psi, psi' and psi'' in one
-    evaluation.
+    A node is a sample where |psi| is at most 1e-8 of the largest finite
+    |psi|, or is not finite.  Uses psi.jet, when present with d2f, for psi,
+    psi' and psi'' in one evaluation.  Raises ConfigurationError for an
+    empty sample set and SingularPotentialError when every sample is a node.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _samples(samples)
     if psi.jet is not None and psi.d2f is not None:
         p, dp, d2p = psi.jet(x, 2)
     else:
         p, dp, d2p = psi.f(x), psi.df(x), _second_derivative(psi, x)
     p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
-    keep = np.abs(p) > 1e-8 * np.max(np.abs(p))
+    size = np.abs(p)
+    finite = np.isfinite(size)
+    keep = finite & (size > 1e-8 * np.max(size, where=finite, initial=0.0))
+    if not np.any(keep):
+        raise SingularPotentialError(
+            f"psi is zero or not finite at all {x.size} samples; Q = -psi'/psi is undefined"
+        )
     x, p, dp, d2p = x[keep], p[keep], dp[keep], d2p[keep]
     q = -dp / p
     dq = -d2p / p + (dp / p) ** 2

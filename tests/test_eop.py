@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -548,3 +549,74 @@ class TestKernelCallBudget:
         for key in calls:
             per_node_set[key] = per_node_set.get(key, 0) + 1
         assert per_node_set and set(per_node_set.values()) == {n_max + 2}
+
+
+def _traced_peak(call):
+    """Bytes of the traced allocation peak of call(), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedEvaluation:
+    """Long 1-D arrays are evaluated in blocks of polyengine._BLOCK points,
+    bitwise as in one pass and without full-length temporaries."""
+
+    BLOCK = pe._BLOCK
+    R = np.linspace(0.05, 9.0, 3 * pe._BLOCK + 17)
+    CUTS = [0, 1, 7, pe._BLOCK - 1, pe._BLOCK + 5, 2 * pe._BLOCK + 2, R.size]
+
+    def _assert_blockwise(self, rows_of):
+        """rows_of(x) on all of R equals, bit for bit, its rows on pieces of R."""
+        whole = rows_of(self.R)
+        parts = [rows_of(self.R[a:b]) for a, b in zip(self.CUTS, self.CUTS[1:])]
+        assert len(whole) == len(parts[0])
+        for j, row in enumerate(whole):
+            assert row.shape == self.R.shape
+            assert np.array_equal(row, np.concatenate([p[j] for p in parts]), equal_nan=True)
+
+    @pytest.mark.parametrize("series", ["L1", "L2", "L3"])
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_eigenfunction_jet_is_bitwise_blockwise(self, series, order):
+        psi = eigenfunction_closed_form(EOPSpec(series, 5, 2, FAM))
+        self._assert_blockwise(lambda x: psi.jet(x, order))
+        self._assert_blockwise(lambda x: (psi.f(x), psi.df(x), psi.d2f(x)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_extended_potentials_are_bitwise_blockwise(self, k):
+        d = seed_polynomial(FAM, k, 2)
+        pair = extend(d)
+        self._assert_blockwise(lambda x: (pair.V_tilde_minus.f(x), pair.V_tilde_plus.f(x)))
+        for fn in (d.phi, d.w_tilde):
+            for order in (0, 1):
+                self._assert_blockwise(lambda x: fn.jet(x, order))
+
+    def test_weight_jet_is_bitwise_blockwise(self):
+        weight = weight_spec("L1", 2, FAM).weight
+        self._assert_blockwise(lambda x: weight.jet(x, 2))
+
+    def test_scalar_and_2d_inputs_keep_their_shapes(self):
+        psi = eigenfunction_closed_form(EOPSpec("L3", 4, 2, FAM))
+        whole = psi.jet(self.R, 2)
+        grid = self.R[:-17].reshape(-1, 8)  # 2-D and longer than one block
+        for got, want in zip(psi.jet(grid, 2), whole):
+            assert got.shape == grid.shape
+            assert np.array_equal(got.ravel(), want[:-17])
+        i = self.BLOCK + 3
+        for got, want in zip(psi.jet(float(self.R[i]), 2), whole):
+            assert np.shape(got) == ()
+            assert got == pytest.approx(want[i], rel=1e-13, abs=1e-300)
+        assert np.shape(psi.f(self.R[i])) == ()
+
+    def test_eigenfunction_value_peak_below_two_rows(self):
+        # one full-length row is the output itself; the jet arithmetic on
+        # full-length temporaries would take 7-8 MB
+        r = np.linspace(0.05, 16.0, 100_000)
+        row = r.nbytes
+        for series in ("L1", "L2", "L3"):
+            psi = eigenfunction_closed_form(EOPSpec(series, 12, 3, FAM))
+            assert _traced_peak(lambda: psi.f(r)) < 2 * row

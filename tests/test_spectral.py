@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,73 @@ class TestResiduals:
         samples = np.linspace(0.2, 6, 200)
         assert qhj_residual(psi, E, vminus, samples) <= 1e-6
 
+
+    @pytest.mark.parametrize("residual", [schrodinger_residual, qhj_residual])
+    def test_empty_samples_rejected(self, residual):
+        psi = classical_ro_eigenfunction(RadialOscillator(2.0, 1.0), 0)
+        for samples in ([], np.empty((0, 3))):
+            with pytest.raises(ConfigurationError):
+                residual(psi, 1.0, _const_fn(0.0), samples)
+
+    def test_schrodinger_nothing_finite_is_not_a_pass(self):
+        # a residual that is NaN at every sample must not read as 0.0, a pass
+        samples = np.linspace(0.1, 0.9, 9)
+        nan = _const_fn(math.nan)
+        for psi, V in ((nan, _const_fn(1.0)), (_const_fn(1.0), nan)):
+            with pytest.raises(SingularPotentialError):
+                schrodinger_residual(psi, 1.0, V, samples)
+
+    @pytest.mark.parametrize("value", [0.0, math.nan])
+    def test_qhj_without_usable_samples_raises(self, value):
+        # psi zero or NaN everywhere leaves Q = -psi'/psi undefined at every
+        # sample
+        with pytest.raises(SingularPotentialError):
+            qhj_residual(_const_fn(value), 1.0, _const_fn(1.0), np.linspace(0.1, 0.9, 9))
+
+    def test_qhj_skips_non_finite_psi(self):
+        fam = RadialOscillator(2.0, 1.0)
+        psi = classical_ro_eigenfunction(fam, 0)
+        E = fam.omega * (fam.ell + 1.5)
+        samples = np.linspace(0.2, 6, 60)
+        holed = Function1D(
+            f=lambda x: np.where(np.asarray(x) < 1.0, math.nan, psi.f(x)),
+            df=psi.df, d2f=psi.d2f, domain=psi.domain,
+        )
+        assert qhj_residual(holed, E, potential(fam), samples) <= 1e-10
+
+    @pytest.mark.parametrize("series,branch", [("L1", 2), ("L2", 3), ("L3", 1)])
+    def test_blocked_residual_equals_one_pass(self, series, branch):
+        # the residual runs over blocks of polyengine._BLOCK samples; the
+        # same formula on whole rows must give the same float exactly
+        fam, n, m = RadialOscillator(1.3, 1.2), 9, 2
+        V = extend(seed_polynomial(fam, branch, m)).V_tilde_minus
+        spec = EOPSpec(series, n, m, fam)
+        psi, E = eigenfunction_closed_form(spec), eigenvalue(spec)
+        x = np.linspace(0.05, 16.0 / math.sqrt(fam.omega), 100_000)
+        p, _, d2p = psi.jet(x, 2)
+        res = -d2p + (V.f(x) - E) * p
+        finite = np.isfinite(res)
+        scale = max(abs(E), 1.0) * np.max(np.abs(p[finite])) + 1e-300
+        want = float(np.max(np.abs(res[finite])) / scale)
+        assert schrodinger_residual(psi, E, V, x) == want
+        assert want <= 1e-6
+
+    def test_residual_peak_below_four_rows(self):
+        # psi, psi'' and V on full-length rows would take 18-21 MB
+        fam = RadialOscillator(1.3, 1.2)
+        x = np.linspace(0.05, 14.0, 100_000)
+        for series, branch in (("L1", 2), ("L3", 1)):
+            V = extend(seed_polynomial(fam, branch, 3)).V_tilde_minus
+            spec = EOPSpec(series, 12, 3, fam)
+            psi, E = eigenfunction_closed_form(spec), eigenvalue(spec)
+            schrodinger_residual(psi, E, V, x)
+            tracemalloc.start()
+            try:
+                schrodinger_residual(psi, E, V, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * x.nbytes
 
     @pytest.mark.parametrize("series,branch,n,m", [("L1", 2, 3, 2), ("L3", 1, 2, 2)])
     def test_jet_residuals_match_finite_difference_fallback(self, series, branch, n, m):
