@@ -152,12 +152,13 @@ def _jet_block(n, a, x, prev, cur, t, w):
     """
     order = prev.shape[0] - 1
     # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - x, L_1' = -1
-    prev.fill(0.0)
+    # only the rows past each jet's nonzero derivatives need the zeros
     prev[0] = 1.0
-    cur.fill(0.0)
+    prev[1:].fill(0.0)
     np.subtract(a + 1.0, x, out=cur[0])
     if order:
         cur[1] = -1.0
+    cur[2:].fill(0.0)
     j = np.arange(1.0, order + 1.0)[:, None]
     for k in range(1, n):
         # a degree-(k+1) polynomial has no derivatives beyond order k+1

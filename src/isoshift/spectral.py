@@ -2,13 +2,16 @@
 
 The solver discretizes -d^2/dx^2 + V on a uniform grid with a 3-point
 Laplacian and Dirichlet ends and Richardson-extrapolates each of the lowest
-eigenvalues from the (n, 2n+1) grid pair.  The eigenvalues pass along a
-chain of three grids over the same interval: bisection (Sturm sequences) on
-a small seed grid of max(256, n // 8, k) points gives start shifts for
-Rayleigh-quotient iteration on the coarse grid n, and the coarse eigenvalues
-give those on the fine grid 2n+1.  On both grids a residual bound and two
-Sturm counts certify that the iteration found the lowest eigenpairs; where
-that certificate fails, the grid goes back to bisection with
+eigenvalues from the (n, 2n+1) grid pair.  The eigenpairs pass along a
+chain of three grids over the same interval: bisection (Sturm sequences)
+with inverse iteration on a small seed grid of max(256, n // 8, k) points
+starts Rayleigh-quotient iteration (RQI) on the coarse grid n, and the
+coarse eigenpairs start it on the fine grid 2n+1.  Each level starts from
+the grid below's eigenvector, linear between its nodes and zero at the
+walls, and on the fine grid from the h^2 prediction of its eigenvalue, so
+most levels need one or two linear solves.  On both grids a residual bound
+and one Sturm count certify that the iteration found the lowest eigenpairs;
+where that certificate fails, the grid goes back to bisection with
 inverse-iteration vectors, and the `isoshift.spectral` logger records it at
 DEBUG level.  Everything else in the module is a pointwise residual
 evaluator or a classifier built on the polynomial zero scan.
@@ -129,13 +132,30 @@ def _bisection(diag, off, k, eigvals_only):
     )
 
 
-def _start_vector(n, j):
-    """sin(j pi t) at t = i/(n+1): the j-th discrete Dirichlet mode.
+def _start_vectors(vecs, src: Grid, dst: Grid):
+    """RQI start vectors on dst, one per column of src's eigenvectors vecs.
 
-    It has the parity of level j in a symmetric well, which a constant
-    vector lacks for every even j.
+    Each is its column interpolated linearly onto dst's nodes, with zeros at
+    the walls lo and hi, and is built only when its level starts.  On the
+    nested fine grid (dst = src.refined()) that is the prolongation, done
+    directly: src's values at the odd nodes, midpoint averages at the even
+    ones and half the end values at the two boundary nodes.
     """
-    return np.sin(j * np.pi * np.arange(1, n + 1) / (n + 1))
+    if dst == src.refined():
+        return (_prolonged(col) for col in vecs.T)
+    nodes, walls = dst.nodes, np.concatenate(([src.lo], src.nodes, [src.hi]))
+    return (np.interp(nodes, walls, np.concatenate(([0.0], col, [0.0]))) for col in vecs.T)
+
+
+def _prolonged(col):
+    """col, the values at a grid's nodes, linear onto the refined grid's nodes."""
+    x = np.empty(2 * col.size + 1)
+    x[1::2] = col
+    mid = x[2:-1:2]
+    np.add(col[:-1], col[1:], out=mid)
+    mid *= 0.5
+    x[0], x[-1] = 0.5 * col[0], 0.5 * col[-1]
+    return x
 
 
 def _eigenvalue_count(diag, off, lo, hi):
@@ -144,57 +164,64 @@ def _eigenvalue_count(diag, off, lo, hi):
     return m if info == 0 else -1
 
 
-# RQI converges cubically, in two or three steps from a coarser grid's
-# eigenvalue; a level still moving after this many steps goes to the fallback
+# RQI converges cubically, in one or two steps from a coarser grid's
+# eigenpair; a level still moving after this many steps goes to the fallback
 _RQI_MAX_STEPS = 30
 
 
-def _certified_rqi(diag, off, v, guesses):
+def _certified_rqi(diag, off, v, guesses, starts):
     """Rayleigh-quotient iteration for the lowest len(guesses) eigenpairs.
 
-    Level j starts at shift guesses[j-1] with the vector _start_vector(n, j)
-    and stops when successive Rayleigh quotients agree to 8 eps ||T||.  The
-    result is certified or refused (None): with residuals r_j, the intervals
-    lambda_j +- r_j each hold an eigenvalue, so if they are increasing and
-    disjoint and Sturm counts find no eigenvalue in (lo, lambda_1 - r_1] and
-    exactly k in (lo, lambda_k + r_k], they hold the lowest k, one each.
-    lo = min V - 1 lies below the Gershgorin bound min V of the spectrum.
-    (Parlett, The Symmetric Eigenvalue Problem, sections 4.6 and 10.4.)
+    Level j starts at shift guesses[j] with the j-th vector of the iterable
+    starts, which the iteration overwrites.  It stops when successive
+    Rayleigh quotients agree to tol = 8 eps ||T||, or when its residual
+    r_j = ||T x - lambda_j x|| is within tol: the residual is needed for the
+    certificate anyway, and the vector is then as accurate as tol asks.
+    The result is certified or refused (None).  The intervals
+    lambda_j +- (r_j + tol) each hold an eigenvalue, tol covering the
+    rounding of r_j and of the Sturm count.  If they are increasing, disjoint
+    and above lo, one Sturm count suffices: exactly k eigenvalues in
+    (lo, lambda_k + r_k + tol] leave exactly one to each interval and none
+    below the first, so they are the lowest k.  lo = min V - 1 lies below
+    the Gershgorin bound min V of the spectrum.  (Parlett, The Symmetric
+    Eigenvalue Problem, sections 4.6 and 10.4.)
     """
     n, k = diag.size, len(guesses)
     tol = 8.0 * np.finfo(float).eps * (4.0 * abs(off[0]) + np.max(np.abs(v)))
     vals, vecs, radii = np.empty(k), np.empty((n, k)), np.empty(k)
-    for j, lam in enumerate(guesses):
-        x, prev = _start_vector(n, j + 1), np.nan
+    for j, (lam, x) in enumerate(zip(guesses, starts)):
         for _ in range(_RQI_MAX_STEPS):
-            *_, y, info = lapack.dgtsv(off, diag - lam, off, x)
+            # the shifted diagonal and x are temporaries, solved in place
+            *_, x, info = lapack.dgtsv(off, diag - lam, off, x, overwrite_d=True,
+                                       overwrite_b=True)
             if info != 0:
                 return None
-            x = y / np.linalg.norm(y)
+            x /= np.linalg.norm(x)
             tx = diag * x
             tx[:-1] += off * x[1:]
             tx[1:] += off * x[:-1]
             prev, lam = lam, float(x @ tx)
-            if abs(lam - prev) <= tol:
+            radius = np.linalg.norm(tx - lam * x)
+            if abs(lam - prev) <= tol or radius <= tol:
                 break
         else:
             return None
-        vals[j], vecs[:, j] = lam, x
-        radii[j] = np.linalg.norm(tx - lam * x)
+        # a residual below the rounding of T x, a few eps ||T||, bounds
+        # nothing: without tol, a count at lambda_k + r_k can miss level k
+        vals[j], vecs[:, j], radii[j] = lam, x, radius + tol
     lower, upper = vals - radii, vals + radii
     lo = float(np.min(v)) - 1.0
     certified = (
         np.all(upper[:-1] < lower[1:])
         and lo < lower[0]  # dstebz refuses an empty (lo, hi] with a printed error
-        and _eigenvalue_count(diag, off, lo, lower[0]) == 0
         and _eigenvalue_count(diag, off, lo, upper[-1]) == k
     )
     return (vals, vecs) if certified else None
 
 
-def _lowest_pairs(diag, off, v, guesses):
-    """Certified RQI from guesses, else bisection: the lowest len(guesses) eigenpairs."""
-    pairs = _certified_rqi(diag, off, v, guesses)
+def _lowest_pairs(diag, off, v, guesses, starts):
+    """The lowest len(guesses) eigenpairs: certified RQI, else bisection."""
+    pairs = _certified_rqi(diag, off, v, guesses, starts)
     if pairs is None:
         _log.debug("RQI certificate failed on %d points, k=%d: bisection",
                    diag.size, len(guesses))
@@ -210,10 +237,16 @@ _SEED_POINTS = 256
 def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     """Lowest k eigenvalues, Richardson-extrapolated from grids (n, 2n+1).
 
-    Bisection on a seed grid of max(256, n // 8, k) points gives the start
-    shifts of certified Rayleigh-quotient iteration on the coarse grid, whose
-    eigenvalues start it on the fine grid; a grid whose certificate fails
-    goes back to bisection.
+    Bisection with inverse iteration on a seed grid of max(256, n // 8, k)
+    points starts certified Rayleigh-quotient iteration on the coarse grid:
+    its eigenvalues are the shifts, its eigenvectors, interpolated, the start
+    vectors.  The coarse eigenvectors, prolonged, start the fine grid at
+    the h^2 prediction coarse + (coarse - seed) (h_f^2 - h_c^2) /
+    (h_c^2 - h_s^2), or at the coarse eigenvalues where the seed grid is not
+    coarser than the coarse one (n <= 256).  A level stops when its
+    eigenvalue or its residual is within tolerance, and one Sturm count per
+    grid completes the certificate (see _certified_rqi); a grid whose
+    certificate fails goes back to bisection.
     """
     if not 1 <= k <= grid.n_points:
         raise ConfigurationError(
@@ -221,12 +254,20 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
         )
     # the seed grid is sampled last: a non-finite V is reported at a node
     # of the grids the extrapolation uses
+    fine_grid = grid.refined()
     coarse_h = _fd_hamiltonian(V, grid)
-    fine_h = _fd_hamiltonian(V, grid.refined())
+    fine_h = _fd_hamiltonian(V, fine_grid)
     seed = Grid(grid.lo, grid.hi, max(_SEED_POINTS, grid.n_points // 8, k))
     diag, off, _ = _fd_hamiltonian(V, seed)
-    coarse, _ = _lowest_pairs(*coarse_h, _bisection(diag, off, k, eigvals_only=True))
-    fine, vecs = _lowest_pairs(*fine_h, coarse)
+    seed_vals, seed_vecs = _bisection(diag, off, k, eigvals_only=False)
+    coarse, coarse_vecs = _lowest_pairs(
+        *coarse_h, seed_vals, _start_vectors(seed_vecs, seed, grid))
+    if seed.n_points < grid.n_points:
+        hs2, hc2, hf2 = seed.spacing**2, grid.spacing**2, fine_grid.spacing**2
+        shifts = coarse + (coarse - seed_vals) * ((hf2 - hc2) / (hc2 - hs2))
+    else:
+        shifts = coarse
+    fine, vecs = _lowest_pairs(*fine_h, shifts, _start_vectors(coarse_vecs, grid, fine_grid))
     extrap = (4.0 * fine - coarse) / 3.0
     conv = np.abs(fine - coarse) / 3.0
     decay = []

@@ -142,6 +142,10 @@ class TestSolver:
                  default_grid(RadialOscillator(1.0, 1.0), k=2, n_points=2000), 2),
         # every level of the grid: the seed grid must still hold k levels
         lambda: (_const_fn(0.0), Grid(0.0, 1.0, 100), 100),
+        # the seed grid is the coarse grid, so the fine grid starts at the
+        # coarse eigenvalues, not at the h^2 prediction
+        lambda: (_partner_vminus(RadialOscillator(2.0, 1.0)),
+                 default_grid(RadialOscillator(2.0, 1.0), k=4, n_points=256), 4),
     ])
     def test_boundary_decay_matches_bisection_vectors(self, setup):
         V, grid, k = setup()
@@ -166,26 +170,57 @@ class TestSolver:
             return real_bisection(diag, off, k, eigvals_only)
 
         monkeypatch.setattr(spectral, "_bisection", counting_bisection)
-        # regular broken-SUSY certify cells: V- and V~- on the certify grid
-        cells = [
-            (RadialOscillator(2.0, 1.0), 2, 1),
-            (RadialOscillator(0.7, 0.3), 3, 2),
-            (RadialOscillator(0.7, 2.5), 2, 8),
-            (TrigDPT(1.5, 3.0), 2, 1),
-            (TrigDPT(2.5, 0.7), 3, 2),
-        ]
-        for fam, branch, m in cells:
-            d = seed_polynomial(fam, branch, m)
-            assert not d.singular_points
-            v_minus, _ = partner_potentials(superpotential(fam, branch))
-            potentials = (extend(d).V_tilde_minus, v_minus)
-            for n in (1000, 3000, 8000):
-                grid = default_grid(fam, k=4, m=m, n_points=n)
-                for V in potentials:
-                    sizes.clear()
-                    solve_bound_states(V, grid, 4)
-                    # one bisection per solve, on the seed grid only
-                    assert sizes == [max(256, n // 8)]
+        for V, grid, n in _certify_solves():
+            sizes.clear()
+            solve_bound_states(V, grid, 4)
+            # one bisection per solve, on the seed grid only
+            assert sizes == [max(256, n // 8)]
+
+    def test_work_per_solve(self, monkeypatch):
+        # started from the grid below, most levels need one or two linear
+        # solves (about 13 per solve of 8 levels), and each grid one count
+        calls = {"dgtsv": 0, "count": 0}
+        real_dgtsv, real_count = lapack.dgtsv, spectral._eigenvalue_count
+
+        def counting_dgtsv(*args, **kwargs):
+            calls["dgtsv"] += 1
+            return real_dgtsv(*args, **kwargs)
+
+        def counting_count(*args):
+            calls["count"] += 1
+            return real_count(*args)
+
+        monkeypatch.setattr(lapack, "dgtsv", counting_dgtsv)
+        monkeypatch.setattr(spectral, "_eigenvalue_count", counting_count)
+        per_solve = []
+        for V, grid, _ in _certify_solves():
+            before = dict(calls)
+            solve_bound_states(V, grid, 4)
+            per_solve.append({key: calls[key] - before[key] for key in calls})
+        assert len(per_solve) == 30
+        assert np.mean([c["dgtsv"] for c in per_solve]) <= 15.0
+        assert [c["count"] for c in per_solve] == [2] * 30
+
+
+def _certify_solves():
+    """(V, grid, n) of 30 solves: V- and V~- of five regular broken-SUSY
+    certify cells on the certify grids of 1000, 3000 and 8000 points."""
+    cells = [
+        (RadialOscillator(2.0, 1.0), 2, 1),
+        (RadialOscillator(0.7, 0.3), 3, 2),
+        (RadialOscillator(0.7, 2.5), 2, 8),
+        (TrigDPT(1.5, 3.0), 2, 1),
+        (TrigDPT(2.5, 0.7), 3, 2),
+    ]
+    for fam, branch, m in cells:
+        d = seed_polynomial(fam, branch, m)
+        assert not d.singular_points
+        v_minus, _ = partner_potentials(superpotential(fam, branch))
+        potentials = (extend(d).V_tilde_minus, v_minus)
+        for n in (1000, 3000, 8000):
+            grid = default_grid(fam, k=4, m=m, n_points=n)
+            for V in potentials:
+                yield V, grid, n
 
 
 # RO (omega, ell) and DPT (A, B) cells of the fine-grid checks; A = B is a
@@ -200,17 +235,23 @@ _FINE_GRID_CASES = [
 
 class TestFineGridRayleighQuotient:
     def _fine_problem(self, fam, k=4):
-        """The certify grid's fine Hamiltonian for V- of branch 1, and the coarse guesses."""
+        """The certify grid's fine Hamiltonian for V- of branch 1, the coarse
+        eigenvalues as guesses, and a function of a level slice giving their
+        start vectors, the coarse eigenvectors prolonged."""
         V = _partner_vminus(fam)
         grid = default_grid(fam, k=k, n_points=3000)
         fine = grid.refined()
-        coarse = _stebz(V, grid, k, eigvals_only=True)
-        return V, grid, *_tridiagonal(V, fine), V.f(fine.nodes), coarse
+        coarse, vecs = _stebz(V, grid, k)
+
+        def starts(levels=slice(None)):
+            return spectral._start_vectors(vecs[:, levels], grid, fine)
+
+        return V, grid, *_tridiagonal(V, fine), V.f(fine.nodes), coarse, starts
 
     @pytest.mark.parametrize("fam", _FINE_GRID_CASES, ids=repr)
     def test_eigenvalues_match_tight_bisection(self, fam):
-        _, _, diag, off, v, coarse = self._fine_problem(fam)
-        vals, vecs = spectral._certified_rqi(diag, off, v, coarse)
+        _, _, diag, off, v, coarse, starts = self._fine_problem(fam)
+        vals, vecs = spectral._certified_rqi(diag, off, v, coarse, starts())
         m, ref, *_ = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 4, 1e-300, "E")
         assert m == 4
         norm_t = 4.0 * abs(off[0]) + np.max(np.abs(v))
@@ -219,16 +260,38 @@ class TestFineGridRayleighQuotient:
 
     def test_certificate_refuses_levels_above_the_lowest(self):
         # shifts at levels 2-5 converge to disjoint intervals that miss level 1
-        _, _, diag, off, v, coarse = self._fine_problem(RadialOscillator(2.0, 1.0), k=5)
-        assert spectral._certified_rqi(diag, off, v, coarse[:4]) is not None
-        assert spectral._certified_rqi(diag, off, v, coarse[1:]) is None
+        _, _, diag, off, v, coarse, starts = self._fine_problem(RadialOscillator(2.0, 1.0), k=5)
+        assert spectral._certified_rqi(diag, off, v, coarse[:4], starts(slice(4))) is not None
+        assert spectral._certified_rqi(diag, off, v, coarse[1:], starts(slice(1, None))) is None
+
+    @pytest.mark.parametrize("n_points", [64, 375, 3000])
+    def test_prolongation_is_linear_interpolation(self, n_points):
+        # the nested fine grid's start vectors, built directly, against
+        # np.interp with zeros at the walls
+        grid = Grid(-0.3, 2.2, n_points)
+        fine = grid.refined()
+        vecs = np.random.default_rng(n_points).standard_normal((n_points, 3))
+        walls = np.concatenate(([grid.lo], grid.nodes, [grid.hi]))
+        for col, x in zip(vecs.T, spectral._start_vectors(vecs, grid, fine)):
+            expected = np.interp(fine.nodes, walls, np.concatenate(([0.0], col, [0.0])))
+            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
+
+    def test_residual_below_rounding_still_certifies(self, caplog):
+        # the coarse levels of this cell reach residuals of a few 1e-15,
+        # below the rounding of the Sturm count at lambda_4 + r_4
+        fam = RadialOscillator(1.0, 1.0)
+        V = extend(seed_polynomial(fam, 2, 1)).V_tilde_minus
+        caplog.set_level(logging.DEBUG, logger="isoshift")
+        solve_bound_states(V, default_grid(fam, k=4, m=1, n_points=200), 4)
+        assert not caplog.records
 
     def test_bad_start_vector_falls_back_to_bisection(self, monkeypatch, caplog):
-        V, grid, diag, off, v, coarse = self._fine_problem(TrigDPT(1.5, 1.5))
+        V, grid, diag, off, v, coarse, starts = self._fine_problem(TrigDPT(1.5, 1.5))
         expected = _bisection_report(V, grid, 4)
         # a constant vector has no odd component in the symmetric well
-        monkeypatch.setattr(spectral, "_start_vector", lambda n, j: np.ones(n))
-        assert spectral._certified_rqi(diag, off, v, coarse) is None
+        monkeypatch.setattr(spectral, "_start_vectors",
+                            lambda vecs, src, dst: (np.ones(dst.n_points) for _ in vecs.T))
+        assert spectral._certified_rqi(diag, off, v, coarse, starts()) is None
         handlers = logging.getLogger("isoshift").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
         caplog.set_level(logging.DEBUG, logger="isoshift")
