@@ -136,26 +136,10 @@ def _start_vectors(vecs, src: Grid, dst: Grid):
     """RQI start vectors on dst, one per column of src's eigenvectors vecs.
 
     Each is its column interpolated linearly onto dst's nodes, with zeros at
-    the walls lo and hi, and is built only when its level starts.  On the
-    nested fine grid (dst = src.refined()) that is the prolongation, done
-    directly: src's values at the odd nodes, midpoint averages at the even
-    ones and half the end values at the two boundary nodes.
+    the walls lo and hi, and is built only when its level starts.
     """
-    if dst == src.refined():
-        return (_prolonged(col) for col in vecs.T)
     nodes, walls = dst.nodes, np.concatenate(([src.lo], src.nodes, [src.hi]))
     return (np.interp(nodes, walls, np.concatenate(([0.0], col, [0.0]))) for col in vecs.T)
-
-
-def _prolonged(col):
-    """col, the values at a grid's nodes, linear onto the refined grid's nodes."""
-    x = np.empty(2 * col.size + 1)
-    x[1::2] = col
-    mid = x[2:-1:2]
-    np.add(col[:-1], col[1:], out=mid)
-    mid *= 0.5
-    x[0], x[-1] = 0.5 * col[0], 0.5 * col[-1]
-    return x
 
 
 def _eigenvalue_count(diag, off, lo, hi):
@@ -209,6 +193,9 @@ def _certified_rqi(diag, off, v, guesses, starts):
         # a residual below the rounding of T x, a few eps ||T||, bounds
         # nothing: without tol, a count at lambda_k + r_k can miss level k
         vals[j], vecs[:, j], radii[j] = lam, x, radius + tol
+    # the last level's x and T x are dead: free them before the count's
+    # workspace, the solve's memory peak
+    del x, tx
     lower, upper = vals - radii, vals + radii
     lo = float(np.min(v)) - 1.0
     certified = (
@@ -240,7 +227,7 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     Bisection with inverse iteration on a seed grid of max(256, n // 8, k)
     points starts certified Rayleigh-quotient iteration on the coarse grid:
     its eigenvalues are the shifts, its eigenvectors, interpolated, the start
-    vectors.  The coarse eigenvectors, prolonged, start the fine grid at
+    vectors.  The coarse eigenvectors, interpolated, start the fine grid at
     the h^2 prediction coarse + (coarse - seed) (h_f^2 - h_c^2) /
     (h_c^2 - h_s^2), or at the coarse eigenvalues where the seed grid is not
     coarser than the coarse one (n <= 256).  A level stops when its
@@ -262,6 +249,8 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     seed_vals, seed_vecs = _bisection(diag, off, k, eigvals_only=False)
     coarse, coarse_vecs = _lowest_pairs(
         *coarse_h, seed_vals, _start_vectors(seed_vecs, seed, grid))
+    # from the coarse eigenvalues alone, the fine grid needs about 3 more
+    # linear solves per solve on the radial-oscillator certify cells
     if seed.n_points < grid.n_points:
         hs2, hc2, hf2 = seed.spacing**2, grid.spacing**2, fine_grid.spacing**2
         shifts = coarse + (coarse - seed_vals) * ((hf2 - hc2) / (hc2 - hs2))

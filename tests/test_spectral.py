@@ -237,7 +237,7 @@ class TestFineGridRayleighQuotient:
     def _fine_problem(self, fam, k=4):
         """The certify grid's fine Hamiltonian for V- of branch 1, the coarse
         eigenvalues as guesses, and a function of a level slice giving their
-        start vectors, the coarse eigenvectors prolonged."""
+        start vectors, the coarse eigenvectors interpolated."""
         V = _partner_vminus(fam)
         grid = default_grid(fam, k=k, n_points=3000)
         fine = grid.refined()
@@ -263,18 +263,6 @@ class TestFineGridRayleighQuotient:
         _, _, diag, off, v, coarse, starts = self._fine_problem(RadialOscillator(2.0, 1.0), k=5)
         assert spectral._certified_rqi(diag, off, v, coarse[:4], starts(slice(4))) is not None
         assert spectral._certified_rqi(diag, off, v, coarse[1:], starts(slice(1, None))) is None
-
-    @pytest.mark.parametrize("n_points", [64, 375, 3000])
-    def test_prolongation_is_linear_interpolation(self, n_points):
-        # the nested fine grid's start vectors, built directly, against
-        # np.interp with zeros at the walls
-        grid = Grid(-0.3, 2.2, n_points)
-        fine = grid.refined()
-        vecs = np.random.default_rng(n_points).standard_normal((n_points, 3))
-        walls = np.concatenate(([grid.lo], grid.nodes, [grid.hi]))
-        for col, x in zip(vecs.T, spectral._start_vectors(vecs, grid, fine)):
-            expected = np.interp(fine.nodes, walls, np.concatenate(([0.0], col, [0.0])))
-            np.testing.assert_allclose(x, expected, rtol=0, atol=1e-12)
 
     def test_residual_below_rounding_still_certifies(self, caplog):
         # the coarse levels of this cell reach residuals of a few 1e-15,
