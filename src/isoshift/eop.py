@@ -36,7 +36,9 @@ G = P diag(w e^(-y)/T^2) P^T.  The first panel [0, h0] is Gauss-Jacobi with
 the weight y^(p-1/2); the panels after it double in width and are
 Gauss-Legendre.  A panel that disagrees with the sum over its two halves is
 split, and the summed disagreement of the accepted panels is the Gram's
-error estimate.
+error estimate.  Both rules come from _gauss_jacobi, in numpy, cached per
+exponent, so the module loads no scipy: scipy.integrate loads only when
+weight_from_superpotential first integrates.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from . import polyengine as pe
 from .catalog import Function1D, RadialOscillator, _blockwise, _chain
@@ -441,19 +442,59 @@ def __getattr__(name):
     return quad
 
 
+@lru_cache(maxsize=16)
+def _gauss_jacobi(n, a, b):
+    """n-point Gauss rule for the weight (1-x)^a (1+x)^b on (-1, 1).
+
+    The nodes are the eigenvalues of the n x n Jacobi matrix of the
+    orthonormal Jacobi polynomials p_k (Golub and Welsch, Math. Comp. 23
+    (1969) 221), polished by one Newton step on p_n from the three-term
+    recurrence; the weights are Christoffel's, 1 / sum_{k<n} p_k(x)^2
+    (Hale and Townsend, SIAM J. Sci. Comput. 35 (2013) A652), that sum
+    moved to the polished nodes to first order.  Legendre is a = b = 0.  The
+    rules are cached, so their arrays are read-only.
+    """
+    k = np.arange(1.0, n + 1.0)
+    s = 2.0 * k + a + b
+    diag = np.concatenate((
+        [(b - a) / (a + b + 2.0)], (b * b - a * a) / (s[:-1] * (s[:-1] + 2.0))
+    ))
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    # the weight's integral, int (1-x)^a (1+x)^b dx
+    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    mu0 /= math.gamma(a + b + 2.0)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+
+    # rows p_k(x) and p_k'(x), and the sums of p_k^2 and p_k p_k' over k < n
+    prev, cur, sums = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n))
+    cur[0] = 1.0 / math.sqrt(mu0)
+    lower = 0.0
+    for alpha, beta in zip(diag.tolist(), off.tolist()):
+        sums += cur[0] * cur
+        nxt = (x - alpha) * cur - lower * prev
+        nxt[1] += cur[0]
+        nxt /= beta
+        prev, cur, lower = cur, nxt, beta
+    step = cur[0] / cur[1]
+    x -= step
+    w = 1.0 / (sums[0] - 2.0 * step * sums[1])
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_rules(a, b, c):
     """Nodes and weights, shape (panels, q), of int_a^b y^c f(y) dy per panel.
 
     Panels starting at y = 0 use Gauss-Jacobi with the weight y^c, which is
     not smooth at y = 0; the others use Gauss-Legendre.
     """
-    x, wx = roots_legendre(_GRAM_ORDER)
+    x, wx = _gauss_jacobi(_GRAM_ORDER, 0.0, 0.0)
     half = 0.5 * (b - a)[:, None]
     y = 0.5 * (a + b)[:, None] + half * x
     w = half * wx * y**c
     first = a == 0.0
     if np.any(first):
-        xj, wj = roots_jacobi(_GRAM_ORDER, 0.0, c)
+        xj, wj = _gauss_jacobi(_GRAM_ORDER, 0.0, c)
         y[first] = half[first] * (1.0 + xj)
         w[first] = half[first] ** (c + 1.0) * wj
     return y, w

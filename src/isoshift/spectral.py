@@ -13,8 +13,10 @@ most levels need one or two linear solves.  On both grids a residual bound
 and one Sturm count certify that the iteration found the lowest eigenpairs;
 where that certificate fails, the grid goes back to bisection with
 inverse-iteration vectors, and the `isoshift.spectral` logger records it at
-DEBUG level.  Everything else in the module is a pointwise residual
-evaluator or a classifier built on the polynomial zero scan.
+DEBUG level.  scipy.linalg, which supplies the LAPACK calls, is imported at
+the solver's first call, so that importing the package loads no scipy.
+Everything else in the module is a pointwise residual evaluator or a
+classifier built on the polynomial zero scan.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
 polyengine._BLOCK samples and carries only its two maxima across blocks,
 so its value is bitwise that of one pass.  Both residuals raise
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack
 
 from . import polyengine as pe
 from .catalog import Family, Function1D
@@ -126,6 +127,8 @@ def _fd_hamiltonian(V: Function1D, grid: Grid):
 
 def _bisection(diag, off, k, eigvals_only):
     """The lowest k eigenvalues (and vectors) by Sturm bisection."""
+    from scipy.linalg import eigh_tridiagonal
+
     return eigh_tridiagonal(
         diag, off, select="i", select_range=(0, k - 1),
         eigvals_only=eigvals_only, lapack_driver="stebz",
@@ -144,6 +147,8 @@ def _start_vectors(vecs, src: Grid, dst: Grid):
 
 def _eigenvalue_count(diag, off, lo, hi):
     """Sturm count of the eigenvalues in (lo, hi]; dstebz stops before bisecting."""
+    from scipy.linalg import lapack
+
     m, _, _, _, info = lapack.dstebz(diag, off, 1, lo, hi, 1, 1, 1e300, "E")
     return m if info == 0 else -1
 
@@ -170,6 +175,8 @@ def _certified_rqi(diag, off, v, guesses, starts):
     the Gershgorin bound min V of the spectrum.  (Parlett, The Symmetric
     Eigenvalue Problem, sections 4.6 and 10.4.)
     """
+    from scipy.linalg import lapack
+
     n, k = diag.size, len(guesses)
     tol = 8.0 * np.finfo(float).eps * (4.0 * abs(off[0]) + np.max(np.abs(v)))
     vals, vecs, radii = np.empty(k), np.empty((n, k)), np.empty(k)

@@ -1,13 +1,19 @@
 """Command-line interface: determinism, exit codes, config handling."""
 
+import ast
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoshift
 from isoshift.cli import main
@@ -20,6 +26,23 @@ def _read_csv(path):
     return header, data
 
 
+def _probe(code, *args):
+    """stdout of `code` run in a fresh interpreter on this tree's isoshift."""
+    src = str(Path(isoshift.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=src, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+# prints the scipy modules loaded since the last call, one list per line
+_SCIPY_SINCE = (
+    "import sys\n"
+    "def scipy_since(seen=set()):\n"
+    "    new = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and m not in seen)\n"
+    "    seen.update(new)\n"
+    "    print(new)\n"
+)
+
+
 def test_import_loads_no_integrator(tmp_path):
     # scipy.integrate, and the optimize and sparse packages it pulls in,
     # load only where a call integrates (the weight quad); an interpolate
@@ -30,11 +53,55 @@ def test_import_loads_no_integrator(tmp_path):
         "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
         "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'sparse'])))"
     )
-    src = str(Path(isoshift.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=src, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert _probe(probe, tmp_path).strip() == "[]"
     assert (tmp_path / "interpolate.json").exists()
+
+
+def test_import_and_closed_forms_load_no_scipy(tmp_path):
+    # the Gram's Gauss rules are numpy's and scipy.linalg loads at the FD
+    # solver's first call, so neither the import, nor the commands that
+    # solve nothing, nor a closed-form eigenfunction with its residual
+    # loads any scipy module
+    probe = _SCIPY_SINCE + (
+        "import isoshift.cli\n"
+        "scipy_since()\n"
+        "import contextlib, io\n"
+        "from isoshift import cli\n"
+        "out = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['catalog', 'radial_oscillator']) == 0\n"
+        "    assert cli.main(['extend', '--m', '1', '2', '--grid-points', '500',\n"
+        "                     '--out', out]) == 0\n"
+        "    assert cli.main(['interpolate', '--R', '-3', '2.5', '--out', out]) == 0\n"
+        "import numpy as np\n"
+        "from isoshift import catalog, deform, eop, spectral\n"
+        "fam = catalog.RadialOscillator(2.0, 1.0)\n"
+        "d = deform.seed_polynomial(fam, eop.series_branch('L1'), 2)\n"
+        "pair = deform.extend(d)\n"
+        "spec = eop.EOPSpec('L1', 3, 2, fam)\n"
+        "psi = eop.eigenfunction_closed_form(spec)\n"
+        "r = np.linspace(0.05, 11.0, 100_000)\n"
+        "E = eop.eigenvalue(spec)\n"
+        "assert spectral.schrodinger_residual(psi, E, pair.V_tilde_minus, r) < 1e-6\n"
+        "scipy_since()\n"
+    )
+    assert _probe(probe, tmp_path).split() == ["[]", "[]"]
+
+
+def test_fd_solve_loads_scipy_linalg_only():
+    # branch 2, m = 0 certifies V- against V~- by the FD solver and has no
+    # Gram matrix
+    probe = _SCIPY_SINCE + (
+        "from isoshift import cli\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['certify', '--branches', '2', '--m', '0']) == 0\n"
+        "scipy_since()\n"
+    )
+    loaded = ast.literal_eval(_probe(probe))
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded
+                if m.split(".")[:2] in (["scipy", "special"], ["scipy", "integrate"])]
 
 
 class TestCatalog:
@@ -432,3 +499,55 @@ class TestRobustness:
             code, err = self._exit_code(capsys, argv)
             assert code == 2
             assert err.startswith("error:") and "grid_points" in err
+
+
+_LATTICE = ["0.5", "1", "1.5", "2", "2.5", "3", "3.5", "4"]
+_BAD_VALUE = st.sampled_from(["0", "-0.0", "-1", "-2.5", "nan", "inf", "-inf", "abc", "1e400", ""])
+# (good, bad) values of each kind of argument
+_VALUES = {
+    "param": (st.one_of(st.sampled_from(_LATTICE), st.floats(0.05, 5.0).map(repr)), _BAD_VALUE),
+    "R": (st.one_of(st.sampled_from(["-3", "2.5"]), st.floats(-8.0, 4.0).map(repr)), _BAD_VALUE),
+    "branch": (st.sampled_from(["1", "2", "3", "4"]), st.sampled_from(["0", "5", "-1", "2.5", "x"])),
+    "m": (st.sampled_from(["0", "1", "2", "3"]), st.sampled_from(["-1", "1.5", "x"])),
+}
+_PARAMS = {"radial_oscillator": ("omega", "ell"), "trig_dpt": ("A", "B")}
+
+
+@st.composite
+def _argv(draw, out):
+    def value(kind):
+        # one value in four is bad, so that most runs get past the argument
+        # checks into the command itself
+        good, bad = _VALUES[kind]
+        return draw(bad if draw(st.integers(0, 3)) == 3 else good)
+
+    command = draw(st.sampled_from(["catalog", "extend", "certify", "interpolate"]))
+    family = draw(st.sampled_from(sorted(_PARAMS)))
+    # --name=value, so that a value such as -inf is not read as a flag
+    params = [f"--{name}={value('param')}" for name in _PARAMS[family]]
+    if command == "catalog":
+        return [command, family, *params]
+    argv = [command, "--family", family, *params]
+    if command == "certify":
+        return argv + [f"--branches={value('branch')}", f"--m={value('m')}", "--nmax", "2"]
+    argv += [f"--branch={value('branch')}", "--grid-points", "400", "--out", out]
+    if command == "extend":
+        return argv + [f"--m={value('m')}", "--nmax", "2"]
+    return argv + [f"--R={value('R')}"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_arguments_exit_cleanly(data):
+    # exit 0, 1 (a failed certification) or 2 (bad input), and never a
+    # traceback, whatever the parameters, branch and m
+    with tempfile.TemporaryDirectory() as out:
+        argv = data.draw(_argv(out))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -440,6 +440,55 @@ class TestGramOracle:
         assert np.max(np.abs(_normalized(G) - want)) <= 1e-12
 
 
+def _mp_gauss_jacobi(n, c):
+    """The n-point Gauss-Jacobi rule for (1+x)^c on (-1, 1), 30 digits, ascending."""
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    X, W = mp.gauss_quadrature(n, "jacobi", 0, mp.mpf(c))
+    pairs = sorted(zip(X, W))
+    return (np.array([float(x) for x, _ in pairs]), np.array([float(w) for _, w in pairs]))
+
+
+class TestGaussRules:
+    def _check(self, c):
+        x, w = eop._gauss_jacobi(20, 0.0, c)
+        want_x, want_w = _mp_gauss_jacobi(20, c)
+        assert np.max(np.abs(x - want_x)) <= 4e-16
+        assert np.max(np.abs(w / want_w - 1.0)) <= 2e-13
+
+    # scipy.special's roots_jacobi weights are off by 6e-13 at c = -0.49
+    @pytest.mark.parametrize("c", [0.0, -0.49, 0.5, 1.5, 2.7, 6.0])
+    def test_matches_mpmath(self, c):
+        self._check(c)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.floats(-0.99, 8.0, exclude_min=True, exclude_max=True))
+    def test_matches_mpmath_drawn(self, c):
+        self._check(c)
+
+    def test_rules_are_built_once_and_read_only(self):
+        rule = eop._gauss_jacobi(20, 0.0, 1.25)
+        assert eop._gauss_jacobi(20, 0.0, 1.25) is rule
+        with pytest.raises(ValueError):
+            rule[0][0] = 0.0
+
+    # the cells of TestGramOracle
+    @pytest.mark.parametrize("series,omega,ell,m", [
+        ("L1", FAM.omega, FAM.ell, 0),
+        ("L1", 4.0, 0.1, 3),
+        ("L3", 1.0, 1.0, 2),
+        ("L3", 1.0, 1.0, 3),
+    ])
+    def test_gram_matches_scipy_rules(self, monkeypatch, series, omega, ell, m):
+        from scipy.special import roots_jacobi
+
+        params = RadialOscillator(omega, ell)
+        G, _ = eop._gram_with_error(series, m, params, 4)
+        monkeypatch.setattr(eop, "_gauss_jacobi", roots_jacobi)
+        want, _ = eop._gram_with_error(series, m, params, 4)
+        assert np.max(np.abs(_normalized(G) - _normalized(want))) <= 1e-15
+
+
 class TestZeroCensus:
     @pytest.mark.parametrize("m", [1, 2])
     def test_l1_interior_count_is_n(self, m):
