@@ -151,27 +151,31 @@ def cmd_extend(args):
 
 
 def _solve(memo, V, grid, k):
-    """spectral.solve_bound_states, once per bit-identical input of a run.
+    """spectral.solve_bound_states, once per input of a run.
 
-    memo maps (grid, k, V's samples on grid and grid.refined()) to the
-    report.  Multi-cell runs repeat inputs: V- of branch k once per m, and
-    at m = 0 the extension V~- can equal V- bit for bit.  On a miss the
-    solver gets V with an f that remembers the samples taken for the key,
-    so V is not sampled twice.
+    memo maps (grid, k) to a list of (V's samples on grid and on
+    grid.refined(), report) entries, and a call whose samples equal an
+    entry's element for element returns its report.  Multi-cell runs repeat
+    inputs: V- of branch k once per m, and at m = 0 the extension V~- can
+    equal V- bit for bit.  On a miss the solver gets V with an f that
+    returns those samples at their nodes, so V is not sampled twice.
     """
-    seen = {}
+    nodes = (grid.nodes, grid.refined().nodes)
+    samples = tuple(np.asarray(V.f(x), dtype=float) for x in nodes)
+    entries = memo.setdefault((grid, k), [])
+    for held, report in entries:
+        if all(map(np.array_equal, held, samples)):
+            return report
 
     def f(x):
-        x = np.asarray(x, dtype=float)
-        at = x.tobytes()
-        if at not in seen:
-            seen[at] = np.asarray(V.f(x), dtype=float)
-        return seen[at]
+        for at, fx in zip(nodes, samples):
+            if np.array_equal(x, at):
+                return fx
+        return V.f(x)
 
-    key = (grid, k, *(f(g.nodes).tobytes() for g in (grid, grid.refined())))
-    if key not in memo:
-        memo[key] = spectral.solve_bound_states(dataclasses.replace(V, f=f), grid, k)
-    return memo[key]
+    report = spectral.solve_bound_states(dataclasses.replace(V, f=f), grid, k)
+    entries.append((samples, report))
+    return report
 
 
 def _certify_cell(family, k, m, args, memo):

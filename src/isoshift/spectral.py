@@ -4,17 +4,21 @@ The solver discretizes -d^2/dx^2 + V on a uniform grid with a 3-point
 Laplacian and Dirichlet ends and Richardson-extrapolates each of the lowest
 eigenvalues from the (n, 2n+1) grid pair.  The eigenpairs pass along a
 chain of three grids over the same interval: bisection (Sturm sequences)
-with inverse iteration on a small seed grid of max(256, n // 8, k) points
-starts Rayleigh-quotient iteration (RQI) on the coarse grid n, and the
-coarse eigenpairs start it on the fine grid 2n+1.  Each level starts from
-the grid below's eigenvector, linear between its nodes and zero at the
-walls, and on the fine grid from the h^2 prediction of its eigenvalue, so
-most levels need one or two linear solves.  On both grids a residual bound
-and one Sturm count certify that the iteration found the lowest eigenpairs;
-where that certificate fails, the grid goes back to bisection with
-inverse-iteration vectors, and the `isoshift.spectral` logger records it at
-DEBUG level.  scipy.linalg, which supplies the LAPACK calls, is imported at
-the solver's first call, so that importing the package loads no scipy.
+to a width of 1e-9 ||T|| with inverse iteration on a small seed grid of
+max(256, n // 8, k) points starts Rayleigh-quotient iteration (RQI) on the
+coarse grid n, and the coarse eigenpairs start it on the fine grid 2n+1.
+Each level starts from the grid below's eigenvector, linear between its
+nodes and zero at the walls, and on the fine grid from the h^2 prediction
+of its eigenvalue, so most levels need one or two linear solves.  RQI runs
+in place in five rows allocated once per grid, and the fine grid reduces
+each eigenvector to its boundary-decay flag, so a solve at n = 3000 peaks
+below 0.8 MB and repeated solves fault in almost no pages.  On both grids a
+residual bound and one Sturm count certify that the iteration found the
+lowest eigenpairs; where that certificate fails, the grid goes back to
+full-precision bisection with inverse-iteration vectors, and the
+`isoshift.spectral` logger records it at DEBUG level.  scipy.linalg, which
+supplies the LAPACK calls, is imported at the solver's first call, so that
+importing the package loads no scipy.
 Everything else in the module is a pointwise residual evaluator or a
 classifier built on the polynomial zero scan.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
@@ -125,14 +129,31 @@ def _fd_hamiltonian(V: Function1D, grid: Grid):
     return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2), v
 
 
-def _bisection(diag, off, k, eigvals_only):
-    """The lowest k eigenvalues (and vectors) by Sturm bisection."""
-    from scipy.linalg import eigh_tridiagonal
+def _norm_bound(off, v):
+    """4 |off| + max|V|, a bound on ||T|| (Gershgorin)."""
+    return 4.0 * abs(off[0]) + max(v.max(), -v.min())
 
-    return eigh_tridiagonal(
-        diag, off, select="i", select_range=(0, k - 1),
-        eigvals_only=eigvals_only, lapack_driver="stebz",
-    )
+
+def _decays(x):
+    """Whether the vector x has decayed at the wall hi: |x[-1]| <= 1e-8 max|x|."""
+    return bool(abs(x[-1]) <= 1e-8 * max(x.max(), -x.min()))
+
+
+def _bisection(diag, off, k, abstol=0.0):
+    """The lowest k eigenpairs: Sturm bisection (dstebz), inverse iteration
+    (dstein).  Bisection stops at intervals of width abstol, or at LAPACK's
+    full precision where abstol is 0."""
+    from scipy.linalg import lapack
+
+    m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, k, abstol, "B")
+    if info != 0 or m != k:
+        raise np.linalg.LinAlgError(f"dstebz found {m} of the lowest {k} levels, info={info}")
+    vecs, info = lapack.dstein(diag, off, w[:k], iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein: {info} of {k} eigenvectors did not converge")
+    # order "B" lists the levels block by block where T splits
+    order = np.argsort(w[:k])
+    return w[order], vecs[:, order]
 
 
 def _start_vectors(vecs, src: Grid, dst: Grid):
@@ -158,7 +179,7 @@ def _eigenvalue_count(diag, off, lo, hi):
 _RQI_MAX_STEPS = 30
 
 
-def _certified_rqi(diag, off, v, guesses, starts):
+def _certified_rqi(diag, off, v, guesses, starts, vectors=True):
     """Rayleigh-quotient iteration for the lowest len(guesses) eigenpairs.
 
     Level j starts at shift guesses[j] with the j-th vector of the iterable
@@ -174,35 +195,57 @@ def _certified_rqi(diag, off, v, guesses, starts):
     below the first, so they are the lowest k.  lo = min V - 1 lies below
     the Gershgorin bound min V of the spectrum.  (Parlett, The Symmetric
     Eigenvalue Problem, sections 4.6 and 10.4.)
+
+    Every step runs in place, in five rows allocated once per call.  Returns
+    (eigenvalues, eigenvectors as columns), or with vectors=False
+    (eigenvalues, each vector's _decays flag), which keeps no vector past
+    its level.
     """
     from scipy.linalg import lapack
 
     n, k = diag.size, len(guesses)
-    tol = 8.0 * np.finfo(float).eps * (4.0 * abs(off[0]) + np.max(np.abs(v)))
-    vals, vecs, radii = np.empty(k), np.empty((n, k)), np.empty(k)
+    # the shifted diagonal, the off-diagonal copies that dgtsv overwrites,
+    # T x and the residual
+    work = np.empty((5, n))
+    d, dl, du, tx, r = work
+    dl, du = dl[:-1], du[:-1]
+    tol = 8.0 * np.finfo(float).eps * _norm_bound(off, v)
+    vals, radii = np.empty(k), np.empty(k)
+    kept = np.empty((n, k)) if vectors else [False] * k
     for j, (lam, x) in enumerate(zip(guesses, starts)):
         for _ in range(_RQI_MAX_STEPS):
-            # the shifted diagonal and x are temporaries, solved in place
-            *_, x, info = lapack.dgtsv(off, diag - lam, off, x, overwrite_d=True,
-                                       overwrite_b=True)
+            np.subtract(diag, lam, out=d)
+            dl[:] = off
+            du[:] = off
+            x, info = lapack.dgtsv(dl, d, du, x, overwrite_dl=True, overwrite_d=True,
+                                   overwrite_du=True, overwrite_b=True)[3:]
             if info != 0:
                 return None
             x /= np.linalg.norm(x)
-            tx = diag * x
-            tx[:-1] += off * x[1:]
-            tx[1:] += off * x[:-1]
+            # T x and T x - lambda x, with r as the temporary of each product
+            np.multiply(diag, x, out=tx)
+            np.multiply(off, x[1:], out=r[:-1])
+            tx[:-1] += r[:-1]
+            np.multiply(off, x[:-1], out=r[1:])
+            tx[1:] += r[1:]
             prev, lam = lam, float(x @ tx)
-            radius = np.linalg.norm(tx - lam * x)
+            np.multiply(lam, x, out=r)
+            np.subtract(tx, r, out=r)
+            radius = np.linalg.norm(r)
             if abs(lam - prev) <= tol or radius <= tol:
                 break
         else:
             return None
         # a residual below the rounding of T x, a few eps ||T||, bounds
         # nothing: without tol, a count at lambda_k + r_k can miss level k
-        vals[j], vecs[:, j], radii[j] = lam, x, radius + tol
-    # the last level's x and T x are dead: free them before the count's
-    # workspace, the solve's memory peak
-    del x, tx
+        vals[j], radii[j] = lam, radius + tol
+        if vectors:
+            kept[:, j] = x
+        else:
+            kept[j] = _decays(x)
+    # the last level's x and the rows are dead: free them before the
+    # count's workspace, the solve's memory peak
+    del x, work, d, dl, du, tx, r
     lower, upper = vals - radii, vals + radii
     lo = float(np.min(v)) - 1.0
     certified = (
@@ -210,16 +253,20 @@ def _certified_rqi(diag, off, v, guesses, starts):
         and lo < lower[0]  # dstebz refuses an empty (lo, hi] with a printed error
         and _eigenvalue_count(diag, off, lo, upper[-1]) == k
     )
-    return (vals, vecs) if certified else None
+    return (vals, kept if vectors else tuple(kept)) if certified else None
 
 
-def _lowest_pairs(diag, off, v, guesses, starts):
-    """The lowest len(guesses) eigenpairs: certified RQI, else bisection."""
-    pairs = _certified_rqi(diag, off, v, guesses, starts)
+def _lowest_pairs(diag, off, v, guesses, starts, vectors=True):
+    """The lowest len(guesses) eigenpairs: certified RQI, else bisection.
+
+    Returns what _certified_rqi does for the same vectors flag.
+    """
+    pairs = _certified_rqi(diag, off, v, guesses, starts, vectors)
     if pairs is None:
         _log.debug("RQI certificate failed on %d points, k=%d: bisection",
                    diag.size, len(guesses))
-        pairs = _bisection(diag, off, len(guesses), eigvals_only=False)
+        vals, vecs = _bisection(diag, off, len(guesses))
+        pairs = (vals, vecs if vectors else tuple(_decays(x) for x in vecs.T))
     return pairs
 
 
@@ -227,20 +274,29 @@ def _lowest_pairs(diag, off, v, guesses, starts):
 # missed levels of m = 8 radial-oscillator extensions and fell back
 _SEED_POINTS = 256
 
+# The seed eigenvalues only shift the coarse grid's RQI, and differ from its
+# eigenvalues by the seed grid's h^2 error, about 1e-3 relative, so the seed
+# bisection stops at this width relative to ||T||.  On the certify cells of
+# tests/test_spectral.py it leaves the linear solves per solve as full
+# precision has them (12.7); 1e-6 adds one.
+_SEED_ABSTOL = 1e-9
+
 
 def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     """Lowest k eigenvalues, Richardson-extrapolated from grids (n, 2n+1).
 
-    Bisection with inverse iteration on a seed grid of max(256, n // 8, k)
-    points starts certified Rayleigh-quotient iteration on the coarse grid:
-    its eigenvalues are the shifts, its eigenvectors, interpolated, the start
-    vectors.  The coarse eigenvectors, interpolated, start the fine grid at
-    the h^2 prediction coarse + (coarse - seed) (h_f^2 - h_c^2) /
-    (h_c^2 - h_s^2), or at the coarse eigenvalues where the seed grid is not
-    coarser than the coarse one (n <= 256).  A level stops when its
-    eigenvalue or its residual is within tolerance, and one Sturm count per
-    grid completes the certificate (see _certified_rqi); a grid whose
-    certificate fails goes back to bisection.
+    Bisection to a width of 1e-9 ||T||, with inverse iteration, on a seed
+    grid of max(256, n // 8, k) points starts certified Rayleigh-quotient
+    iteration on the coarse grid: its eigenvalues are the shifts, its
+    eigenvectors, interpolated, the start vectors.  The coarse eigenvectors,
+    interpolated, start the fine grid at the h^2 prediction coarse +
+    (coarse - seed) (h_f^2 - h_c^2) / (h_c^2 - h_s^2), or at the coarse
+    eigenvalues where the seed grid is not coarser than the coarse one
+    (n <= 256).  A level stops when its eigenvalue or its residual is within
+    tolerance, and one Sturm count per grid completes the certificate (see
+    _certified_rqi); a grid whose certificate fails goes back to bisection
+    at full precision.  The fine grid keeps of each eigenvector only its
+    decay flag.
     """
     if not 1 <= k <= grid.n_points:
         raise ConfigurationError(
@@ -252,10 +308,14 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     coarse_h = _fd_hamiltonian(V, grid)
     fine_h = _fd_hamiltonian(V, fine_grid)
     seed = Grid(grid.lo, grid.hi, max(_SEED_POINTS, grid.n_points // 8, k))
-    diag, off, _ = _fd_hamiltonian(V, seed)
-    seed_vals, seed_vecs = _bisection(diag, off, k, eigvals_only=False)
+    diag, off, v = _fd_hamiltonian(V, seed)
+    seed_vals, seed_vecs = _bisection(diag, off, k, _SEED_ABSTOL * _norm_bound(off, v))
+    # each grid's arrays are dead once the next grid starts: freed, they
+    # keep the solve's peak 0.1 MB lower
+    del diag, off, v
     coarse, coarse_vecs = _lowest_pairs(
         *coarse_h, seed_vals, _start_vectors(seed_vecs, seed, grid))
+    del coarse_h, seed_vecs
     # from the coarse eigenvalues alone, the fine grid needs about 3 more
     # linear solves per solve on the radial-oscillator certify cells
     if seed.n_points < grid.n_points:
@@ -263,16 +323,13 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
         shifts = coarse + (coarse - seed_vals) * ((hf2 - hc2) / (hc2 - hs2))
     else:
         shifts = coarse
-    fine, vecs = _lowest_pairs(*fine_h, shifts, _start_vectors(coarse_vecs, grid, fine_grid))
+    fine, decay = _lowest_pairs(*fine_h, shifts, _start_vectors(coarse_vecs, grid, fine_grid),
+                                vectors=False)
     extrap = (4.0 * fine - coarse) / 3.0
     conv = np.abs(fine - coarse) / 3.0
-    decay = []
-    for j in range(k):
-        vec = vecs[:, j]
-        decay.append(bool(abs(vec[-1]) <= 1e-8 * np.max(np.abs(vec))))
     return SpectralReport(
         eigenvalues=tuple(float(e) for e in extrap),
-        boundary_decay_ok=tuple(decay),
+        boundary_decay_ok=decay,
         grid_convergence=tuple(float(c) for c in conv),
     )
 

@@ -386,6 +386,38 @@ class TestCertify:
         assert sizes == [200, 401, 256, 200, 401]
         assert report == spectral.solve_bound_states(V, grid, 3)
 
+    @pytest.mark.parametrize("refined", [False, True])
+    def test_fd_solve_memo_misses_a_one_ulp_change(self, monkeypatch, refined):
+        from isoshift import cli, spectral
+        from isoshift.catalog import Function1D
+
+        grid = spectral.Grid(-8.0, 8.0, 200)
+        # the refined grid's even nodes are not nodes of the coarse grid
+        moved = grid.refined().nodes[58] if refined else grid.nodes[57]
+
+        def potential(ulp):
+            def f(x):
+                v = 0.5 * np.asarray(x) ** 2
+                return np.where(x == moved, np.nextafter(v, np.inf), v) if ulp else v
+            return Function1D(f=f, df=lambda x: np.asarray(x), domain=(-8.0, 8.0))
+
+        solves = []
+        real_solve = spectral.solve_bound_states
+
+        def counting_solve(*args):
+            solves.append(args)
+            return real_solve(*args)
+
+        monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
+        memo = {}
+        report = cli._solve(memo, potential(False), grid, 3)
+        cli._solve(memo, potential(True), grid, 3)
+        assert len(solves) == 2
+        # both entries stay: each input hits its own
+        assert cli._solve(memo, potential(False), grid, 3) is report
+        cli._solve(memo, potential(True), grid, 3)
+        assert len(solves) == 2
+
     def test_default_radial_report_has_no_finding(self, capsys):
         # branch 1, m = 1 has its seed zero at r = sqrt(3), and the
         # closed-form zero count predicts it

@@ -2,7 +2,11 @@
 
 import logging
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from isoshift.catalog import (
 )
 from isoshift.deform import extend, seed_polynomial
 from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
+import isoshift
 from isoshift import spectral
 from isoshift.spectral import (
     Grid,
@@ -162,19 +167,38 @@ class TestSolver:
         assert np.max(deviation) <= 8.0 * np.finfo(float).eps * norm_t
 
     def test_bisection_runs_only_on_the_seed_grid(self, monkeypatch):
-        sizes = []
+        sizes, tolerances = [], []
         real_bisection = spectral._bisection
 
-        def counting_bisection(diag, off, k, eigvals_only):
+        def counting_bisection(diag, off, k, abstol=0.0):
             sizes.append(diag.size)
-            return real_bisection(diag, off, k, eigvals_only)
+            tolerances.append(abstol)
+            return real_bisection(diag, off, k, abstol)
 
         monkeypatch.setattr(spectral, "_bisection", counting_bisection)
         for V, grid, n in _certify_solves():
             sizes.clear()
+            tolerances.clear()
             solve_bound_states(V, grid, 4)
             # one bisection per solve, on the seed grid only
             assert sizes == [max(256, n // 8)]
+            # and only there loose, to 1e-9 of ||T||
+            seed = Grid(grid.lo, grid.hi, sizes[0])
+            h2 = seed.spacing**2
+            norm_t = 4.0 / h2 + np.max(np.abs(V.f(seed.nodes)))
+            assert tolerances == [pytest.approx(1e-9 * norm_t, rel=1e-12)]
+        # a grid that falls back bisects to full precision (abstol 0), as in
+        # test_bad_start_vector_falls_back_to_bisection
+        fam = TrigDPT(1.5, 1.5)
+        grid = default_grid(fam, k=4, n_points=3000)
+        monkeypatch.setattr(spectral, "_start_vectors",
+                            lambda vecs, src, dst: (np.ones(dst.n_points) for _ in vecs.T))
+        sizes.clear()
+        tolerances.clear()
+        solve_bound_states(_partner_vminus(fam), grid, 4)
+        assert sizes == [375, 3000, 6001]
+        assert tolerances[0] > 0.0
+        assert tolerances[1:] == [0.0, 0.0]
 
     def test_work_per_solve(self, monkeypatch):
         # started from the grid below, most levels need one or two linear
@@ -258,6 +282,16 @@ class TestFineGridRayleighQuotient:
         assert np.max(np.abs(vals - ref[:4])) <= 8.0 * np.finfo(float).eps * norm_t
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
 
+    @pytest.mark.parametrize("fam", _FINE_GRID_CASES, ids=repr)
+    def test_decay_flags_without_vectors(self, fam):
+        _, _, diag, off, v, coarse, starts = self._fine_problem(fam)
+        vals, vecs = spectral._certified_rqi(diag, off, v, coarse, starts())
+        flags = spectral._certified_rqi(diag, off, v, coarse, starts(), vectors=False)
+        assert np.array_equal(flags[0], vals)
+        assert flags[1] == tuple(
+            bool(abs(vec[-1]) <= 1e-8 * np.max(np.abs(vec))) for vec in vecs.T
+        )
+
     def test_certificate_refuses_levels_above_the_lowest(self):
         # shifts at levels 2-5 converge to disjoint intervals that miss level 1
         _, _, diag, off, v, coarse, starts = self._fine_problem(RadialOscillator(2.0, 1.0), k=5)
@@ -288,6 +322,56 @@ class TestFineGridRayleighQuotient:
         records = [(r.name, r.levelno, r.args) for r in caplog.records]
         assert records == [("isoshift.spectral", logging.DEBUG, (3000, 4)),
                            ("isoshift.spectral", logging.DEBUG, (6001, 4))]
+
+
+# the solve of the footprint checks: V~- of RO omega = 2, ell = 1, branch 2,
+# m = 1, k = 4 on 3000 points, as in perfbench's certify_ro stream
+_FOOTPRINT_SOLVE = (
+    "from isoshift.catalog import RadialOscillator\n"
+    "from isoshift.deform import extend, seed_polynomial\n"
+    "from isoshift.spectral import default_grid, solve_bound_states\n"
+    "fam = RadialOscillator(2.0, 1.0)\n"
+    "V = extend(seed_polynomial(fam, 2, 1)).V_tilde_minus\n"
+    "grid = default_grid(fam, k=4, m=1, n_points=3000)\n"
+    "solve = lambda: solve_bound_states(V, grid, 4)\n"
+)
+
+
+class TestFootprint:
+    def test_solve_peak_below_one_megabyte(self):
+        # per-step temporaries and a (2n+1, k) block of fine-grid vectors,
+        # kept only for their decay flags, took the peak to 1.11 MB
+        scope = {}
+        exec(_FOOTPRINT_SOLVE, scope)
+        scope["solve"]()
+        tracemalloc.start()
+        try:
+            scope["solve"]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="counts the page faults of glibc's heap trimming")
+    def test_repeated_solves_fault_in_no_pages(self):
+        # glibc returns the free top of its heap to the OS above a threshold
+        # that freed mmapped blocks raise; a solve whose temporaries exceed
+        # it faults them back in, about 190 pages each time.  The probe runs
+        # in a fresh interpreter: this module's scipy import raises the
+        # threshold and would hide the faults.
+        probe = _FOOTPRINT_SOLVE + (
+            "import resource\n"
+            "solve()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    solve()\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)\n"
+        )
+        src = Path(isoshift.__file__).resolve().parent.parent
+        out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        assert float(out) < 1.0
 
 
 class TestIsospectrality:
