@@ -107,6 +107,7 @@ def cmd_extend(args):
     warnings = []
 
     for m in args.m:
+        notes = []  # this m's warnings, for its sidecar
         branch = get_branch(family, args.branch)
         d = deform.seed_polynomial(family, branch, m)
         pair = deform.extend(d)
@@ -122,12 +123,12 @@ def cmd_extend(args):
                 header.append(f"psi_{n}")
                 cols.append(psi.f(grid))
         elif d.singular_points:
-            warnings.append(
+            notes.append(
                 f"m={m}: singular extension (points {d.singular_points}); "
                 "eigenfunction tables skipped"
             )
-        elif args.nmax >= 0 and series is None:
-            warnings.append(
+        elif series is None:
+            notes.append(
                 f"m={m}: no closed-form eigenfunction family for this branch; "
                 "eigenfunction tables skipped"
             )
@@ -142,61 +143,57 @@ def cmd_extend(args):
             "shift": pair.shift,
             "singular_points": list(d.singular_points),
             "series": series,
-            "warnings": warnings,
+            "warnings": notes,
         }
         _write_json(out_dir / f"{stem}.json", sidecar)
+        warnings += notes
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     return 0
 
 
-def _solve(memo, V, grid, k):
-    """spectral.solve_bound_states, once per input of a run.
-
-    memo maps (grid, k) to a list of (V's samples on grid and on
-    grid.refined(), report) entries, and a call whose samples equal an
-    entry's element for element returns its report.  Multi-cell runs repeat
-    inputs: V- of branch k once per m, and at m = 0 the extension V~- can
-    equal V- bit for bit.  On a miss the solver gets V with an f that
-    returns those samples at their nodes, so V is not sampled twice.
-    """
-    nodes = (grid.nodes, grid.refined().nodes)
-    samples = tuple(np.asarray(V.f(x), dtype=float) for x in nodes)
-    entries = memo.setdefault((grid, k), [])
-    for held, report in entries:
-        if all(map(np.array_equal, held, samples)):
-            return report
-
-    def f(x):
-        for at, fx in zip(nodes, samples):
-            if np.array_equal(x, at):
-                return fx
-        return V.f(x)
-
-    report = spectral.solve_bound_states(dataclasses.replace(V, f=f), grid, k)
-    entries.append((samples, report))
-    return report
+# certify gates: a value above its bound, or NaN, fails the run
+_RICCATI_GATE = 1e-9  # relative to 1 + |R|
+_GRAM_GATE = 1e-8
+_ISOSPECTRAL_GATE = 1e-3
+_W0_GATE = 1e-9
 
 
-def _certify_cell(family, k, m, args, memo):
+def _gate(failures, what, value, bound):
+    """Append "what value" to failures unless value <= bound (NaN fails)."""
+    if not value <= bound:
+        failures.append(f"{what} {value:.3e}")
+
+
+def _extension(family, k, m):
+    """(Deformation, ExtensionPair) of branch k at hierarchy index m."""
+    d = deform.seed_polynomial(family, k, m)
+    return d, deform.extend(d)
+
+
+def _v_minus_spectrum(family, k, grid):
+    """The lowest four FD levels of branch k's V-, which no m changes."""
+    return spectral.solve_bound_states(partner_potentials(superpotential(family, k))[0], grid, 4)
+
+
+def _certify_cell(family, k, m, args, extension, v_minus_spectrum):
     """All invariant checks for one (branch, m); returns (record, failures).
 
-    memo holds the run's FD solves (see _solve).  Each gate is written
-    `not value <= tol`, so a NaN value fails it.
+    extension and v_minus_spectrum are the run's caches of _extension and
+    _v_minus_spectrum, without the family argument.
     """
     t0 = time.perf_counter()
     record = {"branch": k, "m": m}
     failures = []
+    cell = f"branch {k} m={m}:"
 
-    d = deform.seed_polynomial(family, k, m)
+    d, pair = extension(k, m)  # extend raises InternalInconsistencyError on violation
     grid = deform.certification_grid(family, 400, exclude=d.singular_points)
 
     rr = d.riccati_residual(grid)
     record["riccati_residual"] = rr
-    if not rr <= 1e-9 * (1.0 + abs(d.R)):
-        failures.append(f"branch {k} m={m}: riccati residual {rr:.3e}")
+    _gate(failures, f"{cell} riccati residual", rr, _RICCATI_GATE * (1.0 + abs(d.R)))
 
-    pair = deform.extend(d)  # raises InternalInconsistencyError on violation
     record["partner_shift_deviation"] = pair.partner_shift_deviation
     record["shift"] = d.R
 
@@ -212,8 +209,7 @@ def _certify_cell(family, k, m, args, memo):
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
         record["gram_quadrature_error"] = gerr
-        if not gmax <= 1e-8:
-            failures.append(f"branch {k} m={m}: gram off-diagonal {gmax:.3e}")
+        _gate(failures, f"{cell} gram off-diagonal", gmax, _GRAM_GATE)
         spec = eop.EOPSpec(series, 2, m, family)
         inside, outside = eop.zero_census(spec)
         record["zero_census_n2"] = {"inside": inside, "outside": outside}
@@ -228,16 +224,14 @@ def _certify_cell(family, k, m, args, memo):
     if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
         n = 3000 if args.grid_points is None else args.grid_points
         gridspec = spectral.default_grid(family, k=4, m=m, n_points=n)
-        w = superpotential(family, k)
-        v_minus, _ = partner_potentials(w)
-        shift, deviation = spectral._spectral_offset(
-            _solve(memo, pair.V_tilde_minus, gridspec, 4), _solve(memo, v_minus, gridspec, 4)
-        )
+        if m == 0 and d.process == 1:
+            # the identity deformation: V~- is V- bit for bit
+            tilde = v_minus_spectrum(k, gridspec)
+        else:
+            tilde = spectral.solve_bound_states(pair.V_tilde_minus, gridspec, 4)
+        shift, deviation = spectral._spectral_offset(tilde, v_minus_spectrum(k, gridspec))
         record["isospectrality"] = {"shift": shift, "deviation": deviation}
-        if not deviation <= 1e-3:
-            failures.append(
-                f"branch {k} m={m}: isospectral deviation {deviation:.3e}"
-            )
+        _gate(failures, f"{cell} isospectral deviation", deviation, _ISOSPECTRAL_GATE)
     else:
         record["isospectrality"] = "skipped: " + (
             "singular extension" if not reg.is_regular else
@@ -249,30 +243,32 @@ def _certify_cell(family, k, m, args, memo):
     return record, failures
 
 
-def _certify_w0(family, m):
-    """Consistency residuals of the explicit linking superpotential (RO)."""
+def _certify_w0(family, m, extension, failures):
+    """Consistency residuals of the explicit linking superpotential (RO),
+    which joins the extensions of branches 2 and 3; gate failures go to
+    failures."""
     W0 = deform.w0_explicit(family, m)
     c = deform.w0_partner_constant(family, m)
-    d2 = deform.seed_polynomial(family, 2, m)
-    d3 = deform.seed_polynomial(family, 3, m)
+    (d2, pair2), (d3, pair3) = extension(2, m), extension(3, m)
     grid = deform.certification_grid(
         family, 400, exclude=list(d2.singular_points) + list(d3.singular_points)
     )
-    v2 = deform.extend(d2).V_tilde_minus.f(grid)
-    v3 = deform.extend(d3).V_tilde_minus.f(grid)
+    v2 = pair2.V_tilde_minus.f(grid)
+    v3 = pair3.V_tilde_minus.f(grid)
     w0v, w0d = _value_and_slope(W0, grid)
     res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
     res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
     psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))
     gs = deform.w0_from_ground_state(psi0)
     res_gs = float(np.max(np.abs(w0v - gs.f(grid)) / (1.0 + np.abs(w0v))))
-    return {
-        "m": m,
-        "partner_constant": c,
+    residuals = {
         "minus_partner_residual": res_minus,
         "plus_partner_residual": res_plus,
         "ground_state_residual": res_gs,
     }
+    for key, value in residuals.items():
+        _gate(failures, f"w0 m={m}: {key} =", value, _W0_GATE)
+    return {"m": m, "partner_constant": c, **residuals}
 
 
 def cmd_certify(args):
@@ -284,11 +280,15 @@ def cmd_certify(args):
         "w0": [],
         "failures": [],
     }
-    memo = {}  # one per run, so separate runs in a process share no solve
+    # each input is built once per run: V- of a branch serves every m, and
+    # W0 reuses the extensions of branches 2 and 3
+    extension = functools.cache(functools.partial(_extension, family))
+    v_minus_spectrum = functools.cache(functools.partial(_v_minus_spectrum, family))
     for k in args.branches:
         for m in args.m:
             try:
-                record, failures = _certify_cell(family, k, m, args, memo)
+                record, failures = _certify_cell(
+                    family, k, m, args, extension, v_minus_spectrum)
             except ConfigurationError:
                 raise
             except IsoshiftError as exc:
@@ -301,16 +301,8 @@ def cmd_certify(args):
     # the linking superpotential W0 joins the L1 and L2 extensions
     if family.exceptional_series:
         for m in args.m:
-            if m == 0:
-                continue
-            w0rec = _certify_w0(family, m)
-            report["w0"].append(w0rec)
-            for key in ("minus_partner_residual", "plus_partner_residual",
-                        "ground_state_residual"):
-                if not w0rec[key] <= 1e-9:
-                    report["failures"].append(
-                        f"w0 m={m}: {key} = {w0rec[key]:.3e}"
-                    )
+            if m:
+                report["w0"].append(_certify_w0(family, m, extension, report["failures"]))
     report["status"] = "pass" if not report["failures"] else "fail"
     report = _finite(report)
     text = json.dumps(report, indent=2, default=_fmt, allow_nan=False)

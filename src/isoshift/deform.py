@@ -204,8 +204,11 @@ def certification_grid(family, n_points=400, exclude=()):
     """A uniform interior grid with a neighborhood of each excluded point removed.
 
     The neighborhoods are 3 % of the interval wide on each side.  Raises
-    SingularExtensionError when they cover every sample.
+    ConfigurationError unless n_points is a positive integer, and
+    SingularExtensionError when the neighborhoods cover every sample.
     """
+    if check_index(n_points, "n_points") < 1:
+        raise ConfigurationError(f"a certification grid needs at least one point, got {n_points}")
     lo, hi = Family.check(family).certification_interval()
     pts = np.linspace(lo, hi, n_points)
     if exclude:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import polyengine as pe
 from .catalog import Family, Function1D
-from .errors import ConfigurationError, SingularPotentialError
+from .errors import ConfigurationError, SingularPotentialError, check_index
 
 _log = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ class Grid:
     def __post_init__(self):
         if not (self.lo < self.hi):
             raise ConfigurationError(f"grid requires lo < hi, got ({self.lo}, {self.hi})")
-        if self.n_points < 64:
+        if check_index(self.n_points, "n_points") < 64:
             raise ConfigurationError(f"grid needs at least 64 points, got {self.n_points}")
 
     @property
@@ -298,7 +298,7 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     at full precision.  The fine grid keeps of each eigenvector only its
     decay flag.
     """
-    if not 1 <= k <= grid.n_points:
+    if not 1 <= check_index(k, "k") <= grid.n_points:
         raise ConfigurationError(
             f"need between 1 and {grid.n_points} states on this grid, got k={k}"
         )

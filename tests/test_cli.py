@@ -16,6 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoshift
+from isoshift.catalog import (
+    RadialOscillator,
+    TrigDPT,
+    partner_potentials,
+    superpotential,
+)
 from isoshift.cli import main
 
 
@@ -161,6 +167,18 @@ class TestExtend:
         assert not any(h.startswith("psi_") for h in header)
         sidecar = json.loads((out / "extend_radial_oscillator_b1_m1.json").read_text())
         assert sidecar["singular_points"]
+
+    def test_each_sidecar_holds_its_own_warnings(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main([
+            "extend", "--omega", "1", "--ell", "0.2", "--branch", "1",
+            "--m", "1", "2", "3", "--nmax", "1", "--grid-points", "60", "--out", str(out),
+        ]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[1] for line in lines] == ["m=1:", "m=2:", "m=3:"]
+        for m, line in zip((1, 2, 3), lines):
+            sidecar = json.loads((out / f"extend_radial_oscillator_b1_m{m}.json").read_text())
+            assert sidecar["warnings"] == [line.removeprefix("warning: ")]
 
 
 class TestInterpolate:
@@ -341,8 +359,42 @@ class TestCertify:
         assert all("error" not in cells[key] for key in [(1, 3), (1, 4), (2, 3)])
         assert len(report["failures"]) == 1
 
-    @pytest.mark.parametrize("family, distinct", [("trig_dpt", 4), ("radial_oscillator", 11)])
-    def test_identical_fd_solves_run_once(self, monkeypatch, capsys, family, distinct):
+    @pytest.mark.parametrize("argv, solves, extensions", [
+        # 9 cells; 6 solve two spectra, and V- of a branch once for all m
+        (["certify", "--family", "radial_oscillator"], 11, 9),
+        # branch 1 solves V- once for all m; at A = B the m = 1 seeds of
+        # branches 2 and 3 are constant, and their V~- is solved too
+        (["certify", "--family", "trig_dpt"], 6, 9),
+        # W0 reuses branch 2's extension and builds branch 3's
+        (["certify", "--branches", "2", "--m", "1"], 2, 2),
+    ], ids=["radial_oscillator", "trig_dpt", "branch-2-m-1"])
+    def test_each_input_is_built_once(self, monkeypatch, capsys, argv, solves, extensions):
+        from isoshift import deform, spectral
+
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def counting(*args):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+
+        spy(spectral, "solve_bound_states")
+        spy(deform, "seed_polynomial")
+        spy(deform, "extend")
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls.count("solve_bound_states") == solves
+        assert calls.count("seed_polynomial") == calls.count("extend") == extensions
+
+    @pytest.mark.parametrize("family", ["radial_oscillator", "trig_dpt"])
+    def test_run_caches_change_no_byte(self, monkeypatch, capsys, family):
+        import functools
+        import types
+
         from isoshift import cli, spectral
 
         solves = []
@@ -359,64 +411,36 @@ class TestCertify:
             return len(solves), re.sub(r'"wall_time_s": [^,\n]*', "", capsys.readouterr().out)
 
         monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
-        memoized = run()
-        monkeypatch.setattr(cli, "_solve", lambda memo, V, grid, k: counting_solve(V, grid, k))
-        assert memoized == (distinct, run()[1])
-        # 9 cells, of which 6 solve two spectra
-        assert run()[0] == 12
+        cached = run()
+        monkeypatch.setattr(cli, "functools", types.SimpleNamespace(
+            cache=lambda f: f, partial=functools.partial))
+        uncached = run()
+        assert uncached[1] == cached[1]
+        assert uncached[0] > cached[0]
 
-    def test_fd_solve_samples_the_potential_once(self):
-        from isoshift import cli, spectral
-        from isoshift.catalog import Function1D
+    @pytest.mark.parametrize("family", [
+        RadialOscillator(1.0, 1.0), RadialOscillator(0.7, 2.5),
+        TrigDPT(1.0, 1.0), TrigDPT(1.5, 3.0),
+    ], ids=repr)
+    def test_identity_deformation_leaves_v_minus_unchanged(self, family):
+        # certify reuses V-'s spectrum for V~- at m = 0 on first-process
+        # branches; there the two potentials agree bit for bit
+        from isoshift import deform, spectral
 
-        sizes = []
-
-        def f(x):
-            sizes.append(np.size(x))
-            return 0.5 * np.asarray(x) ** 2
-
-        V = Function1D(f=f, df=lambda x: np.asarray(x), domain=(-8.0, 8.0))
-        grid = spectral.Grid(-8.0, 8.0, 200)
-        memo = {}
-        report = cli._solve(memo, V, grid, 3)
-        # the key's samples on both grids feed the solver too; only its
-        # 256-point seed grid, which picks start shifts, is sampled anew
-        assert sizes == [200, 401, 256]
-        assert cli._solve(memo, V, grid, 3) is report
-        assert sizes == [200, 401, 256, 200, 401]
-        assert report == spectral.solve_bound_states(V, grid, 3)
-
-    @pytest.mark.parametrize("refined", [False, True])
-    def test_fd_solve_memo_misses_a_one_ulp_change(self, monkeypatch, refined):
-        from isoshift import cli, spectral
-        from isoshift.catalog import Function1D
-
-        grid = spectral.Grid(-8.0, 8.0, 200)
-        # the refined grid's even nodes are not nodes of the coarse grid
-        moved = grid.refined().nodes[58] if refined else grid.nodes[57]
-
-        def potential(ulp):
-            def f(x):
-                v = 0.5 * np.asarray(x) ** 2
-                return np.where(x == moved, np.nextafter(v, np.inf), v) if ulp else v
-            return Function1D(f=f, df=lambda x: np.asarray(x), domain=(-8.0, 8.0))
-
-        solves = []
-        real_solve = spectral.solve_bound_states
-
-        def counting_solve(*args):
-            solves.append(args)
-            return real_solve(*args)
-
-        monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
-        memo = {}
-        report = cli._solve(memo, potential(False), grid, 3)
-        cli._solve(memo, potential(True), grid, 3)
-        assert len(solves) == 2
-        # both entries stay: each input hits its own
-        assert cli._solve(memo, potential(False), grid, 3) is report
-        cli._solve(memo, potential(True), grid, 3)
-        assert len(solves) == 2
+        coarse = spectral.default_grid(family, k=4, m=0, n_points=3000)
+        first_process = []
+        for k in (1, 2, 3, 4):
+            d = deform.seed_polynomial(family, k, 0)
+            v_minus = partner_potentials(superpotential(family, k))[0]
+            for grid in (coarse, coarse.refined()):
+                same = np.array_equal(deform.extend(d).V_tilde_minus.f(grid.nodes),
+                                      v_minus.f(grid.nodes))
+                # the second process reverses the sign of w, so V~- is V+
+                assert same == (d.process == 1)
+            if d.process == 1:
+                first_process.append(k)
+        assert first_process == ([1, 2, 4] if isinstance(family, RadialOscillator)
+                                 else [1, 2, 3, 4])
 
     def test_default_radial_report_has_no_finding(self, capsys):
         # branch 1, m = 1 has its seed zero at r = sqrt(3), and the

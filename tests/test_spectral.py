@@ -20,7 +20,7 @@ from isoshift.catalog import (
     potential,
     superpotential,
 )
-from isoshift.deform import extend, seed_polynomial
+from isoshift.deform import certification_grid, extend, seed_polynomial
 from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
 import isoshift
 from isoshift import spectral
@@ -88,6 +88,24 @@ class TestGrid:
         assert fine.n_points == 201
         # coarse nodes are a subset of fine nodes
         assert np.allclose(fine.nodes[1::2], g.nodes)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Grid(0.0, 1.0, 300.0), id="grid-float-points"),
+    pytest.param(lambda: solve_bound_states(_const_fn(0.0), Grid(0.0, 1.0, 100), k=2.5),
+                 id="float-k"),
+    pytest.param(lambda: solve_bound_states(_const_fn(0.0), Grid(0.0, 1.0, 100), k=True),
+                 id="bool-k"),
+    pytest.param(lambda: certification_grid(RadialOscillator(1.0, 1.0), 400.0),
+                 id="certification-float-points"),
+    pytest.param(lambda: certification_grid(RadialOscillator(1.0, 1.0), -3),
+                 id="certification-negative-points"),
+    pytest.param(lambda: certification_grid(TrigDPT(1.0, 1.0), 0),
+                 id="certification-no-points"),
+])
+def test_sizes_and_counts_are_checked_integers(call):
+    with pytest.raises(ConfigurationError):
+        call()
 
 
 class TestSolver:
