@@ -115,7 +115,8 @@ class Family:
     seed of branch (a, b): `seed(a, b, m)` -> (spec, arg sign s, R),
     `seed_jet(spec, s, x, order)` -> (u, u', ...), `seed_zeros(spec, s)` and
     the closed-form `seed_zero_prediction` (or None), the intervals
-    `certification_interval()`, `solver_interval(k, m)` and
+    `certification_interval()`, `solver_interval(k, m)` with the node count
+    `solver_points(k, m)` of certify's FD grid on it, and
     `sample_interval(rmax)`, and `exceptional_series`: branch -> series.
     """
 
@@ -241,8 +242,18 @@ class RadialOscillator(Family):
         return 0.1 * scale, 12.0 * scale
 
     def solver_interval(self, k, m):
+        # Level k - 1 of V~- lies at most omega (2k + 2m + ell + 1/2) above
+        # V-'s constant (ell_eff <= ell + 1, R = 2 m omega), so rho = r / s
+        # has its turning point below rho^2 = 4 (2k + 2m + ell + 1/2); the
+        # +200 puts the wall e^-50 into the Gaussian tail exp(-rho^2 / 4)
         s = 1.0 / math.sqrt(self.omega)
-        return 1e-4 * s, 16.0 * s * (1.0 + math.sqrt(k + m))
+        return 1e-4 * s, s * math.sqrt(4.0 * (2 * k + 2 * m + self.ell + 0.5) + 200.0)
+
+    def solver_points(self, k, m):
+        # nodes at most 48 s / 3001 apart, the spacing of 3000 nodes on
+        # (0, 48 s), at every k and m
+        lo, hi = self.solver_interval(k, m)
+        return math.ceil((hi - lo) * math.sqrt(self.omega) * 3001.0 / 48.0) - 1
 
     def sample_interval(self, rmax=None):
         if rmax is None:
@@ -340,6 +351,9 @@ class TrigDPT(Family):
 
     def solver_interval(self, k, m):
         return 1e-6, math.pi / 2.0 - 1e-6
+
+    def solver_points(self, k, m):
+        return 3000
 
     def sample_interval(self, rmax=None):
         return 0.01, np.pi / 2.0 - 0.01

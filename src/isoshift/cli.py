@@ -222,9 +222,8 @@ def _certify_cell(family, k, m, args, extension, v_minus_spectrum):
         )
 
     if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
-        n = 3000 if args.grid_points is None else args.grid_points
-        gridspec = spectral.default_grid(family, k=4, m=m, n_points=n)
-        if m == 0 and d.process == 1:
+        gridspec = spectral.default_grid(family, k=4, m=m, n_points=args.grid_points)
+        if d.seed.is_constant and d.process == 1:
             # the identity deformation: V~- is V- bit for bit
             tilde = v_minus_spectrum(k, gridspec)
         else:

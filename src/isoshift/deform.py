@@ -177,11 +177,13 @@ def seed_polynomial(family, branch, m) -> Deformation:
     seed, s, R = family.seed(a, b, m)
     singular = family.seed_zeros(seed, s)
 
-    if m == 0:
+    if seed.is_constant:
+        # u' = 0 (m = 0, or a DPT seed at m + nu + mu + 1 = 0): phi = 0, w~ = w0
         phi_jet = lambda x, order=1: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
-        R = 0.0
     else:
         phi_jet = _log_derivative_jet(partial(family.seed_jet, seed, s))
+    if m == 0:
+        R = 0.0
     # phi and w~ take value and slope from one order-2 seed jet
     phi = _jet_function(phi_jet, w0.domain, tuple(singular))
     w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, tuple(singular))

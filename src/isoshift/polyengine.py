@@ -74,6 +74,12 @@ class LaguerreSpec:
     def degree(self):
         return self.n
 
+    @property
+    def is_constant(self):
+        """Whether L_n^alpha is constant: n = 0 (its leading coefficient
+        (-1)^n / n! never vanishes)."""
+        return self.n == 0
+
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -94,6 +100,13 @@ class JacobiSpec:
     @property
     def degree(self):
         return self.N
+
+    @property
+    def is_constant(self):
+        """Whether P_N^(nu,mu) is constant: N = 0, or N + nu + mu + 1 = 0 in
+        floating point, where jacobi_deriv's factor (N + nu + mu + 1)/2 is
+        exactly zero."""
+        return self.N == 0 or self.N + self.nu + self.mu + 1.0 == 0.0
 
 
 @dataclass

@@ -11,8 +11,10 @@ Each level starts from the grid below's eigenvector, linear between its
 nodes and zero at the walls, and on the fine grid from the h^2 prediction
 of its eigenvalue, so most levels need one or two linear solves.  RQI runs
 in place in five rows allocated once per grid, and the fine grid reduces
-each eigenvector to its boundary-decay flag, so a solve at n = 3000 peaks
-below 0.8 MB and repeated solves fault in almost no pages.  On both grids a
+each eigenvector to its boundary-decay flag, so a solve at n = 3000 (the
+DPT certify grid; the radial-oscillator certify grids, at the same spacing
+as 3000 nodes on (0, 48 / sqrt(omega)), hold about 1000) peaks below 0.8 MB
+and repeated solves fault in almost no pages.  On both grids a
 residual bound and one Sturm count certify that the iteration found the
 lowest eigenpairs; where that certificate fails, the grid goes back to
 full-precision bisection with inverse-iteration vectors, and the
@@ -111,8 +113,22 @@ class RegularityReport:
 
 
 def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
-    """Solver grid sized so the k-th state's turning point is well inside."""
-    return Grid(*Family.check(family).solver_interval(k, m), n_points)
+    """Solver grid on the family's solver_interval(k, m), which holds the
+    lowest k states of the rank-m extensions with their tails.
+
+    n_points interior nodes; None gives certify's default,
+    family.solver_points(k, m): on the radial oscillator, nodes 48 / 3001
+    apart in units of 1 / sqrt(omega), whose interval ends where the k-th
+    state has decayed by e^-50; on DPT, 3000 nodes.  k (>= 1) and m are
+    checked integers (errors.check_index).
+    """
+    family = Family.check(family)
+    if check_index(k, "k") < 1:
+        raise ConfigurationError(f"k must be at least 1, got {k}")
+    check_index(m, "hierarchy index m")
+    if n_points is None:
+        n_points = family.solver_points(k, m)
+    return Grid(*family.solver_interval(k, m), n_points)
 
 
 def _fd_hamiltonian(V: Function1D, grid: Grid):

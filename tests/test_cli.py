@@ -363,8 +363,8 @@ class TestCertify:
         # 9 cells; 6 solve two spectra, and V- of a branch once for all m
         (["certify", "--family", "radial_oscillator"], 11, 9),
         # branch 1 solves V- once for all m; at A = B the m = 1 seeds of
-        # branches 2 and 3 are constant, and their V~- is solved too
-        (["certify", "--family", "trig_dpt"], 6, 9),
+        # branches 2 and 3 are constant, so their V~- is V- and not solved
+        (["certify", "--family", "trig_dpt"], 4, 9),
         # W0 reuses branch 2's extension and builds branch 3's
         (["certify", "--branches", "2", "--m", "1"], 2, 2),
     ], ids=["radial_oscillator", "trig_dpt", "branch-2-m-1"])
@@ -389,6 +389,31 @@ class TestCertify:
         capsys.readouterr()
         assert calls.count("solve_bound_states") == solves
         assert calls.count("seed_polynomial") == calls.count("extend") == extensions
+
+    def test_default_solver_grids(self, monkeypatch, capsys):
+        # radial oscillator: nodes at most 48 s / 3001 apart (s = 1/sqrt(omega)),
+        # the spacing of 3000 nodes on (0, 48 s), at every m; DPT: 3000 nodes
+        from isoshift import spectral
+
+        grids = []
+        real_solve = spectral.solve_bound_states
+
+        def recording_solve(V, grid, k):
+            grids.append(grid)
+            return real_solve(V, grid, k)
+
+        monkeypatch.setattr(spectral, "solve_bound_states", recording_solve)
+        omega = 0.7
+        assert main(["certify", "--omega", str(omega), "--ell", "2.5", "--branches", "2",
+                     "--m", "0", "1", "3", "6", "12", "--skip-gram"]) == 0
+        assert len({g.hi for g in grids}) == 5
+        # to rounding: 3001 (hi - lo) / (48 s) may be a whole number
+        assert all(g.spacing <= 48.0 / 3001.0 / np.sqrt(omega) * (1.0 + 1e-12) for g in grids)
+        grids.clear()
+        assert main(["certify", "--family", "trig_dpt", "--A", "1.5", "--B", "3",
+                     "--branches", "2", "3", "--m", "0", "1"]) == 0
+        capsys.readouterr()
+        assert set(grids) == {spectral.Grid(1e-6, np.pi / 2.0 - 1e-6, 3000)}
 
     @pytest.mark.parametrize("family", ["radial_oscillator", "trig_dpt"])
     def test_run_caches_change_no_byte(self, monkeypatch, capsys, family):
@@ -423,24 +448,31 @@ class TestCertify:
         TrigDPT(1.0, 1.0), TrigDPT(1.5, 3.0),
     ], ids=repr)
     def test_identity_deformation_leaves_v_minus_unchanged(self, family):
-        # certify reuses V-'s spectrum for V~- at m = 0 on first-process
-        # branches; there the two potentials agree bit for bit
+        # certify reuses V-'s spectrum for V~- where the seed is constant
+        # on a first-process branch: at m = 0, and at A = B on DPT branches
+        # 2 and 3 at m = 1, where m + nu + mu + 1 = 0.  There the two
+        # potentials agree bit for bit
         from isoshift import deform, spectral
 
-        coarse = spectral.default_grid(family, k=4, m=0, n_points=3000)
+        symmetric = isinstance(family, TrigDPT) and family.A == family.B
         first_process = []
-        for k in (1, 2, 3, 4):
-            d = deform.seed_polynomial(family, k, 0)
+        for k, m in [(k, m) for m in (0, 1) for k in (1, 2, 3, 4)]:
+            d = deform.seed_polynomial(family, k, m)
+            assert d.seed.is_constant == (m == 0 or (symmetric and k in (2, 3)))
+            if not d.seed.is_constant:
+                continue
             v_minus = partner_potentials(superpotential(family, k))[0]
+            coarse = spectral.default_grid(family, k=4, m=m, n_points=None)
             for grid in (coarse, coarse.refined()):
                 same = np.array_equal(deform.extend(d).V_tilde_minus.f(grid.nodes),
                                       v_minus.f(grid.nodes))
                 # the second process reverses the sign of w, so V~- is V+
                 assert same == (d.process == 1)
             if d.process == 1:
-                first_process.append(k)
-        assert first_process == ([1, 2, 4] if isinstance(family, RadialOscillator)
-                                 else [1, 2, 3, 4])
+                first_process.append((k, m))
+        assert first_process == (
+            [(1, 0), (2, 0), (4, 0)] if isinstance(family, RadialOscillator) else
+            [(1, 0), (2, 0), (3, 0), (4, 0)] + [(2, 1), (3, 1)] * symmetric)
 
     def test_default_radial_report_has_no_finding(self, capsys):
         # branch 1, m = 1 has its seed zero at r = sqrt(3), and the

@@ -108,6 +108,42 @@ def test_sizes_and_counts_are_checked_integers(call):
         call()
 
 
+@pytest.mark.parametrize("fam", [RadialOscillator(1.0, 1.0), TrigDPT(1.0, 1.0)], ids=repr)
+@pytest.mark.parametrize("k, m", [
+    (4, -5), (-9, 0), (0, 0), (2.5, 0), (True, 0), (4, 1.5), (4, True), (4, 2.0),
+])
+def test_default_grid_checks_its_indices(fam, k, m):
+    # m = -5 and k = -9 raised a bare ValueError (math domain error) on the
+    # radial oscillator; floats and bools passed silently on both families
+    for n_points in (3000, None):
+        with pytest.raises(ConfigurationError):
+            default_grid(fam, k=k, m=m, n_points=n_points)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("m", [0, 2, 6, 12])
+@pytest.mark.parametrize("ell", [0.0, 0.5, 5.0, 20.0])
+def test_cut_radial_interval_keeps_the_levels(ell, m, k):
+    # the radial solver interval ends at s sqrt(4 (2k + 2m + ell + 1/2) + 200),
+    # s = 1/sqrt(omega), where the k-th level has decayed by e^-50; on the
+    # same nodes out to 16 s (1 + sqrt(k + m)), 3-5 times as far, the levels
+    # are the same.  V~- where the extension is regular, V- otherwise
+    fam = RadialOscillator(2.0, ell)
+    cut = default_grid(fam, k=k, m=m, n_points=None)
+    h = cut.spacing
+    n_long = math.ceil((16.0 * (1.0 + math.sqrt(k + m)) / math.sqrt(fam.omega) - cut.lo) / h)
+    long = Grid(cut.lo, cut.lo + n_long * h, n_long - 1)
+    for branch in (1, 2, 3, 4):
+        d = seed_polynomial(fam, branch, m)
+        V = (partner_potentials(superpotential(fam, branch))[0] if d.singular_points
+             else extend(d).V_tilde_minus)
+        rep = solve_bound_states(V, cut, k)
+        assert all(rep.boundary_decay_ok)
+        levels = np.array(rep.eigenvalues)
+        reference = np.array(solve_bound_states(V, long, k).eigenvalues)
+        assert np.max(np.abs(levels - reference) / np.maximum(1.0, np.abs(reference))) <= 1e-11
+
+
 class TestSolver:
     def test_harmonic_oscillator_line(self):
         rep = solve_bound_states(_harmonic_line(), Grid(-12.0, 12.0, 3000), k=5)
@@ -276,12 +312,13 @@ _FINE_GRID_CASES = [
 
 
 class TestFineGridRayleighQuotient:
-    def _fine_problem(self, fam, k=4):
-        """The certify grid's fine Hamiltonian for V- of branch 1, the coarse
-        eigenvalues as guesses, and a function of a level slice giving their
-        start vectors, the coarse eigenvectors interpolated."""
+    def _fine_problem(self, fam, k=4, n_points=None):
+        """The fine Hamiltonian for V- of branch 1 on the certify grid (the
+        family's default, or n_points nodes), the coarse eigenvalues as
+        guesses, and a function of a level slice giving their start vectors,
+        the coarse eigenvectors interpolated."""
         V = _partner_vminus(fam)
-        grid = default_grid(fam, k=k, n_points=3000)
+        grid = default_grid(fam, k=k, n_points=n_points)
         fine = grid.refined()
         coarse, vecs = _stebz(V, grid, k)
 
@@ -299,6 +336,24 @@ class TestFineGridRayleighQuotient:
         norm_t = 4.0 * abs(off[0]) + np.max(np.abs(v))
         assert np.max(np.abs(vals - ref[:4])) <= 8.0 * np.finfo(float).eps * norm_t
         assert np.allclose(vecs.T @ vecs, np.eye(4), atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1000, 3000, 9000])
+    @pytest.mark.parametrize("fam", _FINE_GRID_CASES, ids=repr)
+    def test_orthogonality_within_the_davis_kahan_bound(self, fam, n):
+        # RQI vectors are orthogonal only as far as r_j / gap_j allows (the
+        # Davis-Kahan sin theta theorem): a fixed 1e-10 fails at n = 3000
+        # for RO (2, 1), 2.3e-10, and at n = 1000 for DPT (2.5, 0.7), 3.0e-10
+        _, _, diag, off, v, coarse, starts = self._fine_problem(fam, n_points=n)
+        vals, vecs = spectral._certified_rqi(diag, off, v, coarse, starts())
+        tx = diag[:, None] * vecs
+        tx[:-1] += off[:, None] * vecs[1:]
+        tx[1:] += off[:, None] * vecs[:-1]
+        residuals = np.linalg.norm(tx - vecs * vals, axis=0)
+        m, ref, *_ = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 5, 1e-300, "E")
+        assert m == 5
+        gaps = [np.min(np.abs(np.delete(ref[:5], j) - ref[j])) for j in range(4)]
+        orthogonality = np.max(np.abs(vecs.T @ vecs - np.eye(4)))
+        assert orthogonality <= 2.0 * np.max(residuals / gaps)
 
     @pytest.mark.parametrize("fam", _FINE_GRID_CASES, ids=repr)
     def test_decay_flags_without_vectors(self, fam):
