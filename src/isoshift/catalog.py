@@ -38,6 +38,10 @@ __all__ = [
     "si_pair_check",
 ]
 
+# a quantity within this many float spacings of an integer is that integer:
+# the terms it is computed from carry no more digits
+_SNAP_ULPS = 8
+
 
 @dataclass(frozen=True)
 class Function1D:
@@ -49,11 +53,12 @@ class Function1D:
     is not finite.  `jet`, when present, maps x to the rows the function
     carries, (f(x), df(x), d2f(x)), or (f(x), df(x)) when d2f is None,
     computed in one evaluation; `jet(x, order)` returns only the first
-    order + 1 rows and evaluates no further.  Callers that need several rows
-    use it instead of calling f, df and d2f one by one.  The package's jets,
-    and the f, df and d2f taken from them, evaluate a 1-D x longer than
+    order + 1 rows and evaluates no further.  Callers read rows through
+    _rows, which prefers the jet to f, df and d2f.  The package's jets, and
+    the f, df and d2f taken from them, evaluate a 1-D x longer than
     polyengine._BLOCK points one block at a time (see _blockwise), bitwise
-    as in one pass.
+    as in one pass; deform.extend_general_R's w~ to rounding only, as its
+    series runs as far as the largest point of each block needs.
     """
 
     f: Callable
@@ -92,6 +97,25 @@ def _blockwise(fn):
         return tuple(out)
 
     return run
+
+
+def _rows(fn, x, order):
+    """(f, f', f'')(x) of a Function1D up to `order` (at most 2).
+
+    From one evaluation of fn.jet when fn carries those rows (a jet, and a
+    d2f for order 2); otherwise from fn.f, fn.df and fn.d2f, with f'' taken
+    from 5-point differences of fn.df when fn.d2f is None.
+    """
+    if fn.jet is not None and (order < 2 or fn.d2f is not None):
+        return fn.jet(x, order)
+
+    def d2f(x):
+        x = np.asarray(x, dtype=float)
+        h = 1e-4 * np.maximum(1.0, np.abs(x))
+        d = fn.df
+        return (-d(x + 2 * h) + 8.0 * d(x + h) - 8.0 * d(x - h) + d(x - 2 * h)) / (12.0 * h)
+
+    return tuple(g(x) for g in (fn.f, fn.df, fn.d2f or d2f)[: order + 1])
 
 
 def _chain(P, y1, y2):
@@ -266,7 +290,10 @@ class TrigDPT(Family):
     """Trigonometric DPT family: V(x) = A(A+1)csc^2 x + B(B+1)sec^2 x.
 
     Branch w = a cot x - b tan x.  The seed of branch (a, b) is
-    P_m^(a-1/2, b-1/2)(cos 2x) with R = -4 m (m + a + b).
+    P_m^(a-1/2, b-1/2)(cos 2x) with R = -4 m (m + a + b).  Where
+    m + a + b is 0 (to _SNAP_ULPS spacings of its terms), every term of
+    P_m's series in (1 - y)/2 past the constant vanishes (DLMF 18.5.8), so
+    the seed is the degree-0 one.
     """
 
     A: float
@@ -332,7 +359,9 @@ class TrigDPT(Family):
         return TrigDPT(self.A + 1.0, self.B + 1.0)
 
     def seed(self, a, b, m):
-        return pe.JacobiSpec(int(m), a - 0.5, b - 0.5), 1, -4.0 * m * (m + a + b)
+        constant = abs(m + a + b) <= _SNAP_ULPS * np.spacing(m + abs(a) + abs(b))
+        spec = pe.JacobiSpec(0 if constant else int(m), a - 0.5, b - 0.5)
+        return spec, 1, -4.0 * m * (m + a + b)
 
     def seed_jet(self, spec, s, x, order):
         x = np.asarray(x, dtype=float)
@@ -399,17 +428,10 @@ def superpotential(family, branch) -> Function1D:
     return Family.check(family).superpotential(branch.a, branch.b)
 
 
-def _value_and_slope(w: Function1D, x):
-    """(w(x), w'(x)), from one evaluation of w.jet when w carries one."""
-    if w.jet is not None:
-        return w.jet(x, 1)
-    return w.f(x), w.df(x)
-
-
 def partner_potentials(w: Function1D):
     """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'); their f takes w and w'
-    from one evaluation of w.jet when w carries one, block by block (see
-    _blockwise)."""
+    from _rows, so from one evaluation of w.jet when w carries one, block by
+    block (see _blockwise)."""
     if w.df is None:
         raise ConfigurationError("superpotential must carry an analytic derivative")
     has_d2 = w.d2f is not None
@@ -417,14 +439,15 @@ def partner_potentials(w: Function1D):
     def make(sign):
         @_blockwise
         def value(x):
-            v, dv = _value_and_slope(w, x)
+            v, dv = _rows(w, x, 1)
             return (v**2 + sign * dv,)
 
         def f(x):
             return value(x)[0]
 
         def df(x):
-            return 2.0 * w.f(x) * w.df(x) + sign * w.d2f(x)
+            v, dv, d2v = _rows(w, x, 2)
+            return 2.0 * v * dv + sign * d2v
 
         return Function1D(
             f=f,

@@ -29,7 +29,7 @@ from . import deform, eop, spectral
 from .catalog import (
     FAMILIES,
     RadialOscillator,
-    _value_and_slope,
+    _rows,
     branches,
     get_branch,
     partner_potentials,
@@ -223,7 +223,7 @@ def _certify_cell(family, k, m, args, extension, v_minus_spectrum):
 
     if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
         gridspec = spectral.default_grid(family, k=4, m=m, n_points=args.grid_points)
-        if d.seed.is_constant and d.process == 1:
+        if d.seed.degree == 0 and d.process == 1:
             # the identity deformation: V~- is V- bit for bit
             tilde = v_minus_spectrum(k, gridspec)
         else:
@@ -254,7 +254,7 @@ def _certify_w0(family, m, extension, failures):
     )
     v2 = pair2.V_tilde_minus.f(grid)
     v3 = pair3.V_tilde_minus.f(grid)
-    w0v, w0d = _value_and_slope(W0, grid)
+    w0v, w0d = _rows(W0, grid, 1)
     res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
     res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
     psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))
@@ -307,7 +307,7 @@ def cmd_certify(args):
     text = json.dumps(report, indent=2, default=_fmt, allow_nan=False)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _write_json(Path(args.out) / "certify.json", report)
+        (Path(args.out) / "certify.json").write_text(text + "\n", encoding="utf-8", newline="\n")
     print(text)
     if report["failures"]:
         print(f"FAILED: {report['failures'][0]}", file=sys.stderr)

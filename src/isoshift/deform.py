@@ -17,10 +17,12 @@ the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
 All DPT branches deform directly with a Jacobi seed in cos 2x.
 
 phi, w_tilde = w0 + phi and w0_explicit's W0 carry a jet (value, slope)
-taken from one order-2 jet of each seed, so the partner potentials V~-/+,
-the Riccati residual and W0 with W0' evaluate each seed once per call.
+taken from one order-2 jet of each seed, and extend_general_R's w~ one from
+a single Kummer sum, so the partner potentials V~-/+, the Riccati residual
+and W0 with W0' evaluate each seed once per call.
 Those jets, and V~-/+, evaluate a 1-D x longer than polyengine._BLOCK points
-block by block (catalog._blockwise), bitwise as in one pass.
+block by block (catalog._blockwise), bitwise as in one pass but for the
+Kummer sum's (see catalog.Function1D).
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ import numpy as np
 
 from . import polyengine as pe
 from .catalog import (
+    _SNAP_ULPS,
     Branch,
     Family,
     Function1D,
     RadialOscillator,
     _blockwise,
+    _rows,
     get_branch,
     partner_potentials,
     superpotential,
@@ -177,13 +181,13 @@ def seed_polynomial(family, branch, m) -> Deformation:
     seed, s, R = family.seed(a, b, m)
     singular = family.seed_zeros(seed, s)
 
-    if seed.is_constant:
-        # u' = 0 (m = 0, or a DPT seed at m + nu + mu + 1 = 0): phi = 0, w~ = w0
+    if seed.degree == 0:
+        # u' = 0 (m = 0, or a DPT seed at m + a + b = 0): phi = 0, w~ = w0,
+        # and the Riccati identity leaves R = 0
         phi_jet = lambda x, order=1: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
+        R = 0.0
     else:
         phi_jet = _log_derivative_jet(partial(family.seed_jet, seed, s))
-    if m == 0:
-        R = 0.0
     # phi and w~ take value and slope from one order-2 seed jet
     phi = _jet_function(phi_jet, w0.domain, tuple(singular))
     w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, tuple(singular))
@@ -291,7 +295,8 @@ def w0_partner_constant(family: RadialOscillator, m: int) -> float:
 
 
 def w0_from_ground_state(psi0: Function1D) -> Function1D:
-    """-psi0'/psi0 via the analytic derivative carried by psi0.
+    """-psi0'/psi0 via the analytic derivative carried by psi0, both from
+    one evaluation of psi0.jet when psi0 carries one (catalog._rows).
 
     psi0 must be strictly positive on the interior; the first sign change
     among 400 samples raises SingularExtensionError with the refined root in
@@ -310,14 +315,10 @@ def w0_from_ground_state(psi0: Function1D) -> Function1D:
         )
 
     def f(x):
-        return -psi0.df(x) / psi0.f(x)
+        p, dp = _rows(psi0, x, 1)
+        return -dp / p
 
     return Function1D(f=f, df=None, domain=psi0.domain)
-
-
-# an alpha within this many float spacings of a nonpositive integer -j is
-# -j: the terms it is computed from, R / 2b and a + 1/2, carry no more digits
-_SNAP_ULPS = 8
 
 
 def _kummer_series(alpha, gamma, lam, y):
@@ -359,8 +360,10 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     y = b r^2 / 2 (Kummer's transformation, DLMF 13.2.39), for b < 0 as
     M(-R/2b, a + 1/2, y) at y = -b r^2 / 2: either way at a positive
     argument, where only the terms before k = -alpha change sign.  Then
-    w~ = w0 + u'/u, with phi' = (u'/u)' from the Riccati identity.  Sign
-    changes of M on (0, r_max) are the singular points of the returned pair.
+    w~ = w0 + u'/u carries a jet whose slope takes phi' = (u'/u)' from the
+    Riccati identity, so V~-/+ sum the series once per call, block by block.
+    Sign changes of M on (0, r_max) are the singular points of the returned
+    pair.
     """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("extend_general_R is defined for the radial oscillator only")
@@ -383,6 +386,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     q = R / (2.0 * b)
     lam = 1 if b > 0 else 0
     alpha = gamma + q if lam else -q
+    # the terms of alpha are R / 2b and a + 1/2
     j = max(round(-alpha), 0)
     if abs(alpha + j) <= _SNAP_ULPS * np.spacing(abs(gamma) + abs(q)):
         alpha = -float(j)
@@ -390,20 +394,17 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     def seed(r):
         return _kummer_series(alpha, gamma, lam, 0.5 * abs(b) * np.asarray(r, dtype=float) ** 2)
 
-    def phi(r):
+    def phi_jet(r, order=1):
         r = np.asarray(r, dtype=float)
         M, dM = seed(r)
-        out = abs(b) * r * dM / M  # dy/dr (M' - lam M) / M
-        return out if out.ndim else float(out)
-
-    def w_df(r):
-        p = phi(r)
-        return w0.df(r) + (R - 2.0 * w0.f(r) * p - p * p)
+        p = abs(b) * r * dM / M  # dy/dr (M' - lam M) / M
+        if not order:
+            return (p,)
+        return p, R - 2.0 * w0.f(r) * p - p * p
 
     scan = np.linspace(0.0, r_max, 4001)[1:]
     singular = pe.sign_change_zeros(lambda r: seed(r)[0], scan, seed(scan)[0], 0.0, 0.0).crossings
-    w_tilde = Function1D(f=lambda r: w0.f(r) + phi(r), df=w_df, domain=(0.0, r_max),
-                         singular_points=tuple(singular))
+    w_tilde = _jet_function(_plus_jet(w0, phi_jet), (0.0, r_max), tuple(singular))
     Vm, Vp = partner_potentials(w_tilde)
     return ExtensionPair(V_tilde_minus=Vm, V_tilde_plus=Vp, shift=float(R),
                          singular_points=list(singular), w_tilde=w_tilde)

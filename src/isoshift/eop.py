@@ -51,7 +51,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator, _blockwise, _chain
+from .catalog import Function1D, RadialOscillator, _blockwise, _chain, _rows
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -363,18 +363,18 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
-    """Apply the first-order intertwiner (-d/dr + w~) to a partner state."""
+    """Apply the first-order intertwiner (-d/dr + w~) to a partner state;
+    each call reads the rows of psi_plus and w~ once (catalog._rows)."""
     has_d2 = psi_plus.d2f is not None and w_tilde.df is not None
 
     def f(r):
-        return -psi_plus.df(r) + w_tilde.f(r) * psi_plus.f(r)
+        p, dp = _rows(psi_plus, r, 1)
+        return -dp + w_tilde.f(r) * p
 
     def df(r):
-        return (
-            -psi_plus.d2f(r)
-            + w_tilde.df(r) * psi_plus.f(r)
-            + w_tilde.f(r) * psi_plus.df(r)
-        )
+        p, dp, d2p = _rows(psi_plus, r, 2)
+        w, dw = _rows(w_tilde, r, 1)
+        return -d2p + dw * p + w * dp
 
     return Function1D(
         f=f,

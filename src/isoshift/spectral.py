@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Family, Function1D
+from .catalog import Family, Function1D, _rows
 from .errors import ConfigurationError, SingularPotentialError, check_index
 
 _log = logging.getLogger(__name__)
@@ -365,18 +365,6 @@ def _spectral_offset(report_a: SpectralReport, report_b: SpectralReport):
     return shift, float(np.max(np.abs(diff - shift)))
 
 
-def _second_derivative(psi: Function1D, x):
-    """Analytic psi'' when available, else 5-point differences of psi'."""
-    if psi.d2f is not None:
-        return np.asarray(psi.d2f(x), dtype=float)
-    x = np.asarray(x, dtype=float)
-    h = 1e-4 * np.maximum(1.0, np.abs(x))
-    d = psi.df
-    return (
-        -d(x + 2 * h) + 8.0 * d(x + h) - 8.0 * d(x - h) + d(x - 2 * h)
-    ) / (12.0 * h)
-
-
 def _samples(samples):
     """The samples as a flat float array; ConfigurationError when there are none."""
     x = np.asarray(samples, dtype=float).reshape(-1)
@@ -389,8 +377,9 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps).
 
     Samples where the residual is not finite are skipped, and the max|psi|
-    runs over the others.  Uses psi.jet, when present with d2f, for psi and
-    psi'' in one evaluation.  psi, V and the residual are evaluated over
+    runs over the others.  psi's rows come from catalog._rows: its jet, or
+    f, df and d2f (5-point differences of df without d2f).  psi, V and the
+    residual are evaluated over
     blocks of polyengine._BLOCK samples, and only the two maxima cross
     blocks, so no temporary is longer than a block; the value is bitwise
     that of one pass.  Raises ConfigurationError for an empty sample set and
@@ -401,10 +390,7 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     finite = 0
     for s in pe._blocks(x.size):
         xb = x[s]
-        if psi.jet is not None and psi.d2f is not None:
-            p, _, d2p = psi.jet(xb, 2)
-        else:
-            p, d2p = psi.f(xb), _second_derivative(psi, xb)
+        p, _, d2p = _rows(psi, xb, 2)
         p = np.asarray(p, dtype=float)
         res = -np.asarray(d2p, dtype=float) + (np.asarray(V.f(xb)) - E) * p
         ok = np.isfinite(res)
@@ -424,15 +410,12 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi.
 
     A node is a sample where |psi| is at most 1e-8 of the largest finite
-    |psi|, or is not finite.  Uses psi.jet, when present with d2f, for psi,
-    psi' and psi'' in one evaluation.  Raises ConfigurationError for an
-    empty sample set and SingularPotentialError when every sample is a node.
+    |psi|, or is not finite.  psi, psi' and psi'' come from catalog._rows,
+    as in schrodinger_residual.  Raises ConfigurationError for an empty
+    sample set and SingularPotentialError when every sample is a node.
     """
     x = _samples(samples)
-    if psi.jet is not None and psi.d2f is not None:
-        p, dp, d2p = psi.jet(x, 2)
-    else:
-        p, dp, d2p = psi.f(x), psi.df(x), _second_derivative(psi, x)
+    p, dp, d2p = _rows(psi, x, 2)
     p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
     size = np.abs(p)
     finite = np.isfinite(size)

@@ -4,6 +4,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -363,7 +364,7 @@ class TestCertify:
         # 9 cells; 6 solve two spectra, and V- of a branch once for all m
         (["certify", "--family", "radial_oscillator"], 11, 9),
         # branch 1 solves V- once for all m; at A = B the m = 1 seeds of
-        # branches 2 and 3 are constant, so their V~- is V- and not solved
+        # branches 2 and 3 have degree 0, so their V~- is V- and not solved
         (["certify", "--family", "trig_dpt"], 4, 9),
         # W0 reuses branch 2's extension and builds branch 3's
         (["certify", "--branches", "2", "--m", "1"], 2, 2),
@@ -389,6 +390,34 @@ class TestCertify:
         capsys.readouterr()
         assert calls.count("solve_bound_states") == solves
         assert calls.count("seed_polynomial") == calls.count("extend") == extensions
+
+    def test_near_zero_dpt_seed_solves_no_v_tilde(self, monkeypatch, capsys):
+        # at A = B = 1.43, m + a + b on branches 2 and 3 at m = 1 is 0 only
+        # to rounding; the seeds still have degree 0, so each cell reuses
+        # V-'s spectrum and only the two V- spectra are solved
+        from isoshift import spectral
+
+        solved = []
+        real_solve = spectral.solve_bound_states
+
+        def recording_solve(V, grid, k):
+            solved.append(V)
+            return real_solve(V, grid, k)
+
+        monkeypatch.setattr(spectral, "solve_bound_states", recording_solve)
+        assert main(["certify", "--family", "trig_dpt", "--A", "1.43", "--B", "1.43",
+                     "--branches", "2", "3", "--m", "1"]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(solved) == 2
+        for cell in cells:
+            assert cell["riccati_residual"] == cell["partner_shift_deviation"] == 0.0
+            assert cell["isospectrality"] == {"shift": 0.0, "deviation": 0.0}
+            assert math.copysign(1.0, cell["shift"]) == 1.0 and cell["shift"] == 0.0
+
+    def test_out_file_holds_the_printed_report(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["certify", "--branches", "2", "--m", "1", "--out", str(out)]) == 0
+        assert (out / "certify.json").read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     def test_default_solver_grids(self, monkeypatch, capsys):
         # radial oscillator: nodes at most 48 s / 3001 apart (s = 1/sqrt(omega)),
@@ -448,18 +477,18 @@ class TestCertify:
         TrigDPT(1.0, 1.0), TrigDPT(1.5, 3.0),
     ], ids=repr)
     def test_identity_deformation_leaves_v_minus_unchanged(self, family):
-        # certify reuses V-'s spectrum for V~- where the seed is constant
+        # certify reuses V-'s spectrum for V~- where the seed has degree 0
         # on a first-process branch: at m = 0, and at A = B on DPT branches
-        # 2 and 3 at m = 1, where m + nu + mu + 1 = 0.  There the two
-        # potentials agree bit for bit
+        # 2 and 3 at m = 1, where m + a + b = 0.  There the two potentials
+        # agree bit for bit
         from isoshift import deform, spectral
 
         symmetric = isinstance(family, TrigDPT) and family.A == family.B
         first_process = []
         for k, m in [(k, m) for m in (0, 1) for k in (1, 2, 3, 4)]:
             d = deform.seed_polynomial(family, k, m)
-            assert d.seed.is_constant == (m == 0 or (symmetric and k in (2, 3)))
-            if not d.seed.is_constant:
+            assert (d.seed.degree == 0) == (m == 0 or (symmetric and k in (2, 3)))
+            if d.seed.degree:
                 continue
             v_minus = partner_potentials(superpotential(family, k))[0]
             coarse = spectral.default_grid(family, k=4, m=m, n_points=None)

@@ -72,6 +72,21 @@ class TestSeedPolynomial:
         d = seed_polynomial(fam, 1, 1)
         assert d.R == pytest.approx(-4.0 * (1.0 + 1.0 + 2.0))
 
+    def test_dpt_seed_at_zero_m_plus_a_plus_b_has_degree_zero(self):
+        # P_m^(a-1/2, b-1/2) is constant where m + a + b = 0: at A = B on
+        # branches 2 and 3 for m = 1, and at B = A + 1 - m on branch 2.  The
+        # sum is 0 only to rounding for most decimal A, such as 1.43
+        cells = [(TrigDPT(A / 100.0, A / 100.0), k, 1) for A in range(10, 401) for k in (2, 3)]
+        cells += [(TrigDPT(2.0, 1.0), 2, 2), (TrigDPT(3.3, 1.3), 2, 3)]
+        for fam, k, m in cells:
+            d = seed_polynomial(fam, k, m)
+            assert d.seed.degree == 0 and d.m == m
+            assert d.R == 0.0 and math.copysign(1.0, d.R) == 1.0
+            assert d.riccati_residual(certification_grid(fam, 50)) == 0.0
+        # one step off the constant the seed keeps its degree
+        for fam, k in [(TrigDPT(1.43, 1.44), 2), (TrigDPT(1.43, 1.42), 3), (TrigDPT(1.43, 1.43), 1)]:
+            assert seed_polynomial(fam, k, 1).seed.degree == 1
+
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -209,6 +224,27 @@ class TestGeneralR:
         vminus, _ = partner_potentials(w2)
         r = np.linspace(0.2, 10, 100)
         assert np.max(np.abs(pair.V_tilde_minus.f(r) - vminus.f(r))) <= 1e-9
+
+    def test_v_tilde_sums_the_series_once_per_call(self, monkeypatch):
+        from isoshift import deform
+
+        pair = extend_general_R(RadialOscillator(1.0, 1.0), 2, 2.5)
+        assert pair.w_tilde.jet is not None
+        calls = []
+        real = deform._kummer_series
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(deform, "_kummer_series", counting)
+        r = np.linspace(0.2, 10, 300)
+        pair.V_tilde_minus.f(r)
+        assert len(calls) == 1
+        # value and slope of w~ come from that one summation
+        v, dv = pair.w_tilde.jet(r, 1)
+        assert len(calls) == 2
+        assert np.array_equal(v, pair.w_tilde.f(r)) and np.array_equal(dv, pair.w_tilde.df(r))
 
     def test_generic_R_shift_identity(self):
         fam = RadialOscillator(1.0, 1.0)

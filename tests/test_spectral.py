@@ -16,6 +16,7 @@ from isoshift.catalog import (
     Function1D,
     RadialOscillator,
     TrigDPT,
+    _rows,
     partner_potentials,
     potential,
     superpotential,
@@ -572,14 +573,28 @@ class TestResiduals:
         V = extend(seed_polynomial(fam, branch, m)).V_tilde_minus
         psi = eigenfunction_closed_form(EOPSpec(series, n, m, fam))
         assert psi.jet is not None
-        # without jet and d2f the residuals difference psi' numerically
+        # without a jet the residuals read f, df and d2f; without d2f too,
+        # they difference psi' numerically
+        with_d2 = Function1D(f=psi.f, df=psi.df, d2f=psi.d2f, domain=psi.domain)
         fd = Function1D(f=psi.f, df=psi.df, domain=psi.domain)
         samples = np.linspace(0.2, 5, 300)
         E = eigenvalue(EOPSpec(series, n, m, fam))
         for energy in (E, E + 0.5):
             for residual in (schrodinger_residual, qhj_residual):
                 exact = residual(psi, energy, V, samples)
-                assert abs(exact - residual(fd, energy, V, samples)) <= 1e-6
+                for jet_free in (with_d2, fd):
+                    assert abs(exact - residual(jet_free, energy, V, samples)) <= 1e-6
+        # the rows of a jet-free function: d2f, or 5-point differences of df
+        h = 1e-4 * np.maximum(1.0, np.abs(samples))
+        d = psi.df
+        five_point = (-d(samples + 2 * h) + 8.0 * d(samples + h) - 8.0 * d(samples - h)
+                      + d(samples - 2 * h)) / (12.0 * h)
+        for fn, d2 in ((with_d2, psi.d2f(samples)), (fd, five_point)):
+            want = (psi.f(samples), psi.df(samples), d2)
+            for order in (0, 1, 2):
+                rows = _rows(fn, samples, order)
+                assert len(rows) == order + 1
+                assert all(np.array_equal(g, w) for g, w in zip(rows, want))
         assert schrodinger_residual(psi, E, V, samples) <= 1e-10
         assert schrodinger_residual(psi, E + 0.5, V, samples) >= 1e-2
 
