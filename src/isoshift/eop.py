@@ -204,16 +204,25 @@ def _l1_S(n, alpha, y, T, order):
 
 
 def _l3_S(n, alpha, y, G, order):
-    """S = (y + alpha) L_n G + y (L_n G' - L_n' G) with G = T = L_m^alpha(-y)
-    the seed and L_n = L_n^(-alpha)(y)."""
-    # L_n and L_n' come from one jet of order + 1
+    """S = (y + alpha) L_n G + y W with the Wronskian W = L_n G' - L_n' G,
+    G = T = L_m^alpha(-y) the seed and L_n = L_n^(-alpha)(y)."""
+    # L_n and L_n' come from one jet of order + 1; the L_n' G' terms of W'
+    # cancel, so W' = L_n G'' - L_n'' G
     y = np.asarray(y, dtype=float)
-    Ln = _lagjet(n, -alpha, 1, y, order + 1)
-    LG = _jmul(Ln[:-1], G[:-1])
-    W = _jsub(_jmul(Ln[:-1], G[1:]), _jmul(Ln[1:], G[:-1]))
-    lin = (1.0, 0.0)[:order]  # derivatives of a linear factor
-    left, right = _jmul((y + alpha, *lin), LG), _jmul((y, *lin), W)
-    return tuple(u + v for u, v in zip(left, right))
+    L = _lagjet(n, -alpha, 1, y, order + 1)
+    LG = _jmul(L[:-1], G[:-1])
+    # the product rule against the linear factors y + alpha and y, whose
+    # first derivative is 1 and second 0
+    ya = y + alpha
+    W = L[0] * G[1] - L[1] * G[0]
+    S = [ya * LG[0] + y * W]
+    if order > 0:
+        W1 = L[0] * G[2] - L[2] * G[0]
+        S.append(ya * LG[1] + LG[0] + (y * W1 + W))
+    if order > 1:
+        W2 = L[1] * G[2] + L[0] * G[3] - L[3] * G[0] - L[2] * G[1]
+        S.append(ya * LG[2] + 2.0 * LG[1] + (y * W2 + 2.0 * W1))
+    return tuple(S)
 
 
 def _series_data(spec: EOPSpec):

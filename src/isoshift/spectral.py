@@ -18,9 +18,10 @@ and repeated solves fault in almost no pages.  On both grids a
 residual bound and one Sturm count certify that the iteration found the
 lowest eigenpairs; where that certificate fails, the grid goes back to
 full-precision bisection with inverse-iteration vectors, and the
-`isoshift.spectral` logger records it at DEBUG level.  scipy.linalg, which
-supplies the LAPACK calls, is imported at the solver's first call, so that
-importing the package loads no scipy.
+`isoshift.spectral` logger records it at DEBUG level.  The LAPACK calls
+come from scipy's _flapack extension, loaded from its file at the solver's
+first call without scipy.linalg (see _lapack), so that importing the package
+loads no scipy and an FD solve only that one extension.
 Everything else in the module is a pointwise residual evaluator or a
 classifier built on the polynomial zero scan.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
@@ -32,7 +33,11 @@ no sample is usable, never a pass.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import logging
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,12 +160,48 @@ def _decays(x):
     return bool(abs(x[-1]) <= 1e-8 * max(x.max(), -x.min()))
 
 
+def _flapack_path():
+    """The file of scipy's f2py LAPACK extension scipy/linalg/_flapack,
+    found without importing scipy; ImportError where there is none."""
+    spec = importlib.util.find_spec("scipy")
+    for base in getattr(spec, "submodule_search_locations", None) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    raise ImportError("no scipy/linalg/_flapack extension")
+
+
+@functools.cache
+def _lapack():
+    """The module holding the solver's LAPACK routines dgtsv, dstebz, dstein.
+
+    It is scipy's _flapack extension, loaded from its file without
+    scipy.linalg, whose import loads about 85 more modules.  It is loaded
+    under scipy's own module name, so a later `import scipy.linalg` reuses
+    it and scipy.linalg.lapack's routines are its routines.  Where that load
+    fails, scipy.linalg.lapack, which re-exports the same routines.  The
+    path taken is logged once, at DEBUG level.
+    """
+    try:
+        path = _flapack_path()
+        loader = importlib.machinery.ExtensionFileLoader("scipy.linalg._flapack", path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+    except ImportError as exc:
+        from scipy.linalg import lapack as module
+
+        _log.debug("LAPACK from scipy.linalg.lapack: %s", exc)
+    else:
+        _log.debug("LAPACK from %s", path)
+    return module
+
+
 def _bisection(diag, off, k, abstol=0.0):
     """The lowest k eigenpairs: Sturm bisection (dstebz), inverse iteration
     (dstein).  Bisection stops at intervals of width abstol, or at LAPACK's
     full precision where abstol is 0."""
-    from scipy.linalg import lapack
-
+    lapack = _lapack()
     m, w, iblock, isplit, info = lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, k, abstol, "B")
     if info != 0 or m != k:
         raise np.linalg.LinAlgError(f"dstebz found {m} of the lowest {k} levels, info={info}")
@@ -184,9 +225,7 @@ def _start_vectors(vecs, src: Grid, dst: Grid):
 
 def _eigenvalue_count(diag, off, lo, hi):
     """Sturm count of the eigenvalues in (lo, hi]; dstebz stops before bisecting."""
-    from scipy.linalg import lapack
-
-    m, _, _, _, info = lapack.dstebz(diag, off, 1, lo, hi, 1, 1, 1e300, "E")
+    m, _, _, _, info = _lapack().dstebz(diag, off, 1, lo, hi, 1, 1, 1e300, "E")
     return m if info == 0 else -1
 
 
@@ -217,8 +256,7 @@ def _certified_rqi(diag, off, v, guesses, starts, vectors=True):
     (eigenvalues, each vector's _decays flag), which keeps no vector past
     its level.
     """
-    from scipy.linalg import lapack
-
+    dgtsv = _lapack().dgtsv
     n, k = diag.size, len(guesses)
     # the shifted diagonal, the off-diagonal copies that dgtsv overwrites,
     # T x and the residual
@@ -233,8 +271,8 @@ def _certified_rqi(diag, off, v, guesses, starts, vectors=True):
             np.subtract(diag, lam, out=d)
             dl[:] = off
             du[:] = off
-            x, info = lapack.dgtsv(dl, d, du, x, overwrite_dl=True, overwrite_d=True,
-                                   overwrite_du=True, overwrite_b=True)[3:]
+            x, info = dgtsv(dl, d, du, x, overwrite_dl=True, overwrite_d=True,
+                            overwrite_du=True, overwrite_b=True)[3:]
             if info != 0:
                 return None
             x /= np.linalg.norm(x)

@@ -65,7 +65,7 @@ def test_import_loads_no_integrator(tmp_path):
 
 
 def test_import_and_closed_forms_load_no_scipy(tmp_path):
-    # the Gram's Gauss rules are numpy's and scipy.linalg loads at the FD
+    # the Gram's Gauss rules are numpy's and LAPACK loads at the FD
     # solver's first call, so neither the import, nor the commands that
     # solve nothing, nor a closed-form eigenfunction with its residual
     # loads any scipy module
@@ -95,9 +95,10 @@ def test_import_and_closed_forms_load_no_scipy(tmp_path):
     assert _probe(probe, tmp_path).split() == ["[]", "[]"]
 
 
-def test_fd_solve_loads_scipy_linalg_only():
+def test_fd_solve_loads_flapack_only():
     # branch 2, m = 0 certifies V- against V~- by the FD solver and has no
-    # Gram matrix
+    # Gram matrix; the solver loads scipy's _flapack extension from its file,
+    # so neither scipy nor scipy.linalg, special or integrate loads
     probe = _SCIPY_SINCE + (
         "from isoshift import cli\n"
         "import contextlib, io\n"
@@ -105,10 +106,7 @@ def test_fd_solve_loads_scipy_linalg_only():
         "    assert cli.main(['certify', '--branches', '2', '--m', '0']) == 0\n"
         "scipy_since()\n"
     )
-    loaded = ast.literal_eval(_probe(probe))
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded
-                if m.split(".")[:2] in (["scipy", "special"], ["scipy", "integrate"])]
+    assert ast.literal_eval(_probe(probe)) == ["scipy.linalg._flapack"]
 
 
 class TestCatalog:

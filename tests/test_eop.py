@@ -180,6 +180,31 @@ class TestEigenfunctions:
         for row, fn in zip(got, (psi.f, psi.df, psi.d2f)):
             assert np.array_equal(row, fn(r))
 
+    @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.5, 4.7])
+    def test_l3_S_matches_the_product_rule(self, alpha):
+        # the reference: the Leibniz rule through the linear factors' jets
+        # (y + alpha, 1, 0) and (y, 1, 0), with W from two full products
+        def product_rule(n, y, G, order):
+            L = eop._lagjet(n, -alpha, 1, y, order + 1)
+            LG = eop._jmul(L[:-1], G[:-1])
+            W = eop._jsub(eop._jmul(L[:-1], G[1:]), eop._jmul(L[1:], G[:-1]))
+            lin = (1.0, 0.0)[:order]
+            left, right = eop._jmul((y + alpha, *lin), LG), eop._jmul((y, *lin), W)
+            return tuple(u + v for u, v in zip(left, right))
+
+        y = np.linspace(1e-3, 40.0, 20_001)
+        for m in (1, 2, 4):
+            G = eop._lagjet(m, alpha, -1, y, 3)
+            for n in (0, 1, 5, 12, 15):
+                for order in (0, 1, 2):
+                    got = eop._l3_S(n, alpha, y, G[:order + 2], order)
+                    want = product_rule(n, y, G[:order + 2], order)
+                    # the value row is the same arithmetic; the derivative
+                    # rows differ by rounding, W' no longer cancelling L_n' G'
+                    assert np.array_equal(got[0], want[0])
+                    for a, b in zip(got[1:], want[1:]):
+                        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
     def test_intertwiner_annihilates_inverse_profile(self):
         # (-d/dr + w)(exp(int w)) = 0 for any smooth w; use the branch-2 one
         w2 = superpotential(FAM, 2)

@@ -259,7 +259,7 @@ class TestSolver:
         # started from the grid below, most levels need one or two linear
         # solves (about 13 per solve of 8 levels), and each grid one count
         calls = {"dgtsv": 0, "count": 0}
-        real_dgtsv, real_count = lapack.dgtsv, spectral._eigenvalue_count
+        real_dgtsv, real_count = spectral._lapack().dgtsv, spectral._eigenvalue_count
 
         def counting_dgtsv(*args, **kwargs):
             calls["dgtsv"] += 1
@@ -269,7 +269,7 @@ class TestSolver:
             calls["count"] += 1
             return real_count(*args)
 
-        monkeypatch.setattr(lapack, "dgtsv", counting_dgtsv)
+        monkeypatch.setattr(spectral._lapack(), "dgtsv", counting_dgtsv)
         monkeypatch.setattr(spectral, "_eigenvalue_count", counting_count)
         per_solve = []
         for V, grid, _ in _certify_solves():
@@ -377,6 +377,7 @@ class TestFineGridRayleighQuotient:
         # below the rounding of the Sturm count at lambda_4 + r_4
         fam = RadialOscillator(1.0, 1.0)
         V = extend(seed_polynomial(fam, 2, 1)).V_tilde_minus
+        spectral._lapack()  # its one record, the path it loaded, is not a fallback
         caplog.set_level(logging.DEBUG, logger="isoshift")
         solve_bound_states(V, default_grid(fam, k=4, m=1, n_points=200), 4)
         assert not caplog.records
@@ -390,6 +391,7 @@ class TestFineGridRayleighQuotient:
         assert spectral._certified_rqi(diag, off, v, coarse, starts()) is None
         handlers = logging.getLogger("isoshift").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
+        spectral._lapack()
         caplog.set_level(logging.DEBUG, logger="isoshift")
         assert solve_bound_states(V, grid, 4) == expected
         # one record per grid that fell back: the coarse and the fine one
@@ -409,6 +411,13 @@ _FOOTPRINT_SOLVE = (
     "grid = default_grid(fam, k=4, m=1, n_points=3000)\n"
     "solve = lambda: solve_bound_states(V, grid, 4)\n"
 )
+
+
+def _fresh_interpreter(probe):
+    """stdout of `probe` run in a fresh interpreter on this tree's isoshift."""
+    src = Path(isoshift.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
 
 
 class TestFootprint:
@@ -442,10 +451,88 @@ class TestFootprint:
             "    solve()\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)\n"
         )
-        src = Path(isoshift.__file__).resolve().parent.parent
-        out = subprocess.run([sys.executable, "-c", probe], cwd=src, check=True,
-                             capture_output=True, text=True, timeout=120).stdout
-        assert float(out) < 1.0
+        assert float(_fresh_interpreter(probe)) < 1.0
+
+
+def _random_tridiagonal(seed, n=300):
+    """A symmetric tridiagonal (diag, off) with a spread spectrum, and a rhs."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) * 4.0 + np.arange(n) / 10.0, rng.normal(size=n - 1), rng.normal(size=n)
+
+
+def _bitwise_equal(a, b):
+    """Equal outputs of two LAPACK calls: every array to the bit, every scalar by ==."""
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+class TestLapackLoader:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_dgtsv_matches_scipy_linalg(self, seed, overwrite):
+        diag, off, b = _random_tridiagonal(seed)
+        flags = dict.fromkeys(("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b"),
+                              overwrite)
+        inputs = [[off.copy(), diag.copy(), off.copy(), b.copy()] for _ in range(2)]
+        ours = spectral._lapack().dgtsv(*inputs[0], **flags)
+        theirs = lapack.dgtsv(*inputs[1], **flags)
+        assert all(map(_bitwise_equal, ours, theirs))
+        # the overwritten inputs, too, hold the same bits
+        assert all(map(_bitwise_equal, *inputs))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dstebz_and_dstein_match_scipy_linalg(self, seed):
+        diag, off, _ = _random_tridiagonal(seed)
+        ours, theirs = spectral._lapack(), lapack
+        # range "I" (2): levels 1-7 by index; "V" (1): those in (-2, 5]
+        for args in [(2, 0.0, 0.0, 1, 7, 0.0, "B"), (1, -2.0, 5.0, 1, 1, 1e-12, "E")]:
+            a = ours.dstebz(diag, off, *args)
+            b = theirs.dstebz(diag, off, *args)
+            assert a[0] > 0 and all(map(_bitwise_equal, a, b))
+            m, w, iblock, isplit, _ = a
+            vectors = [lib.dstein(diag, off, w[:m], iblock, isplit) for lib in (ours, theirs)]
+            assert all(map(_bitwise_equal, *vectors))
+
+    def test_forced_fallback_solves_bitwise_alike(self, monkeypatch, caplog):
+        fam = RadialOscillator(2.0, 1.0)
+        V, grid = _partner_vminus(fam), default_grid(fam, k=4)
+        expected = solve_bound_states(V, grid, 4)
+
+        def missing():
+            raise ImportError("no _flapack here")
+
+        monkeypatch.setattr(spectral, "_flapack_path", missing)
+        spectral._lapack.cache_clear()
+        try:
+            caplog.set_level(logging.DEBUG, logger="isoshift")
+            report = solve_bound_states(V, grid, 4)
+            assert spectral._lapack() is lapack
+        finally:
+            spectral._lapack.cache_clear()
+        assert repr(report) == repr(expected)
+        records = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        assert records == [("isoshift.spectral", logging.DEBUG,
+                            "LAPACK from scipy.linalg.lapack: no _flapack here")]
+
+    def test_scipy_linalg_imports_after_a_solve(self):
+        # a fresh interpreter: the solve loads _flapack before any scipy
+        # module, and scipy.linalg, imported later, still works
+        probe = _FOOTPRINT_SOLVE + (
+            "import sys\n"
+            "import numpy as np\n"
+            "from isoshift import spectral\n"
+            "solve()\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "ours = spectral._lapack()\n"
+            "rng = np.random.default_rng(7)\n"
+            "d, e, b = rng.normal(size=200) + 4.0, rng.normal(size=199), rng.normal(size=200)\n"
+            "x = ours.dgtsv(e, d, e, b)[3]\n"
+            "from scipy.linalg import lapack\n"
+            "y = lapack.dgtsv(e, d, e, b)[3]\n"
+            "print(ours.__name__, x.tobytes() == y.tobytes())\n"
+        )
+        assert _fresh_interpreter(probe).split() == ["scipy.linalg._flapack", "True"]
 
 
 class TestIsospectrality:
