@@ -47,18 +47,17 @@ _SNAP_ULPS = 8
 class Function1D:
     """A real function on an open interval with analytic derivatives.
 
-    `df` is the first derivative and is always analytic (never a finite
-    difference); `d2f` is optional and present whenever a downstream residual
-    check needs it.  `singular_points` lists interior points where evaluation
-    is not finite.  `jet`, when present, maps x to the rows the function
-    carries, (f(x), df(x), d2f(x)), or (f(x), df(x)) when d2f is None,
-    computed in one evaluation; `jet(x, order)` returns only the first
-    order + 1 rows and evaluates no further.  Callers read rows through
-    _rows, which prefers the jet to f, df and d2f.  The package's jets, and
-    the f, df and d2f taken from them, evaluate a 1-D x longer than
-    polyengine._BLOCK points one block at a time (see _blockwise), bitwise
-    as in one pass; deform.extend_general_R's w~ to rounding only, as its
+    `jet` maps (x, order) to the rows (f(x), df(x), d2f(x))[: order + 1]
+    from one evaluation, evaluating no further than `order`; `jet(x)` gives
+    every row the function carries.  `f`, `df` and `d2f` are those rows,
+    each evaluated to its own order, and the rows past the function's order
+    are None.  Every Function1D the package derives is built by
+    _jet_function, so a long 1-D x is evaluated block by block, bitwise as
+    in one pass; deform.extend_general_R's w~ to rounding only, as its
     series runs as far as the largest point of each block needs.
+    `singular_points` lists interior points where evaluation is not finite.
+    Callers read rows through _rows, which takes them from the jet and
+    accepts a Function1D built by hand, with no jet or no d2f.
     """
 
     f: Callable
@@ -72,50 +71,74 @@ class Function1D:
         return self.f(x)
 
 
-def _blockwise(fn):
-    """fn(x, *args), a tuple of rows pointwise in x, over blocks of x.
+def _jet_function(jet, domain, singular_points=(), order=1):
+    """The Function1D of a jet of order `order` (0, 1 or 2).
 
-    On a 1-D x longer than polyengine._BLOCK points, fn runs on one block at
-    a time and its rows are written into one preallocated (rows, len(x))
-    array, so the temporaries of fn stay in cache; any other x goes to fn
-    whole.  Each point's arithmetic does not depend on the blocking, so the
-    rows equal, bit for bit, those of one call of fn on all of x.
+    jet(x, k) returns the rows (f, f', f'')(x)[: k + 1], pointwise in x, for
+    k <= order.  The Function1D's jet takes `order` by default, and its f,
+    df and d2f are rows 0, 1 and 2, each from the jet at its own order, and
+    None past `order`.  On a 1-D x longer than polyengine._BLOCK points, jet
+    runs on one block at a time and its rows are written into one
+    preallocated (k + 1, len(x)) array, so the temporaries of jet stay in
+    cache; any other x goes to jet whole.  Each point's arithmetic does not
+    depend on the blocking, so the rows equal, bit for bit, those of one
+    call of jet on all of x.
     """
 
-    def run(x, *args):
+    def rows(x, k=order):
         arr = np.asarray(x, dtype=float)
         if arr.ndim != 1 or arr.size <= pe._BLOCK:
-            return fn(x, *args)
-        out = None
+            return jet(x, k)
+        out = np.empty((k + 1, arr.size))
         for s in pe._blocks(arr.size):
-            rows = fn(arr[s], *args)
-            if out is None:
-                out = np.empty((len(rows), arr.size))
-            for j in range(len(rows)):
-                out[j, s] = rows[j]
-            del rows  # before the next block's temporaries are made
+            block = jet(arr[s], k)
+            for j in range(k + 1):
+                out[j, s] = block[j]
+            del block  # before the next block's temporaries are made
         return tuple(out)
 
-    return run
+    f, df, d2f = ((lambda x, j=j: rows(x, j)[j]) if j <= order else None for j in range(3))
+    return Function1D(f=f, df=df, d2f=d2f, domain=domain,
+                      singular_points=tuple(singular_points), jet=rows)
+
+
+def _closed_form(domain, *rows):
+    """The Function1D whose rows f, f', ... are the closed forms rows[j](x)
+    at float x; its jet evaluates only the rows asked for."""
+
+    def jet(x, order):
+        x = np.asarray(x, dtype=float)
+        return tuple(row(x) for row in rows[: order + 1])
+
+    return _jet_function(jet, domain, order=len(rows) - 1)
 
 
 def _rows(fn, x, order):
     """(f, f', f'')(x) of a Function1D up to `order` (at most 2).
 
-    From one evaluation of fn.jet when fn carries those rows (a jet, and a
-    d2f for order 2); otherwise from fn.f, fn.df and fn.d2f, with f'' taken
-    from 5-point differences of fn.df when fn.d2f is None.
+    From one evaluation of fn.jet when fn carries row `order`; otherwise
+    from fn.f, fn.df and fn.d2f, with f'' taken from 5-point differences of
+    fn.df when fn.d2f is None.  A missing f, or a missing df that the rows
+    need, raises ConfigurationError.
     """
-    if fn.jet is not None and (order < 2 or fn.d2f is not None):
+    rows = (fn.f, fn.df, fn.d2f)[: order + 1]
+    if fn.jet is not None and rows[-1] is not None:
         return fn.jet(x, order)
-
-    def d2f(x):
-        x = np.asarray(x, dtype=float)
-        h = 1e-4 * np.maximum(1.0, np.abs(x))
+    for name, g in zip(("f", "df"), rows):
+        if g is None:
+            raise ConfigurationError(
+                f"the function carries no {name}, which its rows to order {order} need"
+            )
+    if order == 2 and rows[2] is None:
         d = fn.df
-        return (-d(x + 2 * h) + 8.0 * d(x + h) - 8.0 * d(x - h) + d(x - 2 * h)) / (12.0 * h)
 
-    return tuple(g(x) for g in (fn.f, fn.df, fn.d2f or d2f)[: order + 1])
+        def d2f(x):
+            x = np.asarray(x, dtype=float)
+            h = 1e-4 * np.maximum(1.0, np.abs(x))
+            return (-d(x + 2 * h) + 8.0 * d(x + h) - 8.0 * d(x - h) + d(x - 2 * h)) / (12.0 * h)
+
+        rows = rows[:2] + (d2f,)
+    return tuple(g(x) for g in rows)
 
 
 def _chain(P, y1, y2):
@@ -203,29 +226,19 @@ class RadialOscillator(Family):
 
     def potential(self):
         w2, ll = self.omega**2, self.ell * (self.ell + 1.0)
-
-        def f(r):
-            return 0.25 * w2 * np.asarray(r) ** 2 + ll / np.asarray(r) ** 2
-
-        def df(r):
-            return 0.5 * w2 * np.asarray(r) - 2.0 * ll / np.asarray(r) ** 3
-
-        return Function1D(f=f, df=df, domain=self.domain)
+        return _closed_form(
+            self.domain,
+            lambda r: 0.25 * w2 * r**2 + ll / r**2,
+            lambda r: 0.5 * w2 * r - 2.0 * ll / r**3,
+        )
 
     def superpotential(self, a, b):
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            return 0.5 * b * r + a / r
-
-        def df(r):
-            r = np.asarray(r, dtype=float)
-            return 0.5 * b - a / r**2
-
-        def d2f(r):
-            r = np.asarray(r, dtype=float)
-            return 2.0 * a / r**3
-
-        return Function1D(f=f, df=df, d2f=d2f, domain=self.domain)
+        return _closed_form(
+            self.domain,
+            lambda r: 0.5 * b * r + a / r,
+            lambda r: 0.5 * b - a / r**2,
+            lambda r: 2.0 * a / r**3,
+        )
 
     def tau(self):
         return RadialOscillator(self.omega, self.ell + 1.0)
@@ -328,32 +341,20 @@ class TrigDPT(Family):
 
     def potential(self):
         ca, cb = self.A * (self.A + 1.0), self.B * (self.B + 1.0)
-
-        def f(x):
-            return ca / np.sin(x) ** 2 + cb / np.cos(x) ** 2
-
-        def df(x):
-            return (
-                -2.0 * ca * np.cos(x) / np.sin(x) ** 3
-                + 2.0 * cb * np.sin(x) / np.cos(x) ** 3
-            )
-
-        return Function1D(f=f, df=df, domain=self.domain)
+        return _closed_form(
+            self.domain,
+            lambda x: ca / np.sin(x) ** 2 + cb / np.cos(x) ** 2,
+            lambda x: (-2.0 * ca * np.cos(x) / np.sin(x) ** 3
+                       + 2.0 * cb * np.sin(x) / np.cos(x) ** 3),
+        )
 
     def superpotential(self, a, b):
-        def f(x):
-            x = np.asarray(x, dtype=float)
-            return a / np.tan(x) - b * np.tan(x)
-
-        def df(x):
-            x = np.asarray(x, dtype=float)
-            return -a / np.sin(x) ** 2 - b / np.cos(x) ** 2
-
-        def d2f(x):
-            x = np.asarray(x, dtype=float)
-            return 2.0 * a * np.cos(x) / np.sin(x) ** 3 - 2.0 * b * np.sin(x) / np.cos(x) ** 3
-
-        return Function1D(f=f, df=df, d2f=d2f, domain=self.domain)
+        return _closed_form(
+            self.domain,
+            lambda x: a / np.tan(x) - b * np.tan(x),
+            lambda x: -a / np.sin(x) ** 2 - b / np.cos(x) ** 2,
+            lambda x: 2.0 * a * np.cos(x) / np.sin(x) ** 3 - 2.0 * b * np.sin(x) / np.cos(x) ** 3,
+        )
 
     def tau(self):
         return TrigDPT(self.A + 1.0, self.B + 1.0)
@@ -429,32 +430,21 @@ def superpotential(family, branch) -> Function1D:
 
 
 def partner_potentials(w: Function1D):
-    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'); their f takes w and w'
-    from _rows, so from one evaluation of w.jet when w carries one, block by
-    block (see _blockwise)."""
+    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'), one order below w;
+    each row reads w once (_rows), so from one evaluation of w.jet when w
+    carries one."""
     if w.df is None:
         raise ConfigurationError("superpotential must carry an analytic derivative")
-    has_d2 = w.d2f is not None
 
     def make(sign):
-        @_blockwise
-        def value(x):
-            v, dv = _rows(w, x, 1)
-            return (v**2 + sign * dv,)
+        def jet(x, order):
+            v = _rows(w, x, order + 1)
+            rows = [v[0] ** 2 + sign * v[1]]
+            if order:
+                rows.append(2.0 * v[0] * v[1] + sign * v[2])
+            return tuple(rows)
 
-        def f(x):
-            return value(x)[0]
-
-        def df(x):
-            v, dv, d2v = _rows(w, x, 2)
-            return 2.0 * v * dv + sign * d2v
-
-        return Function1D(
-            f=f,
-            df=df if has_d2 else None,
-            domain=w.domain,
-            singular_points=w.singular_points,
-        )
+        return _jet_function(jet, w.domain, w.singular_points, 1 if w.d2f is not None else 0)
 
     return make(-1.0), make(+1.0)
 

@@ -62,11 +62,16 @@ def _family_from_args(args):
     return cls(*(getattr(args, f.name) for f in dataclasses.fields(cls)))
 
 
-def _write_csv(path: Path, header, rows):
+def _csv_text(header, rows):
+    """The header and rows as comma-separated lines, each ending in LF."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header, rows):
+    path.write_text(_csv_text(header, rows), encoding="utf-8", newline="\n")
 
 
 def _write_json(path: Path, obj):
@@ -89,13 +94,7 @@ def cmd_catalog(args):
     if args.format == "json":
         print(json.dumps({"family": args.family, "branches": rows}, indent=2))
     else:
-        print(f"family: {args.family}")
-        print("k  a  b  factorization_energy  susy_kind")
-        for r in rows:
-            print(
-                f"{r['k']}  {_fmt(r['a'])}  {_fmt(r['b'])}  "
-                f"{_fmt(r['factorization_energy'])}  {r['susy_kind']}"
-            )
+        print(_csv_text(list(rows[0]), (r.values() for r in rows)), end="")
     return 0
 
 
@@ -205,7 +204,7 @@ def _certify_cell(family, k, m, args, extension, v_minus_spectrum):
 
     series = family.exceptional_series.get(k)
     if series is not None and m > 0 and reg.is_regular and not args.skip_gram:
-        G, gerr = eop._gram_with_error(series, m, family, min(args.nmax, 4), reg.points)
+        G, gerr = eop._gram_with_error(series, m, family, args.nmax, reg.points)
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
         record["gram_quadrature_error"] = gerr

@@ -16,13 +16,13 @@ uniformly with effective parameters (a, b) -> (-a, -b) for branch 3.  Of
 the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
 All DPT branches deform directly with a Jacobi seed in cos 2x.
 
-phi, w_tilde = w0 + phi and w0_explicit's W0 carry a jet (value, slope)
-taken from one order-2 jet of each seed, and extend_general_R's w~ one from
-a single Kummer sum, so the partner potentials V~-/+, the Riccati residual
-and W0 with W0' evaluate each seed once per call.
-Those jets, and V~-/+, evaluate a 1-D x longer than polyengine._BLOCK points
-block by block (catalog._blockwise), bitwise as in one pass but for the
-Kummer sum's (see catalog.Function1D).
+Every function here is a jet built by catalog._jet_function.  phi,
+w_tilde = w0 + phi, chi and w0_explicit's W0 carry the rows (value, slope)
+from one order-2 jet of each seed, and extend_general_R's w~ from a single
+Kummer sum, so the partner potentials V~-/+, the Riccati residual and W0
+with W0' evaluate each seed once per call.  Like every jet, they evaluate a
+1-D x longer than polyengine._BLOCK points block by block, bitwise as in
+one pass but for the Kummer sum's (see catalog.Function1D).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .catalog import (
     Family,
     Function1D,
     RadialOscillator,
-    _blockwise,
+    _jet_function,
     _rows,
     get_branch,
     partner_potentials,
@@ -94,12 +94,9 @@ class Deformation:
     def chi(self) -> Optional[Function1D]:
         if self.process != 2:
             return None
-        return Function1D(
-            f=lambda r: -self.phi.f(r),
-            df=lambda r: -self.phi.df(r),
-            domain=self.phi.domain,
-            singular_points=self.phi.singular_points,
-        )
+        phi = self.phi
+        return _jet_function(lambda r, order: tuple(-v for v in phi.jet(r, order)),
+                             phi.domain, phi.singular_points)
 
     def riccati_residual(self, grid):
         """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|."""
@@ -138,7 +135,7 @@ def _log_derivative_jet(ujet):
     residual checks are non-circular.  Order 0 evaluates u only to order 1.
     """
 
-    def jet(x, order=1):
+    def jet(x, order):
         u = ujet(x, order + 1)
         g = u[1] / u[0]
         if not order:
@@ -148,19 +145,11 @@ def _log_derivative_jet(ujet):
     return jet
 
 
-def _jet_function(jet, domain, singular_points=()):
-    """A Function1D whose f and df are the rows of a jet of order at most 1,
-    evaluated block by block (catalog._blockwise)."""
-    jet = _blockwise(jet)
-    return Function1D(f=lambda x: jet(x, 0)[0], df=lambda x: jet(x, 1)[1],
-                      domain=domain, singular_points=singular_points, jet=jet)
-
-
 def _plus_jet(w0, g):
-    """The jet of w0 + g, for a closed-form w0 and the jet g."""
+    """The jet of w0 + g, for a Function1D w0 and the jet g."""
 
-    def jet(x, order=1):
-        return tuple(fn(x) + v for fn, v in zip((w0.f, w0.df), g(x, order)))
+    def jet(x, order):
+        return tuple(u + v for u, v in zip(w0.jet(x, order), g(x, order)))
 
     return jet
 
@@ -184,13 +173,13 @@ def seed_polynomial(family, branch, m) -> Deformation:
     if seed.degree == 0:
         # u' = 0 (m = 0, or a DPT seed at m + a + b = 0): phi = 0, w~ = w0,
         # and the Riccati identity leaves R = 0
-        phi_jet = lambda x, order=1: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
+        phi_jet = lambda x, order: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
         R = 0.0
     else:
         phi_jet = _log_derivative_jet(partial(family.seed_jet, seed, s))
     # phi and w~ take value and slope from one order-2 seed jet
-    phi = _jet_function(phi_jet, w0.domain, tuple(singular))
-    w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, tuple(singular))
+    phi = _jet_function(phi_jet, w0.domain, singular)
+    w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, singular)
     return Deformation(
         family=family,
         branch=branch,
@@ -268,8 +257,8 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     y = omega r^2 / 2.  Its minus/plus partners reproduce the branch-2 and
     branch-3 extended potentials up to the common constant
     w0_partner_constant(family, m), and it equals -d/dr log of the extended
-    ground state.  For m > 0 it carries a `jet` that takes W0 and W0' from
-    one order-2 jet of each seed.
+    ground state.  For m > 0 its jet takes W0 and W0' from one order-2 jet
+    of each seed; for m = 0, W0 is w1.
     """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("w0_explicit is defined for the radial oscillator only")
@@ -280,9 +269,9 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     gu = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell - 0.5), -1))
     gv = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell + 0.5), -1))
 
-    def jet(r, order=1):
-        rows = zip((w1.f, w1.df), gu(r, order), gv(r, order))
-        return tuple(fn(r) + u - v for fn, u, v in rows)
+    def jet(r, order):
+        rows = zip(w1.jet(r, order), gu(r, order), gv(r, order))
+        return tuple(w + u - v for w, u, v in rows)
 
     return _jet_function(jet, family.domain)
 
@@ -295,8 +284,9 @@ def w0_partner_constant(family: RadialOscillator, m: int) -> float:
 
 
 def w0_from_ground_state(psi0: Function1D) -> Function1D:
-    """-psi0'/psi0 via the analytic derivative carried by psi0, both from
-    one evaluation of psi0.jet when psi0 carries one (catalog._rows).
+    """-psi0'/psi0, a jet of order 0, via the analytic derivative carried by
+    psi0, both from one evaluation of psi0.jet when psi0 carries one
+    (catalog._rows).
 
     psi0 must be strictly positive on the interior; the first sign change
     among 400 samples raises SingularExtensionError with the refined root in
@@ -314,11 +304,11 @@ def w0_from_ground_state(psi0: Function1D) -> Function1D:
             f"ground state changes sign at x={roots[0]:.6g}", points=roots[:1]
         )
 
-    def f(x):
+    def jet(x, order):
         p, dp = _rows(psi0, x, 1)
-        return -dp / p
+        return (-dp / p,)
 
-    return Function1D(f=f, df=None, domain=psi0.domain)
+    return _jet_function(jet, psi0.domain, order=0)
 
 
 def _kummer_series(alpha, gamma, lam, y):
@@ -394,7 +384,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     def seed(r):
         return _kummer_series(alpha, gamma, lam, 0.5 * abs(b) * np.asarray(r, dtype=float) ** 2)
 
-    def phi_jet(r, order=1):
+    def phi_jet(r, order):
         r = np.asarray(r, dtype=float)
         M, dM = seed(r)
         p = abs(b) * r * dM / M  # dy/dr (M' - lam M) / M
@@ -404,7 +394,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
 
     scan = np.linspace(0.0, r_max, 4001)[1:]
     singular = pe.sign_change_zeros(lambda r: seed(r)[0], scan, seed(scan)[0], 0.0, 0.0).crossings
-    w_tilde = _jet_function(_plus_jet(w0, phi_jet), (0.0, r_max), tuple(singular))
+    w_tilde = _jet_function(_plus_jet(w0, phi_jet), (0.0, r_max), singular)
     Vm, Vp = partner_potentials(w_tilde)
     return ExtensionPair(V_tilde_minus=Vm, V_tilde_plus=Vp, shift=float(R),
                          singular_points=list(singular), w_tilde=w_tilde)

@@ -19,14 +19,14 @@ B_m = L_m^(alpha+1)(-y).  It is evaluated once per point set, to one order
 above the eigenfunction's, and every factor is taken from that jet:
 B_m = T + dT/dy (DLMF 18.9.14 with 18.9.23 at x = -y), so B_m costs no
 kernel call.  L_n and L_n' come from one call too, so a state costs two
-kernel calls whatever the order.  An eigenfunction's f, df and d2f evaluate
-to orders 0, 1 and 2, and its `jet` returns all three from one order-2
-evaluation.  The S = 1 weight evaluates T only to its own order.  On a 1-D
-r longer than polyengine._BLOCK points, an eigenfunction or weight jet runs
-block by block into one preallocated output (catalog._blockwise): the
-kernel calls, the product, quotient and chain rules, r^p and the Gaussian
-then make block-sized temporaries only, and the rows are bitwise those of
-one pass.
+kernel calls whatever the order.  Every state and weight is a jet built
+by catalog._jet_function (so is an intertwined state, to order 1): its f,
+df and d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three
+from one order-2 evaluation.  The S = 1 weight evaluates T only to its own order.  On a 1-D
+r longer than polyengine._BLOCK points, the jet runs block by block into
+one preallocated output: the kernel calls, the product, quotient and chain
+rules, r^p and the Gaussian then make block-sized temporaries only, and the
+rows are bitwise those of one pass.
 
 Gram matrices are integrated in y, where W^2 dr is a constant times
 y^(p-1/2) e^(-y) / T(y)^2 dy, up to the cut omega r_cut^2/2.  One composite
@@ -51,7 +51,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator, _blockwise, _chain, _rows
+from .catalog import Function1D, RadialOscillator, _chain, _jet_function, _rows
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -300,15 +300,9 @@ def _reciprocal(T, y, order):
 
 def _product_function(omega, p, ratio, singular):
     """r^p exp(-omega r^2/4) g(y) with analytic first two derivatives, where
-    ratio(y, order) is the jet of g in y: S/T, S alone (T = 1) or 1/T.
+    ratio(y, order) is the jet of g in y: S/T, S alone (T = 1) or 1/T."""
 
-    f, df and d2f each evaluate the jet only to their own order; `jet(r,
-    order=2)` gives the rows up to `order` from one evaluation, block by
-    block on a long 1-D r (catalog._blockwise).
-    """
-
-    @_blockwise
-    def jet(r, order=2):
+    def jet(r, order):
         r = np.asarray(r, dtype=float)
         y = 0.5 * omega * r * r
         g = ratio(y, order)
@@ -323,14 +317,7 @@ def _product_function(omega, p, ratio, singular):
             A.append((la * la - p / r**2 - 0.5 * omega) * A[0])
         return _jmul(A, F)
 
-    return Function1D(
-        f=lambda r: jet(r, 0)[0],
-        df=lambda r: jet(r, 1)[1],
-        d2f=lambda r: jet(r, 2)[2],
-        domain=(0.0, math.inf),
-        singular_points=tuple(singular),
-        jet=jet,
-    )
+    return _jet_function(jet, (0.0, math.inf), singular, order=2)
 
 
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
@@ -373,24 +360,19 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
     """Apply the first-order intertwiner (-d/dr + w~) to a partner state;
-    each call reads the rows of psi_plus and w~ once (catalog._rows)."""
-    has_d2 = psi_plus.d2f is not None and w_tilde.df is not None
+    each row reads the rows of psi_plus and w~ once (catalog._rows).  The
+    result carries a slope when psi_plus carries d2f and w~ carries df."""
 
-    def f(r):
-        p, dp = _rows(psi_plus, r, 1)
-        return -dp + w_tilde.f(r) * p
+    def jet(r, order):
+        p = _rows(psi_plus, r, order + 1)
+        w = _rows(w_tilde, r, order)
+        rows = [-p[1] + w[0] * p[0]]
+        if order:
+            rows.append(-p[2] + w[1] * p[0] + w[0] * p[1])
+        return tuple(rows)
 
-    def df(r):
-        p, dp, d2p = _rows(psi_plus, r, 2)
-        w, dw = _rows(w_tilde, r, 1)
-        return -d2p + dw * p + w * dp
-
-    return Function1D(
-        f=f,
-        df=df if has_d2 else None,
-        domain=psi_plus.domain,
-        singular_points=w_tilde.singular_points,
-    )
+    order = 1 if psi_plus.d2f is not None and w_tilde.df is not None else 0
+    return _jet_function(jet, psi_plus.domain, w_tilde.singular_points, order)
 
 
 # ---------------------------------------------------------------------------

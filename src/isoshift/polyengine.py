@@ -21,10 +21,10 @@ does not depend on the blocking or on the order asked for, so results are
 bitwise independent of the block size and every row equals the same row of
 a lower-order call.  laguerre_eval, laguerre_deriv and laguerre_deriv2 are
 its rows.  Jacobi derivatives still use the parameter-shift identities.
-_blocks, the slices of _BLOCK points, is the package's one block loop: the
-eigenfunction, phi, w~ and V~-/+ evaluations above this kernel
-(catalog._blockwise) and spectral.schrodinger_residual run over the same
-blocks, each bitwise as in one pass.
+_blocks, the slices of _BLOCK points, is the package's one block loop: every
+jet above this kernel (catalog._jet_function) and
+spectral.schrodinger_residual run over the same blocks, each bitwise as in
+one pass.
 
 sign_change_zeros, a sign scan whose brackets are refined together by ITP
 (interpolate, truncate, project), is the package's one zero finder;

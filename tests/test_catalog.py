@@ -262,3 +262,56 @@ _REFUSED = {
 def test_unsupported_family_raises_configuration_error(case):
     with pytest.raises(ConfigurationError):
         _REFUSED[case]()
+
+
+def _jet_kinds():
+    """name -> (make, order): make() gives a package Function1D and an
+    interval inside its domain."""
+    ro, dpt = RadialOscillator(1.3, 1.2), TrigDPT(1.5, 3.0)
+    r, x = (0.05, 9.0), (0.02, math.pi / 2 - 0.02)
+    spec = eop.EOPSpec("L1", 3, 2, ro)
+
+    def general_R():
+        w = deform.extend_general_R(ro, 2, -3.0).w_tilde
+        return w, (0.05, 0.9 * w.domain[1])
+
+    return {
+        "phi": (lambda: (deform.seed_polynomial(ro, 2, 2).phi, r), 1),
+        "w_tilde": (lambda: (deform.seed_polynomial(dpt, 2, 2).w_tilde, x), 1),
+        "chi": (lambda: (deform.seed_polynomial(ro, 3, 2).chi, r), 1),
+        "W0": (lambda: (deform.w0_explicit(ro, 2), r), 1),
+        "general_R_w_tilde": (general_R, 1),
+        "V_tilde_minus": (lambda: (deform.extend(deform.seed_polynomial(ro, 2, 2))
+                                   .V_tilde_minus, r), 0),
+        "V_tilde_plus": (lambda: (deform.extend(deform.seed_polynomial(dpt, 3, 1))
+                                  .V_tilde_plus, x), 0),
+        "V_minus": (lambda: (partner_potentials(superpotential(dpt, 1))[0], x), 1),
+        "eigenfunction": (lambda: (eop.eigenfunction_closed_form(spec), r), 2),
+        "weight": (lambda: (eop.weight_spec("L3", 2, ro).weight, r), 2),
+        "classical": (lambda: (eop.classical_ro_eigenfunction(ro, 4), r), 2),
+        "psi_plus": (lambda: (eop.ro_psi_plus(spec), r), 2),
+        "intertwined": (lambda: (eop.intertwine(deform.seed_polynomial(ro, 2, 2).w_tilde,
+                                                eop.ro_psi_plus(spec)), r), 1),
+        "w0_from_ground_state": (lambda: (deform.w0_from_ground_state(
+            eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, 2, ro))), r), 0),
+        "potential_ro": (lambda: (potential(ro), r), 1),
+        "potential_dpt": (lambda: (potential(dpt), x), 1),
+        "superpotential_ro": (lambda: (superpotential(ro, 3), r), 2),
+        "superpotential_dpt": (lambda: (superpotential(dpt, 2), x), 2),
+    }
+
+
+@pytest.mark.parametrize("n", [300, 20_000])
+@pytest.mark.parametrize("kind", sorted(_jet_kinds()))
+def test_every_function_is_its_jet(kind, n):
+    # f, df and d2f are the jet's rows bit for bit, and None past its order
+    make, order = _jet_kinds()[kind]
+    fn, interval = make()
+    x = np.linspace(*interval, n)
+    rows = (fn.f, fn.df, fn.d2f)
+    assert [g is not None for g in rows] == [j <= order for j in range(3)]
+    jet = fn.jet(x)
+    assert len(jet) == order + 1
+    for j in range(order + 1):
+        assert len(fn.jet(x, j)) == j + 1
+        assert np.array_equal(rows[j](x), jet[j], equal_nan=True)

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import csv
 import io
 import json
 import math
@@ -20,6 +21,7 @@ import isoshift
 from isoshift.catalog import (
     RadialOscillator,
     TrigDPT,
+    branches,
     partner_potentials,
     superpotential,
 )
@@ -121,8 +123,12 @@ class TestCatalog:
 
     def test_text_output(self, capsys):
         assert main(["catalog", "trig_dpt", "--A", "1", "--B", "2", "--format", "csv"]) == 0
-        text = capsys.readouterr().out
-        assert "susy_kind" in text
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["k", "a", "b", "factorization_energy", "susy_kind"]
+        want = [[b.k, b.a, b.b, b.factorization_energy, b.susy_kind]
+                for b in branches(TrigDPT(1.0, 2.0))]
+        assert [[int(k), float(a), float(b), float(e), kind]
+                for k, a, b, e, kind in rows[1:]] == want
 
     def test_unknown_family_is_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -303,6 +309,22 @@ class TestCertify:
         assert code == 0
         assert cell["gram_offdiag_max"] <= 1e-8
         assert 0.0 <= cell["gram_quadrature_error"] <= 1e-12
+
+    def test_gram_size_is_nmax(self, monkeypatch, capsys):
+        from isoshift import eop
+
+        sizes = []
+        real_gram = eop._gram_with_error
+
+        def spy(series, m, params, n_max, *args):
+            sizes.append(n_max)
+            return real_gram(series, m, params, n_max, *args)
+
+        monkeypatch.setattr(eop, "_gram_with_error", spy)
+        code = main(["certify", "--branches", "2", "--m", "1", "--nmax", "6", "--skip-spectral"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["status"] == "pass"
+        assert sizes == [6]
 
     def test_cell_scans_its_seed_once(self, monkeypatch, capsys):
         from isoshift import deform, eop

@@ -186,6 +186,12 @@ class TestW0:
         W = w0_from_ground_state(psi)
         assert np.all(W.f(np.linspace(1, 9, 9)) == 0.0)
 
+    def test_ground_state_without_df_is_a_configuration_error(self):
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        W = w0_from_ground_state(Function1D(f=one, df=None, domain=(0.0, 10.0)))
+        with pytest.raises(ConfigurationError, match="no df"):
+            W.f(np.linspace(1, 9, 9))
+
     def test_sign_change_raises(self):
         psi = Function1D(
             f=lambda x: np.asarray(x, dtype=float) - 3.0,

@@ -205,6 +205,12 @@ class TestEigenfunctions:
                     for a, b in zip(got[1:], want[1:]):
                         assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
 
+    def test_intertwiner_of_a_state_without_df_is_a_configuration_error(self):
+        psi = Function1D(f=lambda r: np.exp(-np.asarray(r)), df=None, domain=(0.0, math.inf))
+        out = intertwine(superpotential(FAM, 2), psi)
+        with pytest.raises(ConfigurationError, match="no df"):
+            out.f(np.linspace(0.3, 4, 30))
+
     def test_intertwiner_annihilates_inverse_profile(self):
         # (-d/dr + w)(exp(int w)) = 0 for any smooth w; use the branch-2 one
         w2 = superpotential(FAM, 2)

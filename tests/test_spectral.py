@@ -602,6 +602,12 @@ class TestResiduals:
             with pytest.raises(SingularPotentialError):
                 schrodinger_residual(psi, 1.0, V, samples)
 
+    @pytest.mark.parametrize("residual", [schrodinger_residual, qhj_residual])
+    def test_missing_df_is_a_configuration_error(self, residual):
+        psi = Function1D(f=_const_fn(1.0).f, df=None, domain=(0.0, 1.0))
+        with pytest.raises(ConfigurationError, match="no df"):
+            residual(psi, 1.0, _const_fn(1.0), np.linspace(0.1, 0.9, 9))
+
     @pytest.mark.parametrize("value", [0.0, math.nan])
     def test_qhj_without_usable_samples_raises(self, value):
         # psi zero or NaN everywhere leaves Q = -psi'/psi undefined at every
