@@ -282,9 +282,10 @@ class RadialOscillator(Family):
         # Level k - 1 of V~- lies at most omega (2k + 2m + ell + 1/2) above
         # V-'s constant (ell_eff <= ell + 1, R = 2 m omega), so rho = r / s
         # has its turning point below rho^2 = 4 (2k + 2m + ell + 1/2); the
-        # +200 puts the wall e^-50 into the Gaussian tail exp(-rho^2 / 4)
+        # +200 puts the wall e^-50 into the Gaussian tail exp(-rho^2 / 4).
+        # The wall at r = 0 puts the first node at h, where V is finite
         s = 1.0 / math.sqrt(self.omega)
-        return 1e-4 * s, s * math.sqrt(4.0 * (2 * k + 2 * m + self.ell + 0.5) + 200.0)
+        return 0.0, s * math.sqrt(4.0 * (2 * k + 2 * m + self.ell + 0.5) + 200.0)
 
     def solver_points(self, k, m):
         # nodes at most 48 s / 3001 apart, the spacing of 3000 nodes on
@@ -383,7 +384,14 @@ class TrigDPT(Family):
         return 1e-6, math.pi / 2.0 - 1e-6
 
     def solver_points(self, k, m):
-        return 3000
+        # level k - 1 of V- lies kappa^2 = (A + B + 2k)^2 - (A + B + 1)^2
+        # = (2k - 1)(2A + 2B + 2k + 1) above its well floor, so nodes
+        # pi / 2 / (109 kappa) apart resolve it at kappa h = 0.0144, at every
+        # m.  Where A or B < 1/2 the endpoint error term h^(2A + 1) falls
+        # more slowly than h^2, and the grid keeps 3000 nodes
+        if min(self.A, self.B) < 0.5:
+            return 3000
+        return math.ceil(109.0 * math.sqrt((2 * k - 1) * (2.0 * self.A + 2.0 * self.B + 2 * k + 1)))
 
     def sample_interval(self, rmax=None):
         return 0.01, np.pi / 2.0 - 0.01

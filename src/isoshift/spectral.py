@@ -12,9 +12,9 @@ nodes and zero at the walls, and on the fine grid from the h^2 prediction
 of its eigenvalue, so most levels need one or two linear solves.  RQI runs
 in place in five rows allocated once per grid, and the fine grid reduces
 each eigenvector to its boundary-decay flag, so a solve at n = 3000 (the
-DPT certify grid; the radial-oscillator certify grids, at the same spacing
-as 3000 nodes on (0, 48 / sqrt(omega)), hold about 1000) peaks below 0.8 MB
-and repeated solves fault in almost no pages.  On both grids a
+DPT certify grid where min(A, B) < 1/2; the other certify grids hold
+950-1450 at A, B <= 4 and ell <= 20) peaks below 0.8 MB and repeated
+solves fault in almost no pages.  On both grids a
 residual bound and one Sturm count certify that the iteration found the
 lowest eigenpairs; where that certificate fails, the grid goes back to
 full-precision bisection with inverse-iteration vectors, and the
@@ -124,8 +124,10 @@ def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     n_points interior nodes; None gives certify's default,
     family.solver_points(k, m): on the radial oscillator, nodes 48 / 3001
     apart in units of 1 / sqrt(omega), whose interval ends where the k-th
-    state has decayed by e^-50; on DPT, 3000 nodes.  k (>= 1) and m are
-    checked integers (errors.check_index).
+    state has decayed by e^-50; on DPT, ceil(109 kappa) nodes, kappa the
+    wavenumber of level k - 1 above the well floor, so kappa h = 0.0144,
+    and 3000 where min(A, B) < 1/2.  k (>= 1) and m are checked integers
+    (errors.check_index).
     """
     family = Family.check(family)
     if check_index(k, "k") < 1:

@@ -441,7 +441,9 @@ class TestCertify:
 
     def test_default_solver_grids(self, monkeypatch, capsys):
         # radial oscillator: nodes at most 48 s / 3001 apart (s = 1/sqrt(omega)),
-        # the spacing of 3000 nodes on (0, 48 s), at every m; DPT: 3000 nodes
+        # the spacing of 3000 nodes on (0, 48 s), at every m; DPT at
+        # min(A, B) >= 1/2: ceil(109 sqrt(7 (2A + 2B + 9))) nodes for k = 4
+        # (1224 here), the same at every m
         from isoshift import spectral
 
         grids = []
@@ -460,9 +462,20 @@ class TestCertify:
         assert all(g.spacing <= 48.0 / 3001.0 / np.sqrt(omega) * (1.0 + 1e-12) for g in grids)
         grids.clear()
         assert main(["certify", "--family", "trig_dpt", "--A", "1.5", "--B", "3",
-                     "--branches", "2", "3", "--m", "0", "1"]) == 0
+                     "--branches", "2", "3", "--m", "0", "1", "2"]) == 0
         capsys.readouterr()
-        assert set(grids) == {spectral.Grid(1e-6, np.pi / 2.0 - 1e-6, 3000)}
+        assert set(grids) == {spectral.Grid(1e-6, np.pi / 2.0 - 1e-6, 1224)}
+
+    @pytest.mark.parametrize("omega, m", [(2.982, 8), (2.0, 8), (4.0, 5), (4.0, 8), (2.982, 5)])
+    def test_radial_wall_at_zero_keeps_ell_zero_levels(self, capsys, omega, m):
+        # at ell = 0 the states go like r, and a wall at r = 1e-4 s moved
+        # each level by about 1e-4 relative: these regular cells, whose
+        # shift is exactly R, failed the 1e-3 gate at 1.1e-3 to 2.3e-3
+        assert main(["certify", "--omega", str(omega), "--ell", "0", "--branches", "2",
+                     "--m", str(m), "--skip-gram"]) == 0
+        (cell,) = json.loads(capsys.readouterr().out)["cells"]
+        assert cell["regularity"] == "regular"
+        assert cell["isospectrality"]["deviation"] <= 1e-6
 
     @pytest.mark.parametrize("family", ["radial_oscillator", "trig_dpt"])
     def test_run_caches_change_no_byte(self, monkeypatch, capsys, family):
