@@ -13,20 +13,21 @@ Polynomial values and their derivatives are carried as "jets", tuples
 arithmetic, so that every eigenfunction carries analytic first and second
 derivatives.  Each Laguerre factor is one call of polyengine.laguerre_jet,
 whose blocked, differentiated recurrence yields a polynomial and all its
-derivatives in one pass.  The seed T enters an eigenfunction three times:
-in S, as the denominator and, for L1, through its contiguous partner
-B_m = L_m^(alpha+1)(-y).  It is evaluated once per point set, to one order
-above the eigenfunction's, and every factor is taken from that jet:
-B_m = T + dT/dy (DLMF 18.9.14 with 18.9.23 at x = -y), so B_m costs no
-kernel call.  L_n and L_n' come from one call too, so a state costs two
-kernel calls whatever the order.  Every state and weight is a jet built
-by catalog._jet_function (so is an intertwined state, to order 1): its f,
-df and d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three
-from one order-2 evaluation.  The S = 1 weight evaluates T only to its own order.  On a 1-D
-r longer than polyengine._BLOCK points, the jet runs block by block into
-one preallocated output: the kernel calls, the product, quotient and chain
-rules, r^p and the Gaussian then make block-sized temporaries only, and the
-rows are bitwise those of one pass.
+derivatives in one pass.  Every state is (-d/dr + w~) applied to a
+classical partner state with the Laguerre factor P_n, so all series share
+one numerator, S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1)
+for L1 and (y + alpha, y) for L3 (alpha the seed's parameter); at n = 0,
+L1's S is T + dT/dy = L_m^(alpha+1)(-y) (DLMF 18.9.14, 18.9.23).  T is
+evaluated once per point set, to one order above the eigenfunction's, for
+S and the denominator, and P_n and P_n' take one call, so a state costs two
+kernel calls whatever the order.  Every state and weight is a jet built by
+catalog._jet_function (so is an intertwined state, to order 1): its f, df
+and d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three from
+one order-2 evaluation.  The S = 1 weight evaluates T only to its own
+order.  On a 1-D r longer than polyengine._BLOCK points, the jet runs block
+by block into one preallocated output: the kernel calls, the product,
+quotient and chain rules, r^p and the Gaussian then make block-sized
+temporaries only, and the rows are bitwise those of one pass.
 
 Gram matrices are integrated in y, where W^2 dr is a constant times
 y^(p-1/2) e^(-y) / T(y)^2 dy, up to the cut omega r_cut^2/2.  One composite
@@ -140,10 +141,6 @@ class WeightSpec:
 # ---------------------------------------------------------------------------
 
 
-def _jsub(a, b):
-    return tuple(u - v for u, v in zip(a, b))
-
-
 def _jmul(a, b):
     """Leibniz product of two jets of the same order (at most 2)."""
     out = [a[0] * b[0]]
@@ -181,77 +178,83 @@ def _lagjet(n, alpha, sign, y, order):
 
 
 # ---------------------------------------------------------------------------
-# series definitions: T(y, order) and S(y, T, order) return jets in y, S
-# from the seed's jet T to order + 1
+# series: one record per (series, m, family) and one numerator for all three
 # ---------------------------------------------------------------------------
 
 
-def _operational(spec: EOPSpec):
-    """Map an L2 state to the equivalent L1 state at ell -> ell + 1."""
-    if spec.series == "L2":
-        return EOPSpec("L1", spec.n, spec.m, spec.params.tau())
-    return spec
-
-
-def _l1_S(n, alpha, y, T, order):
-    """S = B_m L_n - U_m L_n' with U_m = T = L_m^alpha(-y) the seed,
-    B_m = L_m^(alpha+1)(-y) = T + dT/dy and L_n = L_n^alpha(y)."""
-    # L_n and L_n' come from one jet of order + 1, B_m from the seed's jet
-    # (made after the kernel call, so that it is not live during it)
-    Ln = _lagjet(n, alpha, 1, y, order + 1)
-    Bm = tuple(u + v for u, v in zip(T[:-1], T[1:]))
-    return _jsub(_jmul(Bm, Ln[:-1]), _jmul(T[:-1], Ln[1:]))
-
-
-def _l3_S(n, alpha, y, G, order):
-    """S = (y + alpha) L_n G + y W with the Wronskian W = L_n G' - L_n' G,
-    G = T = L_m^alpha(-y) the seed and L_n = L_n^(-alpha)(y)."""
-    # L_n and L_n' come from one jet of order + 1; the L_n' G' terms of W'
-    # cancel, so W' = L_n G'' - L_n'' G
-    y = np.asarray(y, dtype=float)
-    L = _lagjet(n, -alpha, 1, y, order + 1)
-    LG = _jmul(L[:-1], G[:-1])
-    # the product rule against the linear factors y + alpha and y, whose
-    # first derivative is 1 and second 0
-    ya = y + alpha
-    W = L[0] * G[1] - L[1] * G[0]
-    S = [ya * LG[0] + y * W]
+def _numerator(n, a, shift, y, T, order):
+    """The jet to `order` of S = c0 T P_n + c1 W, P_n = L_n^a(y) and W =
+    P_n T' - P_n' T, from the seed's jet T to order + 1: (c0, c1) is (1, 1)
+    when shift is None and (y + shift, y) otherwise."""
+    # P_n and P_n' come from one jet of order + 1; the P_n' T' terms of W'
+    # cancel, so W' = P_n T'' - P_n'' T
+    P = _lagjet(n, a, 1, y, order + 1)
+    PT = _jmul(P[:-1], T[:-1])
+    W = [P[0] * T[1] - P[1] * T[0]]
     if order > 0:
-        W1 = L[0] * G[2] - L[2] * G[0]
-        S.append(ya * LG[1] + LG[0] + (y * W1 + W))
+        W.append(P[0] * T[2] - P[2] * T[0])
     if order > 1:
-        W2 = L[1] * G[2] + L[0] * G[3] - L[3] * G[0] - L[2] * G[1]
-        S.append(ya * LG[2] + 2.0 * LG[1] + (y * W2 + 2.0 * W1))
+        W.append(P[1] * T[2] + P[0] * T[3] - P[3] * T[0] - P[2] * T[1])
+    if shift is None:
+        return tuple(u + v for u, v in zip(PT, W))
+    # the product rule against the linear factors y + shift and y, whose
+    # first derivative is 1 and second 0
+    ys = y + shift
+    S = [ys * PT[0] + y * W[0]]
+    if order > 0:
+        S.append(ys * PT[1] + PT[0] + (y * W[1] + W[0]))
+    if order > 1:
+        S.append(ys * PT[2] + 2.0 * PT[1] + (y * W[2] + 2.0 * W[1]))
     return tuple(S)
 
 
-def _series_data(spec: EOPSpec):
-    """(S jet fn, T jet fn, prefactor power p, eigenvalue E, denominator seed, family).
+@dataclass(frozen=True)
+class _Series:
+    """One series at one m, L2 as L1 at tau(family): psi~_n = r^p e^(-y/2)
+    S_n/T is (-d/dr + w~) psi+_n, psi+_n = r^p_plus e^(-y/2) L_n^a(y), both
+    at energy(n) = 2 n omega + E_0.  T is the jet (y, order) of the seed
+    L_m^alpha(sign y); S_n, _numerator's at a and shift, has degree n + m + offset."""
 
-    T is the seed of the series' branch, L_m^alpha(s y) with (alpha, s) as
-    family.seed gives them; s = -1 for both series.  S(y, T(y, order + 1),
-    order) is the jet of S to `order`."""
-    op = _operational(spec)
-    fam = op.params
-    w, ell = fam.omega, fam.ell
-    branch = fam.branches()[_SERIES_BRANCH[op.series] - 1]
-    seed, s, _ = fam.seed(branch.a, branch.b, op.m)
+    family: RadialOscillator
+    seed: pe.LaguerreSpec
+    sign: int
+    T: object
+    a: float
+    shift: float | None
+    p: float
+    p_plus: float
+    energy: object
+    offset: int
+
+    def S(self, n, y, T, order):
+        """The jet of S_n to `order`, from the seed's jet T to order + 1."""
+        return _numerator(n, self.a, self.shift, y, T, order)
+
+    def value(self, n, y):
+        """S_n(y)."""
+        return self.S(n, y, self.T(y, 1), 0)[0]
+
+
+def _series(spec: EOPSpec) -> _Series:
+    """The record of the spec's series at its m; P_n is L_n^alpha for L1 and
+    L2 and L_n^(-alpha) for L3, alpha the seed's parameter."""
+    series, m, params = spec.series, spec.m, spec.params
+    if series == "L2":
+        series, params = "L1", params.tau()
+    w, ell = params.omega, params.ell
+    branch = params.branches()[_SERIES_BRANCH[series] - 1]
+    seed, s, _ = params.seed(branch.a, branch.b, m)
     T = partial(_lagjet, seed.n, seed.alpha, s)
-    p = ell + 1.0
-    if op.series == "L1":
-        S = partial(_l1_S, op.n, seed.alpha)
-        E = (2.0 * op.n + 2.0 * op.m + 2.0 * ell + 1.0) * w
-    else:  # L3
-        S = partial(_l3_S, op.n, seed.alpha)
-        E = 2.0 * (op.n + op.m + 1.0) * w
-    return S, T, p, E, (seed, s), fam
+    if series == "L1":
+        return _Series(params, seed, s, T, seed.alpha, None, ell + 1.0, ell,
+                       lambda n: (2.0 * n + 2.0 * m + 2.0 * ell + 1.0) * w, 0)
+    return _Series(params, seed, s, T, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
+                   lambda n: 2.0 * (n + m + 1.0) * w, 1)
 
 
 def eop_polynomial_degree(spec: EOPSpec) -> int:
     """Degree in y of the exceptional polynomial of a state."""
-    if spec.series == "L3":
-        return spec.n + spec.m + 1
-    return spec.n + spec.m
+    return spec.n + spec.m + _series(spec).offset
 
 
 def eop_eval(spec: EOPSpec, r):
@@ -259,7 +262,9 @@ def eop_eval(spec: EOPSpec, r):
 
     L1 and L3 evaluate the certified closed forms used by the
     eigenfunctions.  L2 evaluates the traditional printed series with its
-    1/(ell - m + 1/2) prefactor, undefined when ell - m + 1/2 = 0.
+    1/(ell - m + 1/2) prefactor, undefined when ell - m + 1/2 = 0.  That is
+    a different polynomial, not a constant multiple of the numerator of
+    eigenfunction_closed_form (L1 at ell + 1) except at n = m = 0.
     """
     scalar = np.ndim(r) == 0
     r = np.asarray(r, dtype=float)
@@ -276,8 +281,7 @@ def eop_eval(spec: EOPSpec, r):
         term2 = y * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 0.5), y) * dLn
         out = (term1 + term2) / c
     else:
-        S, T = _series_data(spec)[:2]
-        out = S(y, T(y, 1), 0)[0]
+        out = _series(spec).value(spec.n, y)
     return float(out) if scalar else out
 
 
@@ -322,14 +326,15 @@ def _product_function(omega, p, ratio, singular):
 
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
-    S, T, p, _, denom, fam = _series_data(spec)
-    singular = fam.seed_zeros(*denom)
-    return _product_function(fam.omega, p, partial(_quotient, S, T), singular)
+    rec = _series(spec)
+    singular = rec.family.seed_zeros(rec.seed, rec.sign)
+    ratio = partial(_quotient, partial(rec.S, spec.n), rec.T)
+    return _product_function(rec.family.omega, rec.p, ratio, singular)
 
 
 def eigenvalue(spec: EOPSpec) -> float:
     """Energy of the state in the extended potential V~- of its branch."""
-    return _series_data(spec)[3]
+    return _series(spec).energy(spec.n)
 
 
 def ro_psi_plus(spec: EOPSpec) -> Function1D:
@@ -340,13 +345,8 @@ def ro_psi_plus(spec: EOPSpec) -> Function1D:
     operator, which maps them onto the closed forms.  The energy is
     eigenvalue(spec).
     """
-    op = _operational(spec)
-    fam = op.params
-    if op.series == "L1":
-        p, alpha = fam.ell, fam.ell - 0.5
-    else:  # L3
-        p, alpha = fam.ell + 2.0, fam.ell + 1.5
-    return _product_function(fam.omega, p, partial(_lagjet, op.n, alpha, 1), ())
+    rec = _series(spec)
+    return _product_function(rec.family.omega, rec.p_plus, partial(_lagjet, spec.n, rec.a, 1), ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
@@ -383,9 +383,9 @@ def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
 def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y), with
     analytic df and d2f and a `jet`."""
-    _, T, p, _, denom, fam = _series_data(EOPSpec(series, 0, m, params))
-    singular = tuple(fam.seed_zeros(*denom))
-    weight = _product_function(fam.omega, p, partial(_reciprocal, T), singular)
+    rec = _series(EOPSpec(series, 0, m, params))
+    singular = tuple(rec.family.seed_zeros(rec.seed, rec.sign))
+    weight = _product_function(rec.family.omega, rec.p, partial(_reciprocal, rec.T), singular)
     return WeightSpec(
         series=series,
         m=m,
@@ -509,8 +509,9 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     summed |halves - whole| of those panels, normalized the same way.
     """
     check_index(n_max, "n_max")
+    rec = _series(EOPSpec(series, 0, m, params))
     if singular_points is None:
-        singular_points = weight_spec(series, m, params).singular_points
+        singular_points = tuple(rec.family.seed_zeros(rec.seed, rec.sign))
     if singular_points:
         raise SingularExtensionError(
             f"{series} extension with m={m} is singular; Gram matrix undefined",
@@ -519,10 +520,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     omega = params.omega
     r_cut = max(10.0, 8.0 / math.sqrt(omega)) * (1.0 + math.sqrt(n_max + m))
     y_cut = 0.5 * omega * r_cut * r_cut
-
-    _, T, p, _, _, _ = _series_data(EOPSpec(series, 0, m, params))
-    polys = [_series_data(EOPSpec(series, n, m, params))[0] for n in range(n_max + 1)]
-    c = p - 0.5
+    c = rec.p - 0.5
 
     edges = [0.0, _GRAM_H0]
     while edges[-1] < y_cut:
@@ -545,9 +543,9 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
         # rows: each panel whole, then its left halves, then its right halves
         y, w = _panel_rules(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), c)
         # one seed jet per node set, shared by the weight and every S_n
-        Tj = T(y, 1)
+        Tj = rec.T(y, 1)
         w = w * np.exp(-y) / Tj[0] ** 2
-        P = np.stack([S(y, Tj, 0)[0] for S in polys])
+        P = np.stack([rec.S(n, y, Tj, 0)[0] for n in range(size)])
         parts = np.einsum("ikq,jkq->kij", P * w, P)
         whole, halves = parts[:k], parts[k : 2 * k] + parts[2 * k :]
         diff = np.abs(halves - whole)
@@ -559,7 +557,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
         a, b = np.concatenate([a[bad], mid[bad]]), np.concatenate([mid[bad], b[bad]])
 
     d = np.sqrt(np.diag(G))
-    scale = (2.0 / omega) ** p / math.sqrt(2.0 * omega)
+    scale = (2.0 / omega) ** rec.p / math.sqrt(2.0 * omega)
     return scale * G, float(np.max(err / np.outer(d, d)))
 
 
@@ -593,13 +591,12 @@ def zero_census(spec: EOPSpec):
     sign); `outside` is the remaining degree count (real negative plus
     complex zeros).
     """
-    op = _operational(spec)
-    S, T = _series_data(op)[:2]
-    deg = eop_polynomial_degree(spec)
-    y_hi = 10.0 + 6.0 * (op.n + op.m + 2.0)
+    rec = _series(spec)
+    deg = spec.n + spec.m + rec.offset
+    y_hi = 10.0 + 6.0 * (spec.n + spec.m + 2.0)
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
-    poly = lambda y: S(y, T(y, 1), 0)[0]
+    poly = partial(rec.value, spec.n)
     # only the count is used, so the brackets are not refined
     inside = len(pe.sign_change_zeros(poly, ys, poly(ys), 0.0, math.inf).crossings)
     return inside, deg - inside

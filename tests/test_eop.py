@@ -3,6 +3,7 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -38,6 +39,8 @@ from isoshift.errors import (
     SingularExtensionError,
 )
 from isoshift.polyengine import LaguerreSpec, laguerre_eval
+
+import exact
 
 
 FAM = RadialOscillator(2.0, 1.0)
@@ -153,15 +156,26 @@ class TestEigenfunctions:
             res = -psi.d2f(r) + (vminus - E) * psi.f(r)
             assert np.max(np.abs(res)) <= 1e-9 * max(E, 1.0) * np.max(np.abs(psi.f(r)))
 
-    @pytest.mark.parametrize("series,n,m", [("L1", 2, 1), ("L3", 1, 2)])
-    def test_intertwiner_maps_partner_states(self, series, n, m):
-        d = seed_polynomial(FAM, series_branch(series), m)
-        spec = EOPSpec(series, n, m, FAM)
-        mapped = intertwine(d.w_tilde, ro_psi_plus(spec))
-        closed = eigenfunction_closed_form(spec)
+    @pytest.mark.parametrize("series", ["L1", "L2", "L3"])
+    @pytest.mark.parametrize("fam", [FAM, RadialOscillator(1.0, 0.3), RadialOscillator(3.3, 2.5)],
+                             ids=["RO(2,1)", "RO(1,0.3)", "RO(3.3,2.5)"])
+    def test_intertwiner_maps_partner_states(self, fam, series):
+        # psi+ and the closed form take P_n from one series record; the
+        # worst spread on these cells is 1.9e-12
         r = np.linspace(0.2, 5, 60)
-        ratio = mapped.f(r) / closed.f(r)
-        assert np.ptp(ratio) <= 1e-9 * np.max(np.abs(ratio))
+        cells = 0
+        for m in range(5):
+            d = seed_polynomial(fam, series_branch(series), m)
+            if d.singular_points:
+                continue
+            for n in range(5):
+                spec = EOPSpec(series, n, m, fam)
+                mapped = intertwine(d.w_tilde, ro_psi_plus(spec))
+                ratio = mapped.f(r) / eigenfunction_closed_form(spec).f(r)
+                assert np.ptp(ratio) <= 1e-9 * np.max(np.abs(ratio)), (m, n)
+                cells += 1
+        # L3 is regular at only m = 0 on RO(1, 0.3)
+        assert cells >= 5
 
     @pytest.mark.parametrize("make", [
         lambda: eigenfunction_closed_form(EOPSpec("L1", 5, 2, FAM)),
@@ -180,30 +194,49 @@ class TestEigenfunctions:
         for row, fn in zip(got, (psi.f, psi.df, psi.d2f)):
             assert np.array_equal(row, fn(r))
 
+    @pytest.mark.parametrize("series", ["L1", "L3"])
     @pytest.mark.parametrize("alpha", [0.3, 1.5, 2.5, 4.7])
-    def test_l3_S_matches_the_product_rule(self, alpha):
-        # the reference: the Leibniz rule through the linear factors' jets
-        # (y + alpha, 1, 0) and (y, 1, 0), with W from two full products
+    def test_numerator_matches_the_product_rule(self, series, alpha):
+        # the references: for L3 the Leibniz rule through the linear
+        # factors' jets (y + alpha, 1, 0) and (y, 1, 0), with W from two full
+        # products; for L1 the contiguous partner's form (T + T') P_n - T P_n'
+        def jsub(a, b):
+            return tuple(u - v for u, v in zip(a, b))
+
         def product_rule(n, y, G, order):
             L = eop._lagjet(n, -alpha, 1, y, order + 1)
             LG = eop._jmul(L[:-1], G[:-1])
-            W = eop._jsub(eop._jmul(L[:-1], G[1:]), eop._jmul(L[1:], G[:-1]))
+            W = jsub(eop._jmul(L[:-1], G[1:]), eop._jmul(L[1:], G[:-1]))
             lin = (1.0, 0.0)[:order]
             left, right = eop._jmul((y + alpha, *lin), LG), eop._jmul((y, *lin), W)
             return tuple(u + v for u, v in zip(left, right))
+
+        def partner_form(n, y, G, order):
+            L = eop._lagjet(n, alpha, 1, y, order + 1)
+            B = tuple(u + v for u, v in zip(G[:order + 1], G[1:]))
+            return jsub(eop._jmul(B, L[:-1]), eop._jmul(G[:-1], L[1:]))
 
         y = np.linspace(1e-3, 40.0, 20_001)
         for m in (1, 2, 4):
             G = eop._lagjet(m, alpha, -1, y, 3)
             for n in (0, 1, 5, 12, 15):
                 for order in (0, 1, 2):
-                    got = eop._l3_S(n, alpha, y, G[:order + 2], order)
-                    want = product_rule(n, y, G[:order + 2], order)
-                    # the value row is the same arithmetic; the derivative
-                    # rows differ by rounding, W' no longer cancelling L_n' G'
-                    assert np.array_equal(got[0], want[0])
-                    for a, b in zip(got[1:], want[1:]):
-                        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+                    if series == "L3":
+                        got = eop._numerator(n, -alpha, alpha, y, G[:order + 2], order)
+                        want = product_rule(n, y, G[:order + 2], order)
+                        # the value row is the same arithmetic; the derivative
+                        # rows differ by rounding, W' no longer cancelling L_n' G'
+                        assert np.array_equal(got[0], want[0])
+                        bound = 1e-15
+                    else:
+                        got = eop._numerator(n, alpha, None, y, G[:order + 2], order)
+                        want = partner_form(n, y, G[:order + 2], order)
+                        # T P_n + W and (T + T') P_n - T P_n' round apart: at
+                        # most 9.9e-16, 1.8e-15 and 1.9e-15 of max|row| here
+                        bound = 4e-15
+                    start = 1 if series == "L3" else 0
+                    for a, b in zip(got[start:], want[start:]):
+                        assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
 
     def test_intertwiner_of_a_state_without_df_is_a_configuration_error(self):
         psi = Function1D(f=lambda r: np.exp(-np.asarray(r)), df=None, domain=(0.0, math.inf))
@@ -570,13 +603,37 @@ class TestSharedSeedJet:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_contiguous_cases())
     def test_contiguous_partner_is_T_plus_T_prime(self, case):
-        # L1's S at n = 0 is B_m, built from the seed's jet as T + T'
-        # (DLMF 18.9.14 and 18.9.23 at x = -y), against L_m^(alpha+1)(-y)
+        # L1's numerator at n = 0 is T P_0 + (P_0 T' - P_0' T) = T + T', the
+        # contiguous partner L_m^(alpha+1)(-y) (DLMF 18.9.14 and 18.9.23 at
+        # x = -y)
         m, alpha, y = case
         T = eop._lagjet(m, alpha, -1, np.array([y]), 1)
-        got = eop._l1_S(0, alpha, np.array([y]), T, 0)[0][0]
+        got = eop._numerator(0, alpha, None, np.array([y]), T, 0)[0][0]
         want = _mp_laguerre(m, alpha + 1.0, -y)
         assert abs(float(got - want)) <= 1e-12 * max(1.0, abs(float(want)))
+
+
+class TestExactOracle:
+    """The numerators against their exact forms in Q[y] (tests/exact.py)."""
+
+    Y = np.arange(1, 81) / 8.0  # dyadic, so exact as floats
+
+    @pytest.mark.parametrize("ell", [Fraction(0), Fraction(3, 10), Fraction(1),
+                                     Fraction(5, 2), Fraction(4)], ids=str)
+    def test_degree_zero_count_and_values(self, ell):
+        fam = RadialOscillator(2.0, float(ell))
+        for series in ("L1", "L2", "L3"):
+            for m in range(5):
+                rec = eop._series(EOPSpec(series, 0, m, fam))
+                for n in range(6):
+                    spec = EOPSpec(series, n, m, fam)
+                    S = exact.numerator(series, n, m, ell)
+                    assert eop_polynomial_degree(spec) == exact.degree(S)
+                    assert zero_census(spec)[0] == exact.positive_zeros(S)
+                    want = np.array([float(exact.evaluate(S, Fraction(y))) for y in self.Y])
+                    # at most 1.7e-15 of max|S| on these 450 states
+                    err = np.max(np.abs(rec.value(n, self.Y) - want))
+                    assert err <= 4e-15 * np.max(np.abs(want)), (series, m, n)
 
 
 class TestKernelCallBudget:
