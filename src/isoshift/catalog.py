@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import polyengine as pe
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_index, check_real
 
 __all__ = [
     "Function1D",
@@ -159,9 +159,10 @@ class Family:
     `branches()`, the closed forms `potential()` and `superpotential(a, b)`,
     `tau()` and the step `tau_step` it induces on a branch's (a, b),
     `sign_reversed_branches` (deformed by the second process), the degree-m
-    seed of branch (a, b): `seed(a, b, m)` -> (spec, arg sign s, R),
-    `seed_jet(spec, s, x, order)` -> (u, u', ...), `seed_zeros(spec, s)` and
-    the closed-form `seed_zero_prediction` (or None), the intervals
+    seed of branch (a, b): `seed(a, b, m)` -> (spec, R), the spec the whole
+    polynomial (its argument's sign too), `seed_jet(spec, x, order)` ->
+    (u, u', ...), `seed_zeros(spec)` and the closed-form
+    `seed_zero_prediction(spec)` (or None), the intervals
     `certification_interval()`, `solver_interval(k, m)` with the node count
     `solver_points(k, m)` of certify's FD grid on it, and
     `sample_interval(rmax)`, and `exceptional_series`: branch -> series.
@@ -177,7 +178,7 @@ class Family:
             raise ConfigurationError(f"unknown family {type(obj).__name__}")
         return obj
 
-    def seed_zero_prediction(self, spec, s):
+    def seed_zero_prediction(self, spec):
         return None
 
 
@@ -186,8 +187,8 @@ class RadialOscillator(Family):
     """Radial oscillator family: V(r) = (1/4) omega^2 r^2 + ell(ell+1)/r^2.
 
     Branch w = (b/2) r + a/r.  The seed of branch (a, b) is
-    L_m^(a-1/2)(s y) at y = omega r^2/2, with s = -1, R = 2 m omega for
-    b > 0 and s = +1, R = -2 m omega for b < 0.
+    L_m^(a-1/2)(sign y) at y = omega r^2/2, with R = 2 m b: the spec
+    LaguerreSpec(m, a - 1/2, sign) has sign -1 for b > 0 and +1 for b < 0.
     """
 
     omega: float
@@ -199,13 +200,9 @@ class RadialOscillator(Family):
     tau_step = (1.0, 0.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and math.isfinite(self.ell)):
-            raise ConfigurationError(
-                f"omega and ell must be finite, got omega={self.omega}, ell={self.ell}"
-            )
-        if self.omega <= 0.0:
+        if check_real(self.omega, "omega") <= 0.0:
             raise ConfigurationError(f"omega must be positive, got {self.omega}")
-        if self.ell < 0.0:
+        if check_real(self.ell, "ell") < 0.0:
             raise ConfigurationError(f"ell must be nonnegative, got {self.ell}")
 
     @property
@@ -244,32 +241,30 @@ class RadialOscillator(Family):
         return RadialOscillator(self.omega, self.ell + 1.0)
 
     def seed(self, a, b, m):
-        return pe.LaguerreSpec(int(m), a - 0.5), (-1 if b > 0 else 1), 2.0 * m * b
+        return pe.LaguerreSpec(int(m), a - 0.5, -1 if b > 0 else 1), 2.0 * m * b
 
-    def seed_jet(self, spec, s, r, order):
+    def seed_jet(self, spec, r, order):
         w = self.omega
         r = np.asarray(r, dtype=float)
-        L = pe.laguerre_jet(spec, s * 0.5 * w * r**2, order)
-        # d eta/dr = s w r and d2 eta/dr2 = s w for eta = s y
-        return _chain(L, s * w * r, s * w)
+        L = pe.laguerre_jet(spec, 0.5 * w * r**2, order)
+        # dy/dr = w r and d2y/dr2 = w
+        return _chain(L, w * r, w)
 
-    def seed_zeros(self, spec, s):
+    def seed_zeros(self, spec):
         if spec.n == 0:
             return []
         y_max = 0.5 * self.omega * (40.0 / math.sqrt(self.omega)) ** 2
-        # all real zeros of L_m^alpha lie within |eta| < 4m + 2|alpha| + 20
+        # all real zeros of L_m^alpha lie within |y| < 4m + 2|alpha| + 20
         hi = min(y_max, 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0)
-        interval = (1e-12, hi) if s > 0 else (-hi, -1e-12)
-        report = pe.real_zeros(spec, interval, samples_per_degree=512)
-        ys = [s * eta for eta in report.zeros]
-        return sorted(math.sqrt(2.0 * y / self.omega) for y in ys if y > 0.0)
+        report = pe.real_zeros(spec, (1e-12, hi), samples_per_degree=512)
+        return [math.sqrt(2.0 * y / self.omega) for y in report.zeros]
 
-    def seed_zero_prediction(self, spec, s):
+    def seed_zero_prediction(self, spec):
         """The classical zero count of seeds at negative argument (Szegő,
         Orthogonal Polynomials, Thm 6.73): for non-integer alpha, L_m^alpha
         has one negative zero iff alpha < -1 and max(floor(alpha), -m - 1)
         is even, and none otherwise.  None at integer alpha."""
-        if s != -1 or spec.n == 0 or float(spec.alpha).is_integer():
+        if spec.sign != -1 or spec.n == 0 or float(spec.alpha).is_integer():
             return None
         one = spec.alpha < -1 and max(math.floor(spec.alpha), -spec.n - 1) % 2 == 0
         return "singular" if one else "regular"
@@ -317,9 +312,7 @@ class TrigDPT(Family):
     tau_step = (1.0, 1.0)
 
     def __post_init__(self):
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise ConfigurationError(f"A and B must be finite, got A={self.A}, B={self.B}")
-        if self.A <= -0.5 or self.B <= -0.5:
+        if check_real(self.A, "A") <= -0.5 or check_real(self.B, "B") <= -0.5:
             raise ConfigurationError(
                 f"A and B must exceed -1/2, got A={self.A}, B={self.B}"
             )
@@ -363,15 +356,15 @@ class TrigDPT(Family):
     def seed(self, a, b, m):
         constant = abs(m + a + b) <= _SNAP_ULPS * np.spacing(m + abs(a) + abs(b))
         spec = pe.JacobiSpec(0 if constant else int(m), a - 0.5, b - 0.5)
-        return spec, 1, -4.0 * m * (m + a + b)
+        return spec, -4.0 * m * (m + a + b)
 
-    def seed_jet(self, spec, s, x, order):
+    def seed_jet(self, spec, x, order):
         x = np.asarray(x, dtype=float)
         y = np.cos(2.0 * x)
         rows = (pe.jacobi_eval, pe.jacobi_deriv, pe.jacobi_deriv2)[: order + 1]
         return _chain([d(spec, y) for d in rows], -2.0 * np.sin(2.0 * x), -4.0 * y)
 
-    def seed_zeros(self, spec, s):
+    def seed_zeros(self, spec):
         if spec.N == 0:
             return []
         report = pe.real_zeros(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
@@ -417,10 +410,14 @@ def branches(family):
 
 
 def get_branch(family, k):
-    """The branch with index k in {1, 2, 3, 4}."""
-    if k not in (1, 2, 3, 4):
+    """The branch k of a family: k itself if it is a Branch, else the branch
+    with index k, which must pass errors.check_index and lie in 1..4."""
+    family = Family.check(family)
+    if isinstance(k, Branch):
+        return k
+    if not 1 <= check_index(k, "branch index") <= 4:
         raise ConfigurationError(f"branch index must be in 1..4, got {k}")
-    return branches(family)[k - 1]
+    return family.branches()[k - 1]
 
 
 def potential(family) -> Function1D:
@@ -430,11 +427,8 @@ def potential(family) -> Function1D:
 
 def superpotential(family, branch) -> Function1D:
     """The superpotential of a branch, with analytic first two derivatives."""
-    if isinstance(branch, int):
-        branch = get_branch(family, branch)
-    if not isinstance(branch, Branch):
-        raise ConfigurationError(f"expected Branch or index, got {type(branch).__name__}")
-    return Family.check(family).superpotential(branch.a, branch.b)
+    branch = get_branch(family, branch)
+    return family.superpotential(branch.a, branch.b)
 
 
 def partner_potentials(w: Function1D):
@@ -471,9 +465,8 @@ def si_pair_check(family, branch_i, branch_j, grid):
     for DPT.  A residual at rounding level certifies the shape-invariance
     pairing; a mismatched pairing returns an O(1) residual.
     """
-    bi = get_branch(family, branch_i) if isinstance(branch_i, int) else branch_i
-    bj = get_branch(family, branch_j) if isinstance(branch_j, int) else branch_j
-    da, db = Family.check(family).tau_step
+    bi, bj = get_branch(family, branch_i), get_branch(family, branch_j)
+    da, db = family.tau_step
     wi = family.superpotential(bi.a, bi.b)
     wj = family.superpotential(bj.a + da, bj.b + db)
     pts = np.asarray(grid, dtype=float)

@@ -31,7 +31,6 @@ from .catalog import (
     RadialOscillator,
     _rows,
     branches,
-    get_branch,
     partner_potentials,
     superpotential,
 )
@@ -107,8 +106,7 @@ def cmd_extend(args):
 
     for m in args.m:
         notes = []  # this m's warnings, for its sidecar
-        branch = get_branch(family, args.branch)
-        d = deform.seed_polynomial(family, branch, m)
+        d = deform.seed_polynomial(family, args.branch, m)
         pair = deform.extend(d)
         v_minus = partner_potentials(d.w0)[0].f(grid)
 

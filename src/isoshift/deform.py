@@ -52,6 +52,7 @@ from .errors import (
     InternalInconsistencyError,
     SingularExtensionError,
     check_index,
+    check_real,
 )
 
 __all__ = [
@@ -81,8 +82,7 @@ class Deformation:
     family: Family
     branch: Branch
     m: int
-    seed: object  # LaguerreSpec or JacobiSpec
-    arg_sign: int  # RO: seed argument is arg_sign * y with y = omega r^2 / 2
+    seed: object  # LaguerreSpec (its sign included) or JacobiSpec
     R: float
     process: int  # 1 or 2
     w0: Function1D
@@ -162,13 +162,11 @@ def seed_polynomial(family, branch, m) -> Deformation:
     physical domain) are recorded, never raised.
     """
     check_index(m, "hierarchy index m")
-    family = Family.check(family)
-    if isinstance(branch, int):
-        branch = get_branch(family, branch)
+    branch = get_branch(family, branch)
     a, b, process = _effective_ab(family, branch)
     w0 = family.superpotential(a, b)
-    seed, s, R = family.seed(a, b, m)
-    singular = family.seed_zeros(seed, s)
+    seed, R = family.seed(a, b, m)
+    singular = family.seed_zeros(seed)
 
     if seed.degree == 0:
         # u' = 0 (m = 0, or a DPT seed at m + a + b = 0): phi = 0, w~ = w0,
@@ -176,7 +174,7 @@ def seed_polynomial(family, branch, m) -> Deformation:
         phi_jet = lambda x, order: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
         R = 0.0
     else:
-        phi_jet = _log_derivative_jet(partial(family.seed_jet, seed, s))
+        phi_jet = _log_derivative_jet(partial(family.seed_jet, seed))
     # phi and w~ take value and slope from one order-2 seed jet
     phi = _jet_function(phi_jet, w0.domain, singular)
     w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, singular)
@@ -185,7 +183,6 @@ def seed_polynomial(family, branch, m) -> Deformation:
         branch=branch,
         m=int(m),
         seed=seed,
-        arg_sign=s,
         R=R,
         process=process,
         w0=w0,
@@ -254,11 +251,12 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     """Closed-form superpotential linking the two rational extensions.
 
     W0 = w1 + d/dr log L_m^(l-1/2)(-y) - d/dr log L_m^(l+1/2)(-y) at
-    y = omega r^2 / 2.  Its minus/plus partners reproduce the branch-2 and
-    branch-3 extended potentials up to the common constant
-    w0_partner_constant(family, m), and it equals -d/dr log of the extended
-    ground state.  For m > 0 its jet takes W0 and W0' from one order-2 jet
-    of each seed; for m = 0, W0 is w1.
+    y = omega r^2 / 2, the seeds of branches 2 and 3 (family.seed at their
+    effective parameters, as seed_polynomial deforms them).  Its minus/plus
+    partners reproduce the branch-2 and branch-3 extended potentials up to
+    the common constant w0_partner_constant(family, m), and it equals
+    -d/dr log of the extended ground state.  For m > 0 its jet takes W0 and
+    W0' from one order-2 jet of each seed; for m = 0, W0 is w1.
     """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("w0_explicit is defined for the radial oscillator only")
@@ -266,8 +264,8 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     w1 = superpotential(family, 1)
     if m == 0:
         return w1
-    gu = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell - 0.5), -1))
-    gv = _log_derivative_jet(partial(family.seed_jet, pe.LaguerreSpec(m, family.ell + 0.5), -1))
+    seeds = (family.seed(*_effective_ab(family, get_branch(family, k))[:2], m)[0] for k in (2, 3))
+    gu, gv = (_log_derivative_jet(partial(family.seed_jet, seed)) for seed in seeds)
 
     def jet(r, order):
         rows = zip(w1.jet(r, order), gu(r, order), gv(r, order))
@@ -357,10 +355,8 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     """
     if not isinstance(family, RadialOscillator):
         raise ConfigurationError("extend_general_R is defined for the radial oscillator only")
-    if not math.isfinite(R):
-        raise ConfigurationError(f"the shift R must be finite, got {R}")
-    if isinstance(branch, int):
-        branch = get_branch(family, branch)
+    check_real(R, "the shift R")
+    branch = get_branch(family, branch)
     a, b, _ = _effective_ab(family, branch)
     w0 = family.superpotential(a, b)
     if r_max is None:

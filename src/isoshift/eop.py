@@ -163,18 +163,10 @@ def _jdiv(a, b):
     return tuple(out)
 
 
-def _lagjet(n, alpha, sign, y, order):
-    """Jet in y, up to `order`, of y -> L_n^alpha(sign * y), from one kernel call."""
-    y = np.asarray(y, dtype=float)
-    if sign > 0:
-        return pe.laguerre_jet(pe.LaguerreSpec(n, alpha), y, order)
-    jet = pe.laguerre_jet(pe.LaguerreSpec(n, alpha), -y, order)
-    if not y.ndim:  # the kernel returns floats for a scalar
-        return tuple(-v if j % 2 else v for j, v in enumerate(jet))
-    # the rows are the kernel's fresh output: odd ones change sign in place
-    for v in jet[1::2]:
-        np.negative(v, out=v)
-    return jet
+def _kernel(spec):
+    """The jet (y, order) of a LaguerreSpec in y, from one kernel call;
+    polyengine.laguerre_jet is looked up at each call."""
+    return lambda y, order: pe.laguerre_jet(spec, y, order)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def _numerator(n, a, shift, y, T, order):
     when shift is None and (y + shift, y) otherwise."""
     # P_n and P_n' come from one jet of order + 1; the P_n' T' terms of W'
     # cancel, so W' = P_n T'' - P_n'' T
-    P = _lagjet(n, a, 1, y, order + 1)
+    P = pe.laguerre_jet(pe.LaguerreSpec(n, a), y, order + 1)
     PT = _jmul(P[:-1], T[:-1])
     W = [P[0] * T[1] - P[1] * T[0]]
     if order > 0:
@@ -213,11 +205,10 @@ class _Series:
     """One series at one m, L2 as L1 at tau(family): psi~_n = r^p e^(-y/2)
     S_n/T is (-d/dr + w~) psi+_n, psi+_n = r^p_plus e^(-y/2) L_n^a(y), both
     at energy(n) = 2 n omega + E_0.  T is the jet (y, order) of the seed
-    L_m^alpha(sign y); S_n, _numerator's at a and shift, has degree n + m + offset."""
+    L_m^alpha(-y); S_n, _numerator's at a and shift, has degree n + m + offset."""
 
     family: RadialOscillator
     seed: pe.LaguerreSpec
-    sign: int
     T: object
     a: float
     shift: float | None
@@ -243,12 +234,12 @@ def _series(spec: EOPSpec) -> _Series:
         series, params = "L1", params.tau()
     w, ell = params.omega, params.ell
     branch = params.branches()[_SERIES_BRANCH[series] - 1]
-    seed, s, _ = params.seed(branch.a, branch.b, m)
-    T = partial(_lagjet, seed.n, seed.alpha, s)
+    seed, _ = params.seed(branch.a, branch.b, m)
+    T = _kernel(seed)
     if series == "L1":
-        return _Series(params, seed, s, T, seed.alpha, None, ell + 1.0, ell,
+        return _Series(params, seed, T, seed.alpha, None, ell + 1.0, ell,
                        lambda n: (2.0 * n + 2.0 * m + 2.0 * ell + 1.0) * w, 0)
-    return _Series(params, seed, s, T, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
+    return _Series(params, seed, T, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
                    lambda n: 2.0 * (n + m + 1.0) * w, 1)
 
 
@@ -327,7 +318,7 @@ def _product_function(omega, p, ratio, singular):
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
     rec = _series(spec)
-    singular = rec.family.seed_zeros(rec.seed, rec.sign)
+    singular = rec.family.seed_zeros(rec.seed)
     ratio = partial(_quotient, partial(rec.S, spec.n), rec.T)
     return _product_function(rec.family.omega, rec.p, ratio, singular)
 
@@ -346,7 +337,8 @@ def ro_psi_plus(spec: EOPSpec) -> Function1D:
     eigenvalue(spec).
     """
     rec = _series(spec)
-    return _product_function(rec.family.omega, rec.p_plus, partial(_lagjet, spec.n, rec.a, 1), ())
+    P = _kernel(pe.LaguerreSpec(spec.n, rec.a))
+    return _product_function(rec.family.omega, rec.p_plus, P, ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
@@ -354,7 +346,7 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
     Eigenfunction of V- of branch 1 (V - omega(ell + 3/2)) at E = 2 n omega.
     """
-    S = partial(_lagjet, n, fam.ell + 0.5, 1)
+    S = _kernel(pe.LaguerreSpec(n, fam.ell + 0.5))
     return _product_function(fam.omega, fam.ell + 1.0, S, ())
 
 
@@ -384,7 +376,7 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y), with
     analytic df and d2f and a `jet`."""
     rec = _series(EOPSpec(series, 0, m, params))
-    singular = tuple(rec.family.seed_zeros(rec.seed, rec.sign))
+    singular = tuple(rec.family.seed_zeros(rec.seed))
     weight = _product_function(rec.family.omega, rec.p, partial(_reciprocal, rec.T), singular)
     return WeightSpec(
         series=series,
@@ -511,7 +503,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     check_index(n_max, "n_max")
     rec = _series(EOPSpec(series, 0, m, params))
     if singular_points is None:
-        singular_points = tuple(rec.family.seed_zeros(rec.seed, rec.sign))
+        singular_points = tuple(rec.family.seed_zeros(rec.seed))
     if singular_points:
         raise SingularExtensionError(
             f"{series} extension with m={m} is singular; Gram matrix undefined",

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check of integer sizes."""
+"""Exception types shared across the package, and the checks of indices and reals."""
 
+import math
 import numbers
 
 
@@ -49,4 +50,13 @@ def check_index(value, what):
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
         raise ConfigurationError(f"{what} must be a nonnegative integer, got {value!r}")
+    return value
+
+
+def check_real(value, what):
+    """value, if it is a finite real number; ConfigurationError otherwise.
+    Python and numpy integers and floats pass; bools, NaN and infinities do
+    not.  Family and polynomial parameters and a shift R go through it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be a finite real number, got {value!r}")
     return value

@@ -10,21 +10,21 @@ the degenerate Jacobi recurrence and as a test oracle.
 
 Laguerre values and derivatives come from one kernel, laguerre_jet: the
 recurrence differentiated term by term carries (L, L', ..., L^(order)) of
-every degree in one upward pass.  Array arguments are cut into blocks of
-_BLOCK points and each block runs the whole recurrence in preallocated
-buffers (in-place ufuncs), so the working set stays in cache and no step
-allocates.  Each step is pre-scaled by 1/(k + 1): its scalar coefficients
--(k + alpha)/(k + 1) and j/(k + 1) and the row t' = ((2k + alpha + 1) - x)
-* (1/(k + 1)) replace a division of every row, so a step of R jet rows
-makes about 5R array passes, none of them a division.  A point's arithmetic
-does not depend on the blocking or on the order asked for, so results are
-bitwise independent of the block size and every row equals the same row of
-a lower-order call.  laguerre_eval, laguerre_deriv and laguerre_deriv2 are
-its rows.  Jacobi derivatives still use the parameter-shift identities.
-_blocks, the slices of _BLOCK points, is the package's one block loop: every
-jet above this kernel (catalog._jet_function) and
-spectral.schrodinger_residual run over the same blocks, each bitwise as in
-one pass.
+every degree in one upward pass, at x or, for a spec of sign -1, at -x.
+Array arguments are cut into blocks of _BLOCK points and each block runs
+the whole recurrence in preallocated buffers (in-place ufuncs), so the
+working set stays in cache and no step allocates.  Each step is pre-scaled
+by 1/(k + 1): its scalar coefficients -(k + alpha)/(k + 1) and j/(k + 1)
+and the row t' = ((2k + alpha + 1) ∓ x) * (1/(k + 1)) replace a division
+of every row, so a step of R jet rows makes about 5R array passes, none of
+them a division.  A point's arithmetic does not depend on the blocking or
+on the order asked for, so results are bitwise independent of the block
+size and every row equals the same row of a lower-order call.
+laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
+derivatives still use the parameter-shift identities.  _blocks, the slices
+of _BLOCK points, is the package's one block loop: every jet above this
+kernel (catalog._jet_function) and spectral.schrodinger_residual run over
+the same blocks, each bitwise as in one pass.
 
 sign_change_zeros, a sign scan whose brackets are refined together by ITP
 (interpolate, truncate, project), is the package's one zero finder;
@@ -33,12 +33,13 @@ real_zeros applies it to a polynomial spec.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigurationError, check_index
+from .errors import ConfigurationError, check_index, check_real
 
 __all__ = [
     "LaguerreSpec",
@@ -58,17 +59,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LaguerreSpec:
-    """Degree and parameter of an associated Laguerre polynomial L_n^alpha.
+    """The polynomial x -> L_n^alpha(sign x), L_n^alpha associated Laguerre.
 
-    n is a nonnegative integer (see errors.check_index); alpha may be any
-    real number, including alpha <= -1.
+    n is a nonnegative integer (errors.check_index), alpha any finite real,
+    alpha <= -1 included (errors.check_real), and sign 1 (the default) or -1.
     """
 
     n: int
     alpha: float
+    sign: int = 1
 
     def __post_init__(self):
         check_index(self.n, "degree")
+        check_real(self.alpha, "alpha")
+        sign = self.sign
+        if isinstance(sign, bool) or not isinstance(sign, numbers.Integral) or sign not in (1, -1):
+            raise ConfigurationError(f"sign must be the integer 1 or -1, got {sign!r}")
 
     @property
     def degree(self):
@@ -80,7 +86,7 @@ class JacobiSpec:
     """Degree and parameters of a Jacobi polynomial P_N^(nu,mu).
 
     N is a nonnegative integer (see errors.check_index); nu and mu may be
-    any reals; the degenerate recurrence cases
+    any finite reals (errors.check_real); the degenerate recurrence cases
     (nu + mu a nonpositive integer >= -2N) are handled by series evaluation.
     """
 
@@ -90,6 +96,8 @@ class JacobiSpec:
 
     def __post_init__(self):
         check_index(self.N, "degree")
+        check_real(self.nu, "nu")
+        check_real(self.mu, "mu")
 
     @property
     def degree(self):
@@ -140,51 +148,53 @@ def _blocks(size):
     return [slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
 
 
-def _jet_block(n, a, x, prev, cur, t, w):
+def _jet_block(n, a, sign, x, prev, cur, t, w):
     """The differentiated recurrence on one block, in place.
 
     prev and cur hold the jets of degrees k - 1 and k and trade places every
     step; the jet of degree n ends in prev when n is even, in cur when odd.
     A step is the recurrence pre-scaled by 1/(k + 1), so that no array is
-    divided: with t' = ((2k + alpha + 1) - x) * (1/(k + 1)),
-    prev <- -((k + alpha)/(k + 1)) prev + t' cur - (j/(k + 1)) cur_(j-1),
-    about 5 passes over the rows and two over t.
+    divided: with t' = ((2k + alpha + 1) - sign x) * (1/(k + 1)),
+    prev <- -((k + alpha)/(k + 1)) prev + t' cur - sign (j/(k + 1)) cur_(j-1),
+    about 5 passes over the rows and two over t.  At sign = -1 both
+    subtractions are additions: bitwise the rows at -x, odd rows negated.
     """
     order = prev.shape[0] - 1
-    # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - x, L_1' = -1
+    minus = np.subtract if sign > 0 else np.add  # u, v -> u - sign v
+    # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - sign x, L_1' = -sign
     # only the rows past each jet's nonzero derivatives need the zeros
     prev[0] = 1.0
     prev[1:].fill(0.0)
-    np.subtract(a + 1.0, x, out=cur[0])
+    minus(a + 1.0, x, out=cur[0])
     if order:
-        cur[1] = -1.0
+        cur[1] = -sign
     cur[2:].fill(0.0)
     j = np.arange(1.0, order + 1.0)[:, None]
     for k in range(1, n):
         # a degree-(k+1) polynomial has no derivatives beyond order k+1
         rows = min(order, k + 1) + 1
         p, c, u = prev[:rows], cur[:rows], w[:rows]
-        np.subtract(2.0 * k + a + 1.0, x, out=t)
+        minus(2.0 * k + a + 1.0, x, out=t)
         np.multiply(t, 1.0 / (k + 1.0), out=t)
         np.multiply(p, -(k + a) / (k + 1.0), out=p)
         np.multiply(t, c, out=u)
         np.add(p, u, out=p)
         if rows > 1:
             np.multiply(c[:-1], j[: rows - 1] / (k + 1.0), out=u[1:])
-            np.subtract(p[1:], u[1:], out=p[1:])
+            minus(p[1:], u[1:], out=p[1:])
         prev, cur = cur, prev
 
 
 def laguerre_jet(spec: LaguerreSpec, x, order):
-    """(L, L', ..., L^(order)) of L_n^alpha at x, from one recurrence.
+    """(L, L', ..., L^(order)) of x -> L_n^alpha(sign x), from one recurrence.
 
-    Differentiating L_{k+1} = ((2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1})
-    / (k + 1) j times gives the same recurrence for the j-th derivatives,
-    with the extra term -j L_k^(j-1) in the numerator.  One upward pass in
-    the degree therefore carries the value and every derivative, with no
-    parameter shift.  The step is evaluated as t' L_k^(j)
-    - ((k + alpha)/(k + 1)) L_{k-1}^(j) - (j/(k + 1)) L_k^(j-1) with
-    t' = (2k + alpha + 1 - x) * (1/(k + 1)): scalar coefficients and no
+    Differentiating L_{k+1} = ((2k + alpha + 1 - sign x) L_k
+    - (k + alpha) L_{k-1}) / (k + 1) j times in x gives the same recurrence
+    for the j-th derivatives, with the extra term -sign j L_k^(j-1) in the
+    numerator.  One upward pass in the degree therefore carries the value
+    and every derivative, with no parameter shift.  The step is evaluated as t' L_k^(j)
+    - ((k + alpha)/(k + 1)) L_{k-1}^(j) - sign (j/(k + 1)) L_k^(j-1) with
+    t' = (2k + alpha + 1 - sign x) * (1/(k + 1)): scalar coefficients and no
     array division (see _jet_block).  Array x is processed in place over
     blocks of _BLOCK points, so each step writes into buffers that stay in
     cache instead of allocating full-length temporaries.  Each point's
@@ -198,25 +208,25 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     """
     check_index(order, "order")
     arr, scalar = _wrap(x)
-    n, a = spec.n, spec.alpha
+    n, a, sign = spec.n, spec.alpha, spec.sign
     flat = arr.reshape(-1)
     out = np.empty((order + 1, flat.size))
     size = min(flat.size, _BLOCK)
-    # rows: the step's (2k + alpha + 1 - x), a second jet, products
+    # rows: the step's (2k + alpha + 1 - sign x), a second jet, products
     scratch = np.empty((2 * order + 3, size))
     for s in _blocks(flat.size):
         m = s.stop - s.start
         res, other = out[:, s], scratch[1 : order + 2, :m]
         # the degree-n jet lands in the block of out, with no copy
         prev, cur = (other, res) if n % 2 else (res, other)
-        _jet_block(n, a, flat[s], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
+        _jet_block(n, a, sign, flat[s], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
     if scalar:
         return tuple(float(v[0]) for v in out)
     return tuple(v.reshape(arr.shape) for v in out)
 
 
 def laguerre_eval(spec: LaguerreSpec, x):
-    """Evaluate L_n^alpha(x) by upward recurrence in the degree.
+    """Evaluate L_n^alpha(sign x) by upward recurrence in the degree.
 
     Total function: finite output for any finite (alpha, x). Accepts scalar
     or ndarray x and returns the matching kind.  The order-0 case of
@@ -226,12 +236,12 @@ def laguerre_eval(spec: LaguerreSpec, x):
 
 
 def laguerre_deriv(spec: LaguerreSpec, x):
-    """d/dx L_n^alpha(x), the first-order row of laguerre_jet."""
+    """d/dx L_n^alpha(sign x), the first-order row of laguerre_jet."""
     return laguerre_jet(spec, x, 1)[1]
 
 
 def laguerre_deriv2(spec: LaguerreSpec, x):
-    """d^2/dx^2 L_n^alpha(x), the second-order row of laguerre_jet."""
+    """d^2/dx^2 L_n^alpha(sign x), the second-order row of laguerre_jet."""
     return laguerre_jet(spec, x, 2)[2]
 
 

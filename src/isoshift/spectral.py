@@ -489,7 +489,7 @@ def classify_regularity(family, branch, m) -> RegularityReport:
 def _deformation_regularity(d) -> RegularityReport:
     """classify_regularity of a Deformation, from the zero scan it already holds."""
     classification = "singular" if d.singular_points else "regular"
-    klh = d.family.seed_zero_prediction(d.seed, d.arg_sign)
+    klh = d.family.seed_zero_prediction(d.seed)
     finding = None
     if klh is not None and klh != classification:
         finding = (

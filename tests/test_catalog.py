@@ -50,6 +50,17 @@ class TestFamilies:
             with pytest.raises(ConfigurationError):
                 TrigDPT(A=1.0, B=bad)
 
+    @pytest.mark.parametrize("bad", ["a", None, True, 1j])
+    def test_non_real_parameters_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            RadialOscillator(bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            RadialOscillator(1.0, bad)
+        with pytest.raises(ConfigurationError):
+            TrigDPT(bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            TrigDPT(1.0, bad)
+
     def test_potentials_finite_on_domain(self, ro, dpt):
         r = np.linspace(0.01, 20, 300)
         assert np.all(np.isfinite(potential(ro).f(r)))
@@ -128,6 +139,28 @@ class TestBranches:
     def test_invalid_branch_index(self, ro):
         with pytest.raises(ConfigurationError):
             get_branch(ro, 5)
+
+    @pytest.mark.parametrize("k", [2.0, True, "2", None, 0, 5, -1])
+    def test_one_branch_index_rule(self, ro, k):
+        # a Branch or an integer 1..4 (errors.check_index); nothing else,
+        # wherever a branch is taken
+        calls = (
+            lambda: get_branch(ro, k),
+            lambda: superpotential(ro, k),
+            lambda: si_pair_check(ro, k, 4, [1.0]),
+            lambda: si_pair_check(ro, 1, k, [1.0]),
+            lambda: deform.seed_polynomial(ro, k, 1),
+            lambda: deform.extend_general_R(ro, k, 1.0),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError):
+                call()
+
+    def test_branch_or_integer_index_accepted(self, ro):
+        b = get_branch(ro, np.int64(2))
+        assert b == branches(ro)[1]
+        assert get_branch(ro, b) is b
+        assert superpotential(ro, b).f(1.0) == superpotential(ro, 2).f(1.0)
 
 
 class TestSuperpotentials:
@@ -221,13 +254,13 @@ class TestSeedZeroPrediction:
             negative = sum(1 for z in roots if abs(mp.im(z)) < mp.mpf(10) ** -30 and mp.re(z) < 0)
             want = "singular" if negative else "regular"
             assert negative <= 1
-            assert fam.seed_zero_prediction(LaguerreSpec(m, alpha), -1) == want, (m, alpha)
+            assert fam.seed_zero_prediction(LaguerreSpec(m, alpha, -1)) == want, (m, alpha)
 
     def test_none_at_integer_alpha_and_positive_argument(self):
         fam = RadialOscillator(1.0, 1.0)
-        assert fam.seed_zero_prediction(LaguerreSpec(5, -5.0), -1) is None
-        assert fam.seed_zero_prediction(LaguerreSpec(3, -2.5), 1) is None
-        assert fam.seed_zero_prediction(LaguerreSpec(0, -2.5), -1) is None
+        assert fam.seed_zero_prediction(LaguerreSpec(5, -5.0, -1)) is None
+        assert fam.seed_zero_prediction(LaguerreSpec(3, -2.5)) is None
+        assert fam.seed_zero_prediction(LaguerreSpec(0, -2.5, -1)) is None
 
 
 _DPT = TrigDPT(1.0, 1.0)

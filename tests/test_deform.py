@@ -143,6 +143,25 @@ class TestW0:
         with pytest.raises(ConfigurationError):
             seed_polynomial(fam, 2, m)
 
+    @pytest.mark.parametrize("ell", [0.1, 1.0, 2.5])
+    def test_seeds_are_those_of_branches_2_and_3(self, monkeypatch, ell):
+        # W0's two seeds are the ones seed_polynomial deforms branches 2 and
+        # 3 with, to the bit: at ell = 0.1, fl(1.1) - 1/2 is an ulp above
+        # fl(0.1 + 1/2), and branch 3's seed has the former
+        fam = RadialOscillator(1.0, ell)
+        seen = []
+        real = RadialOscillator.seed_jet
+
+        def record(self, spec, r, order):
+            seen.append(spec)
+            return real(self, spec, r, order)
+
+        monkeypatch.setattr(RadialOscillator, "seed_jet", record)
+        w0_explicit(fam, 2).f(np.array([0.5, 1.0]))
+        want = [seed_polynomial(fam, k, 2).seed for k in (2, 3)]
+        assert seen == want
+        assert want[1] == LaguerreSpec(2, (ell + 1.0) - 0.5, -1)
+
     def test_m0_is_branch1_superpotential(self):
         fam = RadialOscillator(2.0, 1.0)
         W0 = w0_explicit(fam, 0)
@@ -374,7 +393,7 @@ class TestKummerSeed:
         pair = extend_general_R(RadialOscillator(4.0, 1.0), 2, 2.7, r_max=60.0)
         assert np.all(np.isfinite(pair.V_tilde_minus.f(np.linspace(0.05, 60.0, 200))))
 
-    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("R", [math.nan, math.inf, -math.inf, "x", None, True, 1j])
     def test_non_finite_R(self, R):
         with pytest.raises(ConfigurationError):
             extend_general_R(RadialOscillator(1.0, 1.0), 2, R)

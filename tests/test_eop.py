@@ -204,7 +204,7 @@ class TestEigenfunctions:
             return tuple(u - v for u, v in zip(a, b))
 
         def product_rule(n, y, G, order):
-            L = eop._lagjet(n, -alpha, 1, y, order + 1)
+            L = pe.laguerre_jet(pe.LaguerreSpec(n, -alpha), y, order + 1)
             LG = eop._jmul(L[:-1], G[:-1])
             W = jsub(eop._jmul(L[:-1], G[1:]), eop._jmul(L[1:], G[:-1]))
             lin = (1.0, 0.0)[:order]
@@ -212,13 +212,13 @@ class TestEigenfunctions:
             return tuple(u + v for u, v in zip(left, right))
 
         def partner_form(n, y, G, order):
-            L = eop._lagjet(n, alpha, 1, y, order + 1)
+            L = pe.laguerre_jet(pe.LaguerreSpec(n, alpha), y, order + 1)
             B = tuple(u + v for u, v in zip(G[:order + 1], G[1:]))
             return jsub(eop._jmul(B, L[:-1]), eop._jmul(G[:-1], L[1:]))
 
         y = np.linspace(1e-3, 40.0, 20_001)
         for m in (1, 2, 4):
-            G = eop._lagjet(m, alpha, -1, y, 3)
+            G = pe.laguerre_jet(pe.LaguerreSpec(m, alpha, -1), y, 3)
             for n in (0, 1, 5, 12, 15):
                 for order in (0, 1, 2):
                     if series == "L3":
@@ -607,7 +607,7 @@ class TestSharedSeedJet:
         # contiguous partner L_m^(alpha+1)(-y) (DLMF 18.9.14 and 18.9.23 at
         # x = -y)
         m, alpha, y = case
-        T = eop._lagjet(m, alpha, -1, np.array([y]), 1)
+        T = pe.laguerre_jet(pe.LaguerreSpec(m, alpha, -1), np.array([y]), 1)
         got = eop._numerator(0, alpha, None, np.array([y]), T, 0)[0][0]
         want = _mp_laguerre(m, alpha + 1.0, -y)
         assert abs(float(got - want)) <= 1e-12 * max(1.0, abs(float(want)))

@@ -269,6 +269,83 @@ class TestLaguerreJet:
         assert misses <= 2 * 5 and worst <= 2 * 1.14e-11, (misses, worst)
 
 
+@st.composite
+def _signed_cases(draw):
+    n = draw(st.integers(0, 20))
+    alpha = draw(st.floats(-n - 1, 5, exclude_max=True))
+    order = draw(st.integers(0, 3))
+    # a scalar, one block, and three blocks (two full, one ragged)
+    size = draw(st.sampled_from([None, 100, 20_000]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    y = float(rng.uniform(-60, 60)) if size is None else rng.uniform(-60, 60, size)
+    return n, alpha, order, y
+
+
+class TestSignedLaguerre:
+    """LaguerreSpec(n, alpha, -1) is y -> L_n^alpha(-y)."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(_signed_cases())
+    def test_rows_are_the_flipped_rows_bit_for_bit(self, case):
+        # IEEE rounding is symmetric under negation, so the signed kernel's
+        # rows are the rows at -y with the odd ones negated, to the last bit
+        # (array_equal reads a zero of either sign as equal)
+        n, alpha, order, y = case
+        got = laguerre_jet(LaguerreSpec(n, alpha, -1), y, order)
+        ref = laguerre_jet(LaguerreSpec(n, alpha), -y, order)
+        assert len(got) == order + 1
+        for j, (g, r) in enumerate(zip(got, ref)):
+            assert type(g) is type(r)
+            assert np.array_equal(g, -r if j % 2 else r), j
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_laguerre_cases())
+    @example((20, -19.861136094826346, 2.4663984809771766))
+    @example((7, -7.5, 1e-9))
+    def test_mpmath_oracle(self, case):
+        # d^j/dy^j L_n^alpha(-y) = (-1)^j L_n^alpha(j)(-y), j <= 2, against
+        # 40-digit sums at the tolerance and scale of TestLaguerreJet
+        n, alpha, y = case
+        got = laguerre_jet(LaguerreSpec(n, alpha, -1), y, 2)
+        rows = _mp_laguerre_rows(n, alpha, -y, 2)
+        for d in range(3):
+            want = (-1) ** d * rows[n][d]
+            scale = max(1.0, max(abs(float(r[j])) for r in rows for j in range(d + 1)))
+            assert abs(float(got[d] - want)) <= 1e-12 * scale, (d, float(want))
+
+    def test_zeros_at_negative_argument(self):
+        # L_2^(-1.5)(x) = x^2/2 - x/2 - 1/8 has one negative zero,
+        # x = (1 - sqrt 2)/2, so L_2^(-1.5)(-y) has it at y = (sqrt 2 - 1)/2
+        rep = real_zeros(LaguerreSpec(2, -1.5, -1), (1e-12, 10.0))
+        assert rep.zeros == pytest.approx([(math.sqrt(2.0) - 1.0) / 2.0], rel=1e-12)
+
+    def test_sign_defaults_to_plus_one(self):
+        assert LaguerreSpec(3, 0.5).sign == 1
+        assert LaguerreSpec(3, 0.5) == LaguerreSpec(3, 0.5, 1)
+        assert LaguerreSpec(3, 0.5, np.int64(-1)).sign == -1
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, True, 1.0, -1.0, "1", None])
+    def test_bad_sign_rejected(self, sign):
+        with pytest.raises(ConfigurationError):
+            LaguerreSpec(2, 0.5, sign)
+
+
+class TestRealParameters:
+    @pytest.mark.parametrize("bad", ["a", None, True, 1j, math.nan, math.inf, -math.inf])
+    def test_non_real_parameters_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            LaguerreSpec(2, bad)
+        with pytest.raises(ConfigurationError):
+            JacobiSpec(2, bad, 1.0)
+        with pytest.raises(ConfigurationError):
+            JacobiSpec(2, 1.0, bad)
+
+    def test_integers_and_numpy_reals_pass(self):
+        assert LaguerreSpec(2, 1).alpha == 1
+        assert JacobiSpec(2, np.float64(0.5), np.int64(-3)).mu == -3
+
+
 class TestJacobi:
     def test_degree_zero_is_one(self):
         assert jacobi_eval(JacobiSpec(0, -2.0, 3.5), 0.4) == 1.0

@@ -761,7 +761,7 @@ class TestRegularity:
     def test_disagreement_is_a_finding(self, monkeypatch):
         fam = RadialOscillator(1.0, 0.2)
         monkeypatch.setattr(RadialOscillator, "seed_zero_prediction",
-                            lambda self, spec, s: "regular")
+                            lambda self, spec: "regular")
         rep = classify_regularity(fam, 1, 1)
         # scan and closed-form criterion disagree: a finding, never an exception
         assert rep.classification == "singular"
