@@ -141,14 +141,14 @@ def _rows(fn, x, order):
     return tuple(g(x) for g in rows)
 
 
-def _chain(P, y1, y2):
+def _chain(P, Y):
     """Jet in x of P(y(x)), to the order of the jet P = (P, dP/dy, d2P/dy2)
-    (at most 2), from y' = y1 and y'' = y2."""
+    (at most 2), from the jet Y = (y, y', y'') of the variable."""
     out = [P[0]]
     if len(P) > 1:
-        out.append(y1 * P[1])
+        out.append(Y[1] * P[1])
     if len(P) > 2:
-        out.append(y2 * P[1] + y1 * y1 * P[2])
+        out.append(Y[2] * P[1] + Y[1] * Y[1] * P[2])
     return tuple(out)
 
 
@@ -158,11 +158,11 @@ class Family:
     A family supplies only its data: `name` (the CLI name), `domain`,
     `branches()`, the closed forms `potential()` and `superpotential(a, b)`,
     `tau()` and the step `tau_step` it induces on a branch's (a, b),
-    `sign_reversed_branches` (deformed by the second process), the degree-m
-    seed of branch (a, b): `seed(a, b, m)` -> (spec, R), the spec the whole
-    polynomial (its argument's sign too), `seed_jet(spec, x, order)` ->
-    (u, u', ...), `seed_zeros(spec)` and the closed-form
-    `seed_zero_prediction(spec)` (or None), the intervals
+    `sign_reversed_branches` (deformed by the second process), the variable
+    of its seeds and states: `variable(x, order)` -> (y, y', y'')[: order + 1],
+    the degree-m seed of branch (a, b): `seed(a, b, m)` -> (spec, R), the
+    spec the whole polynomial in y (its argument's sign too), `seed_zeros(spec)`
+    and the closed-form `seed_zero_prediction(spec)` (or None), the intervals
     `certification_interval()`, `solver_interval(k, m)` with the node count
     `solver_points(k, m)` of certify's FD grid on it, and
     `sample_interval(rmax)`, and `exceptional_series`: branch -> series.
@@ -177,6 +177,12 @@ class Family:
         if not isinstance(obj, Family):
             raise ConfigurationError(f"unknown family {type(obj).__name__}")
         return obj
+
+    def seed_jet(self, spec, x, order):
+        """(u, u', u'')[: order + 1] in x of the seed u = spec(y(x)), from one
+        jet of the spec at the family's variable."""
+        Y = self.variable(x, order)
+        return _chain(spec.jet(Y[0], order), Y)
 
     def seed_zero_prediction(self, spec):
         return None
@@ -243,19 +249,17 @@ class RadialOscillator(Family):
     def seed(self, a, b, m):
         return pe.LaguerreSpec(int(m), a - 0.5, -1 if b > 0 else 1), 2.0 * m * b
 
-    def seed_jet(self, spec, r, order):
+    def variable(self, r, order):
+        """(y, y', y'')[: order + 1] of y = omega r^2/2."""
         w = self.omega
         r = np.asarray(r, dtype=float)
-        L = pe.laguerre_jet(spec, 0.5 * w * r**2, order)
-        # dy/dr = w r and d2y/dr2 = w
-        return _chain(L, w * r, w)
+        return (0.5 * w * r**2, w * r, w)[: order + 1]
 
     def seed_zeros(self, spec):
         if spec.n == 0:
             return []
-        y_max = 0.5 * self.omega * (40.0 / math.sqrt(self.omega)) ** 2
         # all real zeros of L_m^alpha lie within |y| < 4m + 2|alpha| + 20
-        hi = min(y_max, 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0)
+        hi = 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0
         report = pe.real_zeros(spec, (1e-12, hi), samples_per_degree=512)
         return [math.sqrt(2.0 * y / self.omega) for y in report.zeros]
 
@@ -358,11 +362,11 @@ class TrigDPT(Family):
         spec = pe.JacobiSpec(0 if constant else int(m), a - 0.5, b - 0.5)
         return spec, -4.0 * m * (m + a + b)
 
-    def seed_jet(self, spec, x, order):
+    def variable(self, x, order):
+        """(y, y', y'')[: order + 1] of y = cos 2x."""
         x = np.asarray(x, dtype=float)
         y = np.cos(2.0 * x)
-        rows = (pe.jacobi_eval, pe.jacobi_deriv, pe.jacobi_deriv2)[: order + 1]
-        return _chain([d(spec, y) for d in rows], -2.0 * np.sin(2.0 * x), -4.0 * y)
+        return (y, -2.0 * np.sin(2.0 * x), -4.0 * y)[: order + 1]
 
     def seed_zeros(self, spec):
         if spec.N == 0:

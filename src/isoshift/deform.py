@@ -377,19 +377,20 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     if abs(alpha + j) <= _SNAP_ULPS * np.spacing(abs(gamma) + abs(q)):
         alpha = -float(j)
 
+    # |b| = omega, so the seed's argument is the family's variable y
     def seed(r):
-        return _kummer_series(alpha, gamma, lam, 0.5 * abs(b) * np.asarray(r, dtype=float) ** 2)
+        return _kummer_series(alpha, gamma, lam, family.variable(r, 0)[0])[0]
 
     def phi_jet(r, order):
-        r = np.asarray(r, dtype=float)
-        M, dM = seed(r)
-        p = abs(b) * r * dM / M  # dy/dr (M' - lam M) / M
+        y, dy = family.variable(r, 1)
+        M, dM = _kummer_series(alpha, gamma, lam, y)
+        p = dy * dM / M  # dy/dr (M' - lam M) / M
         if not order:
             return (p,)
         return p, R - 2.0 * w0.f(r) * p - p * p
 
     scan = np.linspace(0.0, r_max, 4001)[1:]
-    singular = pe.sign_change_zeros(lambda r: seed(r)[0], scan, seed(scan)[0], 0.0, 0.0).crossings
+    singular = pe.sign_change_zeros(seed, scan, seed(scan), 0.0, 0.0).crossings
     w_tilde = _jet_function(_plus_jet(w0, phi_jet), (0.0, r_max), singular)
     Vm, Vp = partner_potentials(w_tilde)
     return ExtensionPair(V_tilde_minus=Vm, V_tilde_plus=Vp, shift=float(R),

@@ -2,21 +2,24 @@
 
 Three series arise from the radial-oscillator branches: L1 (branch 2),
 L2 (branch 3, equivalently the L1 construction at ell -> ell+1) and L3
-(branch 1).  Each state is psi(r) = r^p exp(-omega r^2/4) S(y)/T(y) at
-y = omega r^2/2, with S the exceptional polynomial, T the seed polynomial of
+(branch 1).  Each state is psi(r) = r^p e^(-y/2) S(y)/T(y), with y =
+omega r^2/2 the family's variable (RadialOscillator.variable, the one place
+it is written), S the exceptional polynomial, T the seed polynomial of
 the underlying deformation, and the orthogonality measure W^2 dr where
-W = r^p exp(-omega r^2/4)/T(y) = exp(-int w) for the ground-state-like
+W = r^p e^(-y/2)/T(y) = exp(-int w) for the ground-state-like
 superpotential w of the extension.
 
 Polynomial values and their derivatives are carried as "jets", tuples
 (value, d/dy, ..., d^k/dy^k) combined by product- and quotient-rule
 arithmetic, so that every eigenfunction carries analytic first and second
-derivatives.  Each Laguerre factor is one call of polyengine.laguerre_jet,
-whose blocked, differentiated recurrence yields a polynomial and all its
-derivatives in one pass.  Every state is (-d/dr + w~) applied to a
-classical partner state with the Laguerre factor P_n, so all series share
-one numerator, S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1)
-for L1 and (y + alpha, y) for L3 (alpha the seed's parameter); at n = 0,
+derivatives.  Each Laguerre factor is one call of its spec's jet
+(polyengine.laguerre_jet), whose blocked, differentiated recurrence yields
+a polynomial and all its derivatives in one pass; the chain rule through y
+(catalog._chain) takes y' and y'' from the family's variable.  Every state
+is (-d/dr + w~) applied to a classical partner state with the Laguerre
+factor P_n, so all series share one numerator,
+S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1) for L1 and
+(y + alpha, y) for L3 (alpha the seed's parameter); at n = 0,
 L1's S is T + dT/dy = L_m^(alpha+1)(-y) (DLMF 18.9.14, 18.9.23).  T is
 evaluated once per point set, to one order above the eigenfunction's, for
 S and the denominator, and P_n and P_n' take one call, so a state costs two
@@ -163,12 +166,6 @@ def _jdiv(a, b):
     return tuple(out)
 
 
-def _kernel(spec):
-    """The jet (y, order) of a LaguerreSpec in y, from one kernel call;
-    polyengine.laguerre_jet is looked up at each call."""
-    return lambda y, order: pe.laguerre_jet(spec, y, order)
-
-
 # ---------------------------------------------------------------------------
 # series: one record per (series, m, family) and one numerator for all three
 # ---------------------------------------------------------------------------
@@ -180,7 +177,7 @@ def _numerator(n, a, shift, y, T, order):
     when shift is None and (y + shift, y) otherwise."""
     # P_n and P_n' come from one jet of order + 1; the P_n' T' terms of W'
     # cancel, so W' = P_n T'' - P_n'' T
-    P = pe.laguerre_jet(pe.LaguerreSpec(n, a), y, order + 1)
+    P = pe.LaguerreSpec(n, a).jet(y, order + 1)
     PT = _jmul(P[:-1], T[:-1])
     W = [P[0] * T[1] - P[1] * T[0]]
     if order > 0:
@@ -204,12 +201,12 @@ def _numerator(n, a, shift, y, T, order):
 class _Series:
     """One series at one m, L2 as L1 at tau(family): psi~_n = r^p e^(-y/2)
     S_n/T is (-d/dr + w~) psi+_n, psi+_n = r^p_plus e^(-y/2) L_n^a(y), both
-    at energy(n) = 2 n omega + E_0.  T is the jet (y, order) of the seed
-    L_m^alpha(-y); S_n, _numerator's at a and shift, has degree n + m + offset."""
+    at energy(n) = 2 n omega + E_0.  T is the seed L_m^alpha(-y), whose jet
+    is seed.jet(y, order); S_n, _numerator's at a and shift, has degree
+    n + m + offset."""
 
     family: RadialOscillator
     seed: pe.LaguerreSpec
-    T: object
     a: float
     shift: float | None
     p: float
@@ -223,7 +220,7 @@ class _Series:
 
     def value(self, n, y):
         """S_n(y)."""
-        return self.S(n, y, self.T(y, 1), 0)[0]
+        return self.S(n, y, self.seed.jet(y, 1), 0)[0]
 
 
 def _series(spec: EOPSpec) -> _Series:
@@ -235,11 +232,10 @@ def _series(spec: EOPSpec) -> _Series:
     w, ell = params.omega, params.ell
     branch = params.branches()[_SERIES_BRANCH[series] - 1]
     seed, _ = params.seed(branch.a, branch.b, m)
-    T = _kernel(seed)
     if series == "L1":
-        return _Series(params, seed, T, seed.alpha, None, ell + 1.0, ell,
+        return _Series(params, seed, seed.alpha, None, ell + 1.0, ell,
                        lambda n: (2.0 * n + 2.0 * m + 2.0 * ell + 1.0) * w, 0)
-    return _Series(params, seed, T, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
+    return _Series(params, seed, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
                    lambda n: 2.0 * (n + m + 1.0) * w, 1)
 
 
@@ -259,7 +255,7 @@ def eop_eval(spec: EOPSpec, r):
     """
     scalar = np.ndim(r) == 0
     r = np.asarray(r, dtype=float)
-    y = 0.5 * spec.params.omega * r * r
+    y = spec.params.variable(r, 0)[0]
     if spec.series == "L2":
         ell, n, m = spec.params.ell, spec.n, spec.m
         c = ell - m + 0.5
@@ -267,7 +263,7 @@ def eop_eval(spec: EOPSpec, r):
             raise DegenerateParameterError(
                 f"L2 series undefined at ell - m + 1/2 = 0 (ell={ell}, m={m})"
             )
-        Ln, dLn = pe.laguerre_jet(pe.LaguerreSpec(n, ell + 0.5), y, 1)
+        Ln, dLn = pe.LaguerreSpec(n, ell + 0.5).jet(y, 1)
         term1 = c * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 1.5), y) * Ln
         term2 = y * pe.laguerre_eval(pe.LaguerreSpec(m, -ell - 0.5), y) * dLn
         out = (term1 + term2) / c
@@ -293,34 +289,33 @@ def _reciprocal(T, y, order):
     return _jdiv((1.0, 0.0, 0.0)[: order + 1], T(y, order))
 
 
-def _product_function(omega, p, ratio, singular):
-    """r^p exp(-omega r^2/4) g(y) with analytic first two derivatives, where
-    ratio(y, order) is the jet of g in y: S/T, S alone (T = 1) or 1/T."""
+def _product_function(family, p, ratio, singular):
+    """r^p e^(-y/2) g(y) at the family's variable y, with analytic first two
+    derivatives, where ratio(y, order) is the jet of g in y: S/T, S alone
+    (T = 1) or 1/T."""
 
     def jet(r, order):
         r = np.asarray(r, dtype=float)
-        y = 0.5 * omega * r * r
-        g = ratio(y, order)
-        # through y = omega r^2/2, with y' = omega r and y'' = omega
-        wr = omega * r
-        F = _chain(g, wr, omega)
-        A = [r**p * np.exp(-0.25 * omega * r * r)]
+        Y = family.variable(r, order)
+        F = _chain(ratio(Y[0], order), Y)
+        # (r^p e^(-y/2))' = (p/r - y'/2) r^p e^(-y/2)
+        A = [r**p * np.exp(-0.5 * Y[0])]
         if order > 0:
-            la = p / r - 0.5 * wr
+            la = p / r - 0.5 * Y[1]
             A.append(la * A[0])
         if order > 1:
-            A.append((la * la - p / r**2 - 0.5 * omega) * A[0])
+            A.append((la * la - p / r**2 - 0.5 * Y[2]) * A[0])
         return _jmul(A, F)
 
-    return _jet_function(jet, (0.0, math.inf), singular, order=2)
+    return _jet_function(jet, family.domain, singular, order=2)
 
 
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
     rec = _series(spec)
     singular = rec.family.seed_zeros(rec.seed)
-    ratio = partial(_quotient, partial(rec.S, spec.n), rec.T)
-    return _product_function(rec.family.omega, rec.p, ratio, singular)
+    ratio = partial(_quotient, partial(rec.S, spec.n), rec.seed.jet)
+    return _product_function(rec.family, rec.p, ratio, singular)
 
 
 def eigenvalue(spec: EOPSpec) -> float:
@@ -332,22 +327,20 @@ def ro_psi_plus(spec: EOPSpec) -> Function1D:
     """Eigenfunction of the shifted partner V~+ = V+ + R for this state.
 
     V~+ is a plain radial oscillator, so these are classical states,
-    r^p exp(-omega r^2/4) L_n^(p-1/2)(y); they feed the intertwining
+    r^p e^(-y/2) L_n^(p-1/2)(y); they feed the intertwining
     operator, which maps them onto the closed forms.  The energy is
     eigenvalue(spec).
     """
     rec = _series(spec)
-    P = _kernel(pe.LaguerreSpec(spec.n, rec.a))
-    return _product_function(rec.family.omega, rec.p_plus, P, ())
+    return _product_function(rec.family, rec.p_plus, pe.LaguerreSpec(spec.n, rec.a).jet, ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
-    """Classical bound state r^(ell+1) exp(-omega r^2/4) L_n^(ell+1/2)(y).
+    """Classical bound state r^(ell+1) e^(-y/2) L_n^(ell+1/2)(y).
 
     Eigenfunction of V- of branch 1 (V - omega(ell + 3/2)) at E = 2 n omega.
     """
-    S = _kernel(pe.LaguerreSpec(n, fam.ell + 0.5))
-    return _product_function(fam.omega, fam.ell + 1.0, S, ())
+    return _product_function(fam, fam.ell + 1.0, pe.LaguerreSpec(n, fam.ell + 0.5).jet, ())
 
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
@@ -373,11 +366,11 @@ def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
 
 
 def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
-    """The half-density weight of a series: r^p exp(-omega r^2/4)/T(y), with
+    """The half-density weight of a series: r^p e^(-y/2)/T(y), with
     analytic df and d2f and a `jet`."""
     rec = _series(EOPSpec(series, 0, m, params))
     singular = tuple(rec.family.seed_zeros(rec.seed))
-    weight = _product_function(rec.family.omega, rec.p, partial(_reciprocal, rec.T), singular)
+    weight = _product_function(rec.family, rec.p, partial(_reciprocal, rec.seed.jet), singular)
     return WeightSpec(
         series=series,
         m=m,
@@ -511,7 +504,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
         )
     omega = params.omega
     r_cut = max(10.0, 8.0 / math.sqrt(omega)) * (1.0 + math.sqrt(n_max + m))
-    y_cut = 0.5 * omega * r_cut * r_cut
+    y_cut = params.variable(r_cut, 0)[0]
     c = rec.p - 0.5
 
     edges = [0.0, _GRAM_H0]
@@ -535,7 +528,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
         # rows: each panel whole, then its left halves, then its right halves
         y, w = _panel_rules(np.concatenate([a, a, mid]), np.concatenate([b, mid, b]), c)
         # one seed jet per node set, shared by the weight and every S_n
-        Tj = rec.T(y, 1)
+        Tj = rec.seed.jet(y, 1)
         w = w * np.exp(-y) / Tj[0] ** 2
         P = np.stack([rec.S(n, y, Tj, 0)[0] for n in range(size)])
         parts = np.einsum("ikq,jkq->kij", P * w, P)
@@ -581,11 +574,13 @@ def zero_census(spec: EOPSpec):
     `inside` counts real zeros with y > 0 (i.e. r in (0, inf)) by dense sign
     scan, counting sign changes only (a sample that evaluates to 0 has no
     sign); `outside` is the remaining degree count (real negative plus
-    complex zeros).
+    complex zeros).  The scan runs to y = 4 deg + 2(|a| + |alpha|) + 20,
+    a the parameter of P_n and alpha the seed's, past the zeros of both
+    Laguerre factors.
     """
     rec = _series(spec)
     deg = spec.n + spec.m + rec.offset
-    y_hi = 10.0 + 6.0 * (spec.n + spec.m + 2.0)
+    y_hi = 4.0 * deg + 2.0 * (abs(rec.a) + abs(rec.seed.alpha)) + 20.0
     n_samples = max(64 * (deg + 1), 256)
     ys = np.linspace(1e-9, y_hi, n_samples)
     poly = partial(rec.value, spec.n)

@@ -21,10 +21,14 @@ them a division.  A point's arithmetic does not depend on the blocking or
 on the order asked for, so results are bitwise independent of the block
 size and every row equals the same row of a lower-order call.
 laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
-derivatives still use the parameter-shift identities.  _blocks, the slices
-of _BLOCK points, is the package's one block loop: every jet above this
-kernel (catalog._jet_function) and spectral.schrodinger_residual run over
-the same blocks, each bitwise as in one pass.
+derivatives still use the parameter-shift identities: jacobi_jet gathers
+jacobi_eval, jacobi_deriv and jacobi_deriv2 as the rows of one jet.  Each
+spec evaluates itself through its kernel, spec.jet(y, order), looked up at
+each call; real_zeros and every seed jet (catalog.Family.seed_jet) go
+through it.  _blocks, the slices of _BLOCK points, is the package's one
+block loop: every jet above this kernel (catalog._jet_function) and
+spectral.schrodinger_residual run over the same blocks, each bitwise as in
+one pass.
 
 sign_change_zeros, a sign scan whose brackets are refined together by ITP
 (interpolate, truncate, project), is the package's one zero finder;
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -52,6 +55,7 @@ __all__ = [
     "jacobi_eval",
     "jacobi_deriv",
     "jacobi_deriv2",
+    "jacobi_jet",
     "sign_change_zeros",
     "real_zeros",
 ]
@@ -80,6 +84,10 @@ class LaguerreSpec:
     def degree(self):
         return self.n
 
+    def jet(self, x, order):
+        """laguerre_jet(self, x, order), the kernel looked up at each call."""
+        return laguerre_jet(self, x, order)
+
 
 @dataclass(frozen=True)
 class JacobiSpec:
@@ -102,6 +110,10 @@ class JacobiSpec:
     @property
     def degree(self):
         return self.N
+
+    def jet(self, y, order):
+        """jacobi_jet(self, y, order), the kernel looked up at each call."""
+        return jacobi_jet(self, y, order)
 
 
 @dataclass
@@ -319,6 +331,14 @@ def jacobi_deriv2(spec: JacobiSpec, y):
     return _unwrap(fac * np.asarray(inner), scalar)
 
 
+def jacobi_jet(spec: JacobiSpec, y, order):
+    """(P, P', P'')[: order + 1] of P_N^(nu,mu) at y, order at most 2: the
+    rows of jacobi_eval, jacobi_deriv and jacobi_deriv2."""
+    if check_index(order, "order") > 2:
+        raise ConfigurationError(f"a Jacobi jet carries at most 2 derivatives, got order {order}")
+    return tuple(d(spec, y) for d in (jacobi_eval, jacobi_deriv, jacobi_deriv2)[: order + 1])
+
+
 def sign_change_zeros(f, xs, fs, floor, bisect_tol):
     """Zeros of f on ascending samples xs, from its values fs there.
 
@@ -410,10 +430,9 @@ def real_zeros(poly, interval, bisect_tol=1e-12, samples_per_degree=64):
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ValueError(f"invalid interval ({lo}, {hi})")
-    evaluate = {LaguerreSpec: laguerre_eval, JacobiSpec: jacobi_eval}.get(type(poly))
-    if evaluate is None:
+    if not isinstance(poly, (LaguerreSpec, JacobiSpec)):
         raise ConfigurationError(f"expected LaguerreSpec or JacobiSpec, got {type(poly).__name__}")
-    f = partial(evaluate, poly)
+    f = lambda x: poly.jet(x, 0)[0]
     xs = np.linspace(lo, hi, max(samples_per_degree * (poly.degree + 1), 128))
     fs = np.asarray(f(xs))
     floor = 1e-13 * max(np.max(np.abs(fs)), 1e-300)

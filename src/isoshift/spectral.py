@@ -45,7 +45,7 @@ import numpy as np
 
 from . import polyengine as pe
 from .catalog import Family, Function1D, _rows
-from .errors import ConfigurationError, SingularPotentialError, check_index
+from .errors import ConfigurationError, SingularPotentialError, check_index, check_real
 
 _log = logging.getLogger(__name__)
 
@@ -422,9 +422,11 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     residual are evaluated over
     blocks of polyengine._BLOCK samples, and only the two maxima cross
     blocks, so no temporary is longer than a block; the value is bitwise
-    that of one pass.  Raises ConfigurationError for an empty sample set and
+    that of one pass.  Raises ConfigurationError for an empty sample set or
+    an E that is not a finite real (errors.check_real), and
     SingularPotentialError when no sample gives a finite residual.
     """
+    check_real(E, "the energy E")
     x = _samples(samples)
     worst = top = 0.0
     finite = 0
@@ -452,8 +454,10 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     A node is a sample where |psi| is at most 1e-8 of the largest finite
     |psi|, or is not finite.  psi, psi' and psi'' come from catalog._rows,
     as in schrodinger_residual.  Raises ConfigurationError for an empty
-    sample set and SingularPotentialError when every sample is a node.
+    sample set or an E that is not a finite real, and SingularPotentialError
+    when every sample is a node.
     """
+    check_real(E, "the energy E")
     x = _samples(samples)
     p, dp, d2p = _rows(psi, x, 2)
     p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))

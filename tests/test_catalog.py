@@ -1,9 +1,13 @@
 """Families, branches, partner potentials, and the shape-invariance check."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoshift.catalog import (
     Function1D,
@@ -18,8 +22,11 @@ from isoshift.catalog import (
     tau,
 )
 from isoshift import deform, eop, spectral
+from isoshift import polyengine as pe
 from isoshift.errors import ConfigurationError
 from isoshift.polyengine import LaguerreSpec
+
+import exact
 
 
 @pytest.fixture
@@ -261,6 +268,116 @@ class TestSeedZeroPrediction:
         assert fam.seed_zero_prediction(LaguerreSpec(5, -5.0, -1)) is None
         assert fam.seed_zero_prediction(LaguerreSpec(3, -2.5)) is None
         assert fam.seed_zero_prediction(LaguerreSpec(0, -2.5, -1)) is None
+
+
+class TestSeedZeroCount:
+    @pytest.mark.parametrize("omega", [1.0, 2.0])
+    def test_every_positive_zero_is_found(self, omega):
+        # seed_zeros against the exact Sturm count of the seed in Q[y], up
+        # to ell = 2000, where the zeros lie past y = 800 (L_2^999.5 at
+        # ell = 1000 has them at y = 969.85 and 1033.15).  Integer alpha
+        # (branch 1 at ell = 1/2) is left out: there the seed has a double
+        # zero at y = 0, and the scan's first sample, y = 1e-12, reads as a
+        # flagged zero (ROADMAP item 14)
+        for ell in (0, 0.5, 3, 20, 200, 390, 400, 600, 1000, 2000):
+            fam = RadialOscillator(omega, ell)
+            for k in range(1, 5):
+                for m in range(7):
+                    d = deform.seed_polynomial(fam, k, m)
+                    alpha = d.seed.alpha
+                    if float(alpha).is_integer():
+                        continue
+                    seed = exact.laguerre(m, Fraction(alpha), d.seed.sign)
+                    want = exact.positive_zeros(seed)
+                    assert len(d.singular_points) == want, (ell, k, m)
+
+
+def _mp_laguerre(n, alpha, x):
+    # L_n^alpha(x) = sum_i (-1)^i binom(n + alpha, n - i) x^i / i!
+    return mpmath.fsum((-1) ** i * mpmath.binomial(n + alpha, n - i) * x**i / mpmath.factorial(i)
+                       for i in range(n + 1))
+
+
+def _mp_jacobi(N, nu, mu, y):
+    # sum_s binom(N + nu, N - s) binom(N + mu, s) ((y - 1)/2)^s ((y + 1)/2)^(N - s)
+    return mpmath.fsum(mpmath.binomial(N + nu, N - s) * mpmath.binomial(N + mu, s)
+                       * ((y - 1) / 2) ** s * ((y + 1) / 2) ** (N - s) for s in range(N + 1))
+
+
+@st.composite
+def _seed_cases(draw):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    u = draw(st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        fam = RadialOscillator(draw(st.floats(0.3, 4.0)), draw(st.floats(0.0, 5.0)))
+        x = (0.05 + 6.0 * u) / math.sqrt(fam.omega)
+    else:
+        fam = TrigDPT(draw(st.floats(-0.45, 4.0)), draw(st.floats(-0.45, 4.0)))
+        x = 0.02 + (math.pi / 2 - 0.04) * u
+    return fam, k, m, x
+
+
+class TestOneVariable:
+    """Each family states its variable y(x) once (Family.variable); the seed
+    jet, eop's states and deform's seeds all read it."""
+
+    def test_deform_and_eop_evaluate_the_seed_at_one_y(self, monkeypatch):
+        # at omega = 2.982, 0.5 omega r^2 and 0.5 omega r r differ on 355 of
+        # these points
+        fam = RadialOscillator(2.982, 1.3)
+        d = deform.seed_polynomial(fam, 2, 3)
+        psi = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 1, 3, fam))
+        r = np.linspace(0.1, 6.0, 1001)
+        seen = []
+        real = pe.laguerre_jet
+
+        def record(spec, y, order):
+            if spec == d.seed:
+                seen.append(np.array(y, dtype=float))
+            return real(spec, y, order)
+
+        monkeypatch.setattr(pe, "laguerre_jet", record)
+        d.phi.f(r)
+        psi.f(r)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], seen[1])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_seed_cases())
+    def test_variable_and_seed_jet_rows_against_mpmath(self, case):
+        # rows to order 2 of y(x) and of the seed u(x) = P(y(x)), against
+        # 40-digit derivatives of the composition.  The seed rows may differ
+        # by the kernel's own error at the float y, carried by the chain rule
+        # (the Jacobi recurrence loses digits near nu + mu = -k, ROADMAP
+        # item 1), and by 1e-12 of the rows' size
+        fam, k, m, x = case
+        spec = deform.seed_polynomial(fam, k, m).seed
+        if isinstance(fam, RadialOscillator):
+            def y_of(t):
+                return mpmath.mpf(fam.omega) * t * t / 2
+
+            def p_of(y):
+                return _mp_laguerre(spec.n, mpmath.mpf(spec.alpha), spec.sign * y)
+        else:
+            def y_of(t):
+                return mpmath.cos(2 * t)
+
+            def p_of(y):
+                return _mp_jacobi(spec.N, mpmath.mpf(spec.nu), mpmath.mpf(spec.mu), y)
+        Y = fam.variable(x, 2)
+        U = fam.seed_jet(spec, x, 2)
+        P = spec.jet(Y[0], 2)
+        assert len(Y) == len(U) == 3 and len(fam.variable(x, 1)) == 2
+        with mpmath.workdps(40):
+            t, y = mpmath.mpf(x), mpmath.mpf(Y[0])
+            want_y = [float(mpmath.diff(y_of, t, j)) for j in range(3)]
+            want_u = [float(mpmath.diff(lambda t: p_of(y_of(t)), t, j)) for j in range(3)]
+            dP = [abs(P[j] - float(mpmath.diff(p_of, y, j))) for j in range(3)]
+        carried = (dP[0], abs(Y[1]) * dP[1], abs(Y[2]) * dP[1] + Y[1] ** 2 * dP[2])
+        scale = max(1.0, *(abs(v) for v in want_u))
+        for j in range(3):
+            assert abs(Y[j] - want_y[j]) <= 1e-15 * max(1.0, abs(want_y[j])), j
+            assert abs(U[j] - want_u[j]) <= carried[j] + 1e-12 * scale, j
 
 
 _DPT = TrigDPT(1.0, 1.0)

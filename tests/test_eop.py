@@ -635,6 +635,19 @@ class TestExactOracle:
                     err = np.max(np.abs(rec.value(n, self.Y) - want))
                     assert err <= 4e-15 * np.max(np.abs(want)), (series, m, n)
 
+    @pytest.mark.parametrize("ell", [25, 30, 40, 60])
+    def test_zero_count_at_large_ell(self, ell):
+        # the zeros of P_n and T move out with their parameters (L3 at m = 0
+        # is S = y - ell - 3/2), so the census scans past both
+        fam = RadialOscillator(2.0, float(ell))
+        for series in ("L1", "L2", "L3"):
+            for m in range(7):
+                for n in range(7):
+                    spec = EOPSpec(series, n, m, fam)
+                    S = exact.numerator(series, n, m, ell)
+                    assert eop_polynomial_degree(spec) == exact.degree(S)
+                    assert zero_census(spec)[0] == exact.positive_zeros(S), (series, m, n)
+
 
 class TestKernelCallBudget:
     """One seed jet per evaluation: polyengine.laguerre_jet calls per point array."""

@@ -644,6 +644,15 @@ class TestResiduals:
             with pytest.raises(ConfigurationError):
                 residual(psi, 1.0, _const_fn(0.0), samples)
 
+    @pytest.mark.parametrize("E", [math.nan, math.inf, "3", None, True], ids=repr)
+    @pytest.mark.parametrize("residual", [schrodinger_residual, qhj_residual])
+    def test_energy_must_be_a_finite_real(self, residual, E):
+        # NaN and inf read as a NaN residual or a SingularPotentialError, a
+        # string or None as a bare numpy error, and True as E = 1
+        psi = classical_ro_eigenfunction(RadialOscillator(2.0, 1.0), 0)
+        with pytest.raises(ConfigurationError, match="energy"):
+            residual(psi, E, _const_fn(0.0), np.linspace(0.2, 6, 60))
+
     def test_schrodinger_nothing_finite_is_not_a_pass(self):
         # a residual that is NaN at every sample must not read as 0.0, a pass
         samples = np.linspace(0.1, 0.9, 9)
