@@ -166,17 +166,27 @@ class Family:
     `certification_interval()`, `solver_interval(k, m)` with the node count
     `solver_points(k, m)` of certify's FD grid on it, and
     `sample_interval(rmax)`, and `exceptional_series`: branch -> series.
+    Every module resolves a branch through `effective` and a family through
+    `check`.
     """
 
     exceptional_series = {}
     sign_reversed_branches = ()
 
-    @staticmethod
-    def check(obj):
-        """obj, if it is a family; ConfigurationError otherwise."""
-        if not isinstance(obj, Family):
-            raise ConfigurationError(f"unknown family {type(obj).__name__}")
+    @classmethod
+    def check(cls, obj):
+        """obj if it is a cls, else ConfigurationError: Family.check admits any
+        family, and RadialOscillator.check guards every RO-only entry point."""
+        if not isinstance(obj, cls):
+            raise ConfigurationError(f"expected a {cls.__name__}, got {type(obj).__name__}")
         return obj
+
+    def effective(self, branch):
+        """(a, b, process) a branch deforms with: its own (a, b) by process 1,
+        or (-a, -b) by process 2 in sign_reversed_branches (process 1 on -w)."""
+        if branch.k in self.sign_reversed_branches:
+            return -branch.a, -branch.b, 2
+        return branch.a, branch.b, 1
 
     def seed_jet(self, spec, x, order):
         """(u, u', u'')[: order + 1] in x of the seed u = spec(y(x)), from one
@@ -414,10 +424,14 @@ def branches(family):
 
 
 def get_branch(family, k):
-    """The branch k of a family: k itself if it is a Branch, else the branch
-    with index k, which must pass errors.check_index and lie in 1..4."""
+    """The branch k of a family: k itself if it is one of family.branches()
+    (another family's or parameter set's Branch raises ConfigurationError),
+    else the branch with index k, which must pass errors.check_index and lie
+    in 1..4."""
     family = Family.check(family)
     if isinstance(k, Branch):
+        if k not in family.branches():
+            raise ConfigurationError(f"{k} is not a branch of {family}")
         return k
     if not 1 <= check_index(k, "branch index") <= 4:
         raise ConfigurationError(f"branch index must be in 1..4, got {k}")
@@ -473,5 +487,13 @@ def si_pair_check(family, branch_i, branch_j, grid):
     da, db = family.tau_step
     wi = family.superpotential(bi.a, bi.b)
     wj = family.superpotential(bj.a + da, bj.b + db)
-    pts = np.asarray(grid, dtype=float)
+    pts = _samples(grid)
     return float(np.max(np.abs(wi.f(pts) + wj.f(pts))))
+
+
+def _samples(samples):
+    """The samples as a flat float array; ConfigurationError when there are none."""
+    x = np.asarray(samples, dtype=float).reshape(-1)
+    if not x.size:
+        raise ConfigurationError("a residual needs at least one sample")
+    return x

@@ -313,9 +313,7 @@ def cmd_certify(args):
 
 
 def cmd_interpolate(args):
-    family = _family_from_args(args)
-    if not isinstance(family, RadialOscillator):
-        raise ConfigurationError("interpolate supports the radial oscillator only")
+    family = RadialOscillator.check(_family_from_args(args))
     if not args.R:
         raise ConfigurationError("interpolate requires at least one R value")
     out_dir = Path(args.out)

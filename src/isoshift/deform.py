@@ -43,6 +43,7 @@ from .catalog import (
     RadialOscillator,
     _jet_function,
     _rows,
+    _samples,
     get_branch,
     partner_potentials,
     superpotential,
@@ -100,7 +101,7 @@ class Deformation:
 
     def riccati_residual(self, grid):
         """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|."""
-        r = np.asarray(grid, dtype=float)
+        r = _samples(grid)
         p, dp = self.phi.jet(r, 1)
         res = p * p + 2.0 * self.w0.f(r) * p + dp - self.R
         return float(np.max(np.abs(res)))
@@ -120,12 +121,6 @@ class ExtensionPair:
     singular_points: list
     w_tilde: Function1D
     partner_shift_deviation: Optional[float] = None
-
-
-def _effective_ab(family, branch: Branch):
-    if branch.k in family.sign_reversed_branches:
-        return -branch.a, -branch.b, 2
-    return branch.a, branch.b, 1
 
 
 def _log_derivative_jet(ujet):
@@ -158,12 +153,12 @@ def seed_polynomial(family, branch, m) -> Deformation:
     """Construct the degree-m deformation of a branch.
 
     The seed and R are the family's (see RadialOscillator, TrigDPT) for the
-    effective branch parameters (a, b).  Singular points (seed zeros in the
-    physical domain) are recorded, never raised.
+    branch's effective parameters (a, b) (Family.effective).  Singular
+    points (seed zeros in the physical domain) are recorded, never raised.
     """
     check_index(m, "hierarchy index m")
     branch = get_branch(family, branch)
-    a, b, process = _effective_ab(family, branch)
+    a, b, process = family.effective(branch)
     w0 = family.superpotential(a, b)
     seed, R = family.seed(a, b, m)
     singular = family.seed_zeros(seed)
@@ -258,13 +253,12 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
     -d/dr log of the extended ground state.  For m > 0 its jet takes W0 and
     W0' from one order-2 jet of each seed; for m = 0, W0 is w1.
     """
-    if not isinstance(family, RadialOscillator):
-        raise ConfigurationError("w0_explicit is defined for the radial oscillator only")
+    RadialOscillator.check(family)
     check_index(m, "hierarchy index m")
     w1 = superpotential(family, 1)
     if m == 0:
         return w1
-    seeds = (family.seed(*_effective_ab(family, get_branch(family, k))[:2], m)[0] for k in (2, 3))
+    seeds = (family.seed(*family.effective(get_branch(family, k))[:2], m)[0] for k in (2, 3))
     gu, gv = (_log_derivative_jet(partial(family.seed_jet, seed)) for seed in seeds)
 
     def jet(r, order):
@@ -277,6 +271,7 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
 def w0_partner_constant(family: RadialOscillator, m: int) -> float:
     """The constant c with W0^2 - W0' = V~- - c (branch 2) and
     W0^2 + W0' = V~- - c (branch 3 extension)."""
+    RadialOscillator.check(family)
     check_index(m, "hierarchy index m")
     return (2.0 * family.ell + 1.0) * family.omega + 2.0 * m * family.omega
 
@@ -353,16 +348,15 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
     Sign changes of M on (0, r_max) are the singular points of the returned
     pair.
     """
-    if not isinstance(family, RadialOscillator):
-        raise ConfigurationError("extend_general_R is defined for the radial oscillator only")
+    RadialOscillator.check(family)
     check_real(R, "the shift R")
     branch = get_branch(family, branch)
-    a, b, _ = _effective_ab(family, branch)
+    a, b, _ = family.effective(branch)
     w0 = family.superpotential(a, b)
     if r_max is None:
         r_max = 16.0 / math.sqrt(family.omega)
-    if not 0.0 < r_max < math.inf:
-        raise ConfigurationError(f"r_max must be positive and finite, got {r_max}")
+    if check_real(r_max, "r_max") <= 0.0:
+        raise ConfigurationError(f"r_max must be positive, got {r_max}")
     gamma = a + 0.5
     if gamma <= 0.0 and gamma.is_integer():
         raise ConfigurationError(

@@ -1,11 +1,13 @@
 """Exceptional Laguerre polynomials and eigenfunctions of the extended potentials.
 
 Three series arise from the radial-oscillator branches: L1 (branch 2),
-L2 (branch 3, equivalently the L1 construction at ell -> ell+1) and L3
-(branch 1).  Each state is psi(r) = r^p e^(-y/2) S(y)/T(y), with y =
-omega r^2/2 the family's variable (RadialOscillator.variable, the one place
-it is written), S the exceptional polynomial, T the seed polynomial of
-the underlying deformation, and the orthogonality measure W^2 dr where
+L2 (branch 3, the second process's extension, which equals L1 at
+ell + 1) and L3 (branch 1), each from the seed of its own branch's
+effective parameters (Family.effective).  Each state is psi(r) =
+r^p e^(-y/2) S(y)/T(y), with y = omega r^2/2 the family's variable
+(RadialOscillator.variable, the one place it is written), S the
+exceptional polynomial, T the seed polynomial of the underlying
+deformation, and the orthogonality measure W^2 dr where
 W = r^p e^(-y/2)/T(y) = exp(-int w) for the ground-state-like
 superpotential w of the extension.
 
@@ -82,8 +84,6 @@ __all__ = [
     "series_branch",
 ]
 
-_SERIES = ("L1", "L2", "L3")
-
 # which superpotential branch each series extends
 _SERIES_BRANCH = {s: k for k, s in RadialOscillator.exceptional_series.items()}
 
@@ -97,8 +97,8 @@ _GRAM_MAX_NODES = 20_000
 
 def series_branch(series: str) -> int:
     """Radial-oscillator branch index underlying an exceptional series."""
-    if series not in _SERIES:
-        raise ConfigurationError(f"unknown series {series!r}")
+    if not isinstance(series, str) or series not in _SERIES_BRANCH:
+        raise ConfigurationError(f"series must be one of {tuple(_SERIES_BRANCH)}, got {series!r}")
     return _SERIES_BRANCH[series]
 
 
@@ -112,15 +112,10 @@ class EOPSpec:
     params: RadialOscillator
 
     def __post_init__(self):
-        if self.series not in _SERIES:
-            raise ConfigurationError(f"series must be one of {_SERIES}, got {self.series!r}")
+        series_branch(self.series)
         check_index(self.n, "state index n")
         check_index(self.m, "hierarchy index m")
-        if not isinstance(self.params, RadialOscillator):
-            raise ConfigurationError(
-                "exceptional series are defined for the radial oscillator only, "
-                f"got {type(self.params).__name__}"
-            )
+        RadialOscillator.check(self.params)
 
 
 @dataclass(frozen=True)
@@ -199,13 +194,13 @@ def _numerator(n, a, shift, y, T, order):
 
 @dataclass(frozen=True)
 class _Series:
-    """One series at one m, L2 as L1 at tau(family): psi~_n = r^p e^(-y/2)
-    S_n/T is (-d/dr + w~) psi+_n, psi+_n = r^p_plus e^(-y/2) L_n^a(y), both
-    at energy(n) = 2 n omega + E_0.  T is the seed L_m^alpha(-y), whose jet
-    is seed.jet(y, order); S_n, _numerator's at a and shift, has degree
-    n + m + offset."""
+    """One series at one m: psi~_n = r^p e^(-y/2) S_n/T is (-d/dr + w~)
+    psi+_n, psi+_n = r^p_plus e^(-y/2) L_n^a(y), both at energy(n) =
+    2 n omega + E_0.  T is the seed L_m^alpha(-y) of the series' branch,
+    whose jet is seed.jet(y, order); S_n, _numerator's at a and shift, has
+    degree n + m + offset.  L2's record, from branch 3, equals L1's at
+    ell + 1."""
 
-    family: RadialOscillator
     seed: pe.LaguerreSpec
     a: float
     shift: float | None
@@ -224,19 +219,17 @@ class _Series:
 
 
 def _series(spec: EOPSpec) -> _Series:
-    """The record of the spec's series at its m; P_n is L_n^alpha for L1 and
-    L2 and L_n^(-alpha) for L3, alpha the seed's parameter."""
-    series, m, params = spec.series, spec.m, spec.params
-    if series == "L2":
-        series, params = "L1", params.tau()
-    w, ell = params.omega, params.ell
-    branch = params.branches()[_SERIES_BRANCH[series] - 1]
-    seed, _ = params.seed(branch.a, branch.b, m)
-    if series == "L1":
-        return _Series(params, seed, seed.alpha, None, ell + 1.0, ell,
-                       lambda n: (2.0 * n + 2.0 * m + 2.0 * ell + 1.0) * w, 0)
-    return _Series(params, seed, -seed.alpha, seed.alpha, ell + 1.0, ell + 2.0,
-                   lambda n: 2.0 * (n + m + 1.0) * w, 1)
+    """The record of the spec's series at its m, from the seed of its branch
+    at the effective a: P_n is L_n^alpha for L1 and L2 (a = ell and
+    ell + 1) and L_n^(-alpha) for L3, alpha the seed's parameter."""
+    m, params, w = spec.m, spec.params, spec.params.omega
+    a, b, _ = params.effective(params.branches()[series_branch(spec.series) - 1])
+    seed, _ = params.seed(a, b, m)
+    if spec.series == "L3":
+        return _Series(seed, -seed.alpha, seed.alpha, -a, params.ell + 2.0,
+                       lambda n: 2.0 * (n + m + 1.0) * w, 1)
+    return _Series(seed, seed.alpha, None, a + 1.0, a,
+                   lambda n: (2.0 * n + 2.0 * m + 2.0 * a + 1.0) * w, 0)
 
 
 def eop_polynomial_degree(spec: EOPSpec) -> int:
@@ -313,9 +306,9 @@ def _product_function(family, p, ratio, singular):
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
     """Closed-form eigenfunction of the extended potential for this state."""
     rec = _series(spec)
-    singular = rec.family.seed_zeros(rec.seed)
+    singular = spec.params.seed_zeros(rec.seed)
     ratio = partial(_quotient, partial(rec.S, spec.n), rec.seed.jet)
-    return _product_function(rec.family, rec.p, ratio, singular)
+    return _product_function(spec.params, rec.p, ratio, singular)
 
 
 def eigenvalue(spec: EOPSpec) -> float:
@@ -332,7 +325,7 @@ def ro_psi_plus(spec: EOPSpec) -> Function1D:
     eigenvalue(spec).
     """
     rec = _series(spec)
-    return _product_function(rec.family, rec.p_plus, pe.LaguerreSpec(spec.n, rec.a).jet, ())
+    return _product_function(spec.params, rec.p_plus, pe.LaguerreSpec(spec.n, rec.a).jet, ())
 
 
 def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
@@ -340,6 +333,7 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
     Eigenfunction of V- of branch 1 (V - omega(ell + 3/2)) at E = 2 n omega.
     """
+    RadialOscillator.check(fam)
     return _product_function(fam, fam.ell + 1.0, pe.LaguerreSpec(n, fam.ell + 0.5).jet, ())
 
 
@@ -369,8 +363,8 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
     """The half-density weight of a series: r^p e^(-y/2)/T(y), with
     analytic df and d2f and a `jet`."""
     rec = _series(EOPSpec(series, 0, m, params))
-    singular = tuple(rec.family.seed_zeros(rec.seed))
-    weight = _product_function(rec.family, rec.p, partial(_reciprocal, rec.seed.jet), singular)
+    singular = tuple(params.seed_zeros(rec.seed))
+    weight = _product_function(params, rec.p, partial(_reciprocal, rec.seed.jet), singular)
     return WeightSpec(
         series=series,
         m=m,
@@ -496,7 +490,7 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     check_index(n_max, "n_max")
     rec = _series(EOPSpec(series, 0, m, params))
     if singular_points is None:
-        singular_points = tuple(rec.family.seed_zeros(rec.seed))
+        singular_points = tuple(params.seed_zeros(rec.seed))
     if singular_points:
         raise SingularExtensionError(
             f"{series} extension with m={m} is singular; Gram matrix undefined",

@@ -44,7 +44,7 @@ from typing import Optional
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Family, Function1D, _rows
+from .catalog import Family, Function1D, _rows, _samples
 from .errors import ConfigurationError, SingularPotentialError, check_index, check_real
 
 _log = logging.getLogger(__name__)
@@ -64,14 +64,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform Dirichlet grid: n_points interior nodes on (lo, hi)."""
+    """Uniform Dirichlet grid: n_points interior nodes on finite real (lo, hi)."""
 
     lo: float
     hi: float
     n_points: int
 
     def __post_init__(self):
-        if not (self.lo < self.hi):
+        if not check_real(self.lo, "grid end lo") < check_real(self.hi, "grid end hi"):
             raise ConfigurationError(f"grid requires lo < hi, got ({self.lo}, {self.hi})")
         if check_index(self.n_points, "n_points") < 64:
             raise ConfigurationError(f"grid needs at least 64 points, got {self.n_points}")
@@ -403,14 +403,6 @@ def _spectral_offset(report_a: SpectralReport, report_b: SpectralReport):
     diff = np.array(report_a.eigenvalues) - np.array(report_b.eigenvalues)
     shift = float(np.mean(diff))
     return shift, float(np.max(np.abs(diff - shift)))
-
-
-def _samples(samples):
-    """The samples as a flat float array; ConfigurationError when there are none."""
-    x = np.asarray(samples, dtype=float).reshape(-1)
-    if not x.size:
-        raise ConfigurationError("a residual needs at least one sample")
-    return x
 
 
 def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):

@@ -1,5 +1,6 @@
 """Families, branches, partner potentials, and the shape-invariance check."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoshift.catalog import (
+    Family,
     Function1D,
     RadialOscillator,
     TrigDPT,
@@ -412,6 +414,98 @@ _REFUSED = {
 def test_unsupported_family_raises_configuration_error(case):
     with pytest.raises(ConfigurationError):
         _REFUSED[case]()
+
+
+# the entry points defined for the radial oscillator alone: each refuses
+# any other object through RadialOscillator.check
+_RO_ONLY = {
+    "EOPSpec": lambda fam: eop.EOPSpec("L1", 1, 1, fam),
+    "w0_explicit": lambda fam: deform.w0_explicit(fam, 1),
+    "w0_partner_constant": lambda fam: deform.w0_partner_constant(fam, 1),
+    "classical_ro_eigenfunction": lambda fam: eop.classical_ro_eigenfunction(fam, 1),
+    "extend_general_R": lambda fam: deform.extend_general_R(fam, 2, 1.0),
+}
+
+
+@pytest.mark.parametrize("fam", [_DPT, object()], ids=["dpt", "object"])
+@pytest.mark.parametrize("case", list(_RO_ONLY))
+def test_radial_oscillator_only_entry_points(case, fam):
+    # w0_partner_constant raised a bare AttributeError for a DPT, and
+    # classical_ro_eigenfunction for either object
+    with pytest.raises(ConfigurationError, match="expected a RadialOscillator"):
+        _RO_ONLY[case](fam)
+
+
+class TestBranchResolution:
+    """The family alone resolves a branch: Family.effective, get_branch's
+    membership rule and the per-class Family.check."""
+
+    RO = RadialOscillator(2.0, 1.0)
+    # branch 2 of a DPT, and of the oscillator at another ell
+    FOREIGN = [TrigDPT(1.5, 3.0).branches()[1], RadialOscillator(2.0, 1.5).branches()[1]]
+
+    @pytest.mark.parametrize("foreign", FOREIGN, ids=["dpt", "other-ell"])
+    def test_foreign_branch_refused(self, foreign):
+        # seed_polynomial took the DPT branch and returned a deformation
+        # with R = 6.0; this oscillator's branch 2 has R = 4.0
+        ro = self.RO
+        calls = (
+            lambda: get_branch(ro, foreign),
+            lambda: superpotential(ro, foreign),
+            lambda: si_pair_check(ro, foreign, 4, [1.0]),
+            lambda: si_pair_check(ro, 1, foreign, [1.0]),
+            lambda: deform.seed_polynomial(ro, foreign, 1),
+            lambda: deform.extend_general_R(ro, foreign, 1.0),
+            lambda: spectral.classify_regularity(ro, foreign, 1),
+        )
+        for call in calls:
+            with pytest.raises(ConfigurationError, match="is not a branch of"):
+                call()
+
+    @pytest.mark.parametrize("fam", [RO, TrigDPT(1.5, 3.0)], ids=repr)
+    def test_own_branches_accepted(self, fam):
+        twin = type(fam)(*(float(v) for v in dataclasses.astuple(fam)))
+        for b in fam.branches():
+            assert get_branch(fam, b) is b
+            # a branch of an equal parameter set is the family's own
+            assert get_branch(twin, b) is b
+
+    @pytest.mark.parametrize("fam", [RO, TrigDPT(1.5, 3.0)], ids=repr)
+    def test_effective(self, fam):
+        # only radial-oscillator branch 3 deforms sign-reversed (process 2)
+        for b in fam.branches():
+            a, bb, process = fam.effective(b)
+            reversed_ = isinstance(fam, RadialOscillator) and b.k == 3
+            assert (a, bb, process) == ((-b.a, -b.b, 2) if reversed_ else (b.a, b.b, 1))
+            d = deform.seed_polynomial(fam, b, 2)
+            assert d.process == process
+            assert d.seed == fam.seed(a, bb, 2)[0]
+
+    def test_check_is_per_class(self):
+        dpt = TrigDPT(1.5, 3.0)
+        assert Family.check(dpt) is dpt and RadialOscillator.check(self.RO) is self.RO
+        with pytest.raises(ConfigurationError, match="expected a RadialOscillator, got TrigDPT"):
+            RadialOscillator.check(dpt)
+        with pytest.raises(ConfigurationError, match="expected a Family, got int"):
+            Family.check(3)
+
+
+@pytest.mark.parametrize("samples", [[], np.empty(0)], ids=["list", "array"])
+@pytest.mark.parametrize("residual", ["riccati", "si_pair", "schrodinger", "qhj"])
+def test_one_empty_sample_rule(residual, samples):
+    # the Riccati and shape-invariance residuals raised numpy's bare
+    # ValueError (zero-size array to reduction operation maximum)
+    fam = RadialOscillator(2.0, 1.0)
+    psi = eop.classical_ro_eigenfunction(fam, 0)
+    V = partner_potentials(superpotential(fam, 1))[0]
+    calls = {
+        "riccati": lambda: deform.seed_polynomial(fam, 2, 1).riccati_residual(samples),
+        "si_pair": lambda: si_pair_check(fam, 1, 4, samples),
+        "schrodinger": lambda: spectral.schrodinger_residual(psi, 0.0, V, samples),
+        "qhj": lambda: spectral.qhj_residual(psi, 0.0, V, samples),
+    }
+    with pytest.raises(ConfigurationError, match="at least one sample"):
+        calls[residual]()
 
 
 def _jet_kinds():

@@ -619,6 +619,14 @@ class TestRobustness:
         assert code == 2
         assert "finite" in err
 
+    def test_interpolate_refuses_dpt(self, tmp_path, capsys):
+        code, err = self._exit_code(capsys, [
+            "interpolate", "--family", "trig_dpt", "--A", "1.5", "--B", "3", "--R", "1",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert err == "error: expected a RadialOscillator, got TrigDPT\n"
+
     @pytest.mark.parametrize("R", ["nan", "inf"])
     def test_non_finite_shift(self, tmp_path, capsys, R):
         code, err = self._exit_code(capsys, [

@@ -398,8 +398,9 @@ class TestKummerSeed:
         with pytest.raises(ConfigurationError):
             extend_general_R(RadialOscillator(1.0, 1.0), 2, R)
 
-    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("r_max", [math.nan, math.inf, 0.0, -1.0, "3", True])
     def test_bad_r_max(self, r_max):
+        # "3" raised a bare TypeError, and True stood for r_max = 1
         with pytest.raises(ConfigurationError):
             extend_general_R(RadialOscillator(1.0, 1.0), 2, 1.0, r_max=r_max)
 

@@ -649,6 +649,38 @@ class TestExactOracle:
                     assert zero_census(spec)[0] == exact.positive_zeros(S), (series, m, n)
 
 
+class TestOneRoute:
+    """Each series' record comes from its own branch (Family.effective), as
+    seed_polynomial deforms it; L2's, from branch 3, is L1's at ell + 1."""
+
+    FAMS = [RadialOscillator(w, ell) for w, ell in
+            ((2.0, 1.0), (1.0, 0.3), (3.3, 2.5), (0.5, 0.0), (2.982, 1.3), (2.982, 4.0))]
+
+    @staticmethod
+    def _bits(*values):
+        return [float(v).hex() for v in values]
+
+    @pytest.mark.parametrize("fam", FAMS, ids=repr)
+    def test_seed_is_the_deformation_seed(self, fam):
+        for series in ("L1", "L2", "L3"):
+            for m in range(7):
+                got = eop._series(EOPSpec(series, 0, m, fam)).seed
+                want = seed_polynomial(fam, series_branch(series), m).seed
+                assert (got.n, got.sign) == (want.n, want.sign)
+                assert self._bits(got.alpha) == self._bits(want.alpha), (series, m)
+
+    @pytest.mark.parametrize("fam", FAMS, ids=repr)
+    def test_L2_is_L1_at_ell_plus_one(self, fam):
+        for m in range(7):
+            l2 = eop._series(EOPSpec("L2", 0, m, fam))
+            l1 = eop._series(EOPSpec("L1", 0, m, fam.tau()))
+            assert (l2.seed.n, l2.seed.sign, l2.shift, l2.offset) == (
+                l1.seed.n, l1.seed.sign, l1.shift, l1.offset)
+            got, want = (self._bits(rec.seed.alpha, rec.a, rec.p, rec.p_plus,
+                                    *(rec.energy(n) for n in range(6))) for rec in (l2, l1))
+            assert got == want, m
+
+
 class TestKernelCallBudget:
     """One seed jet per evaluation: polyengine.laguerre_jet calls per point array."""
 

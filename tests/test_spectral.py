@@ -109,6 +109,16 @@ def test_sizes_and_counts_are_checked_integers(call):
         call()
 
 
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (True, 5.0), (0.0, "5"), (None, 1.0),
+], ids=repr)
+def test_grid_ends_are_finite_reals(lo, hi):
+    # Grid(0, inf) was accepted, and a solve on it reported a non-finite
+    # potential at x = inf; True stood for 1, and "5" raised a bare TypeError
+    with pytest.raises(ConfigurationError, match="grid end"):
+        Grid(lo, hi, 100)
+
+
 @pytest.mark.parametrize("fam", [RadialOscillator(1.0, 1.0), TrigDPT(1.0, 1.0)], ids=repr)
 @pytest.mark.parametrize("k, m", [
     (4, -5), (-9, 0), (0, 0), (2.5, 0), (True, 0), (4, 1.5), (4, True), (4, 2.0),
