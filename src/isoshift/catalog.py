@@ -266,12 +266,15 @@ class RadialOscillator(Family):
         return (0.5 * w * r**2, w * r, w)[: order + 1]
 
     def seed_zeros(self, spec):
+        """The zeros r of the seed, from _seed_zeros in y on (1e-12, hi):
+        classical at alpha > -1 (none at sign -1, with no evaluation), else
+        scanned on 512 samples per degree."""
         if spec.n == 0:
             return []
         # all real zeros of L_m^alpha lie within |y| < 4m + 2|alpha| + 20
         hi = 4.0 * spec.n + 2.0 * abs(spec.alpha) + 20.0
-        report = pe.real_zeros(spec, (1e-12, hi), samples_per_degree=512)
-        return [math.sqrt(2.0 * y / self.omega) for y in report.zeros]
+        zeros = _seed_zeros(spec, (1e-12, hi), samples_per_degree=512)
+        return [math.sqrt(2.0 * y / self.omega) for y in zeros]
 
     def seed_zero_prediction(self, spec):
         """The classical zero count of seeds at negative argument (Szegő,
@@ -379,10 +382,13 @@ class TrigDPT(Family):
         return (y, -2.0 * np.sin(2.0 * x), -4.0 * y)[: order + 1]
 
     def seed_zeros(self, spec):
+        """The zeros x of the seed, from _seed_zeros in y on
+        (-1 + 1e-9, 1 - 1e-9): classical on branch 1 (nu, mu > -1), else
+        scanned."""
         if spec.N == 0:
             return []
-        report = pe.real_zeros(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
-        return sorted(0.5 * math.acos(y) for y in report.zeros)
+        zeros = _seed_zeros(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
+        return sorted(0.5 * math.acos(y) for y in zeros)
 
     def certification_interval(self):
         return 0.02, math.pi / 2.0 - 0.02
@@ -405,6 +411,16 @@ class TrigDPT(Family):
 
 
 FAMILIES = {cls.name: cls for cls in (RadialOscillator, TrigDPT)}
+
+
+def _seed_zeros(spec, interval, **scan):
+    """The zeros of a seed spec in an interval: its certified eigenvalues
+    (polyengine.classical_zeros) where the spec is classical, else those
+    of polyengine.real_zeros(spec, interval, **scan)."""
+    report = pe.classical_zeros(spec, interval)
+    if report is None:
+        report = pe.real_zeros(spec, interval, **scan)
+    return report.zeros
 
 
 @dataclass(frozen=True)
@@ -481,19 +497,30 @@ def si_pair_check(family, branch_i, branch_j, grid):
     The shift applied to branch j's parameters is the unit step induced by
     tau on the branch (a, b): (a+1, b) for the radial oscillator, (a+1, b+1)
     for DPT.  A residual at rounding level certifies the shape-invariance
-    pairing; a mismatched pairing returns an O(1) residual.
+    pairing; a mismatched pairing returns an O(1) residual.  A grid point
+    that is not a finite point of the family's open domain raises
+    ConfigurationError.
     """
     bi, bj = get_branch(family, branch_i), get_branch(family, branch_j)
     da, db = family.tau_step
     wi = family.superpotential(bi.a, bi.b)
     wj = family.superpotential(bj.a + da, bj.b + db)
-    pts = _samples(grid)
+    pts = _samples(grid, family.domain)
     return float(np.max(np.abs(wi.f(pts) + wj.f(pts))))
 
 
-def _samples(samples):
-    """The samples as a flat float array; ConfigurationError when there are none."""
+def _samples(samples, domain=None):
+    """The samples as a flat float array; ConfigurationError when there are
+    none, or, given a domain, when one is not finite or not inside it (the
+    open interval)."""
     x = np.asarray(samples, dtype=float).reshape(-1)
     if not x.size:
         raise ConfigurationError("a residual needs at least one sample")
+    if domain is not None:
+        lo, hi = domain
+        bad = ~(np.isfinite(x) & (lo < x) & (x < hi))
+        if np.any(bad):
+            raise ConfigurationError(
+                f"sample {x[bad][0]!r} is not a finite point of the open domain ({lo}, {hi})"
+            )
     return x

@@ -100,8 +100,10 @@ class Deformation:
                              phi.domain, phi.singular_points)
 
     def riccati_residual(self, grid):
-        """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|."""
-        r = _samples(grid)
+        """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|; a sample that
+        is not a finite point of the family's open domain raises
+        ConfigurationError."""
+        r = _samples(grid, self.family.domain)
         p, dp = self.phi.jet(r, 1)
         res = p * p + 2.0 * self.w0.f(r) * p + dp - self.R
         return float(np.max(np.abs(res)))

@@ -42,9 +42,10 @@ G = P diag(w e^(-y)/T^2) P^T.  The first panel [0, h0] is Gauss-Jacobi with
 the weight y^(p-1/2); the panels after it double in width and are
 Gauss-Legendre.  A panel that disagrees with the sum over its two halves is
 split, and the summed disagreement of the accepted panels is the Gram's
-error estimate.  Both rules come from _gauss_jacobi, in numpy, cached per
-exponent, so the module loads no scipy: scipy.integrate loads only when
-weight_from_superpotential first integrates.
+error estimate.  Both rules come from _gauss_jacobi, in numpy, from
+polyengine's Jacobi matrix and cached per exponent, so the module loads no
+scipy: scipy.integrate loads only when weight_from_superpotential first
+integrates.
 """
 
 from __future__ import annotations
@@ -418,22 +419,20 @@ def _gauss_jacobi(n, a, b):
 
     The nodes are the eigenvalues of the n x n Jacobi matrix of the
     orthonormal Jacobi polynomials p_k (Golub and Welsch, Math. Comp. 23
-    (1969) 221), polished by one Newton step on p_n from the three-term
-    recurrence; the weights are Christoffel's, 1 / sum_{k<n} p_k(x)^2
-    (Hale and Townsend, SIAM J. Sci. Comput. 35 (2013) A652), that sum
-    moved to the polished nodes to first order.  Legendre is a = b = 0.  The
-    rules are cached, so their arrays are read-only.
+    (1969) 221), the package's one such matrix (polyengine.jacobi_matrix of
+    P_n^(a,b), which also gives the seeds' classical zeros), polished by one
+    Newton step on p_n from the three-term recurrence; the weights are
+    Christoffel's, 1 / sum_{k<n} p_k(x)^2 (Hale and Townsend, SIAM J. Sci.
+    Comput. 35 (2013) A652), that sum moved to the polished nodes to first
+    order.  Legendre is a = b = 0.  Only the Gram rules come through here:
+    the cache holds their few (n, a, b), so their arrays are read-only, and
+    no seed's parameters evict them.
     """
-    k = np.arange(1.0, n + 1.0)
-    s = 2.0 * k + a + b
-    diag = np.concatenate((
-        [(b - a) / (a + b + 2.0)], (b * b - a * a) / (s[:-1] * (s[:-1] + 2.0))
-    ))
-    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    diag, off = pe.jacobi_matrix(pe.JacobiSpec(n, a, b))
     # the weight's integral, int (1-x)^a (1+x)^b dx
     mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
     mu0 /= math.gamma(a + b + 2.0)
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    x = pe._eigenvalues(diag, off)
 
     # rows p_k(x) and p_k'(x), and the sums of p_k^2 and p_k p_k' over k < n
     prev, cur, sums = np.zeros((2, n)), np.zeros((2, n)), np.zeros((2, n))

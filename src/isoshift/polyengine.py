@@ -24,15 +24,23 @@ laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
 derivatives still use the parameter-shift identities: jacobi_jet gathers
 jacobi_eval, jacobi_deriv and jacobi_deriv2 as the rows of one jet.  Each
 spec evaluates itself through its kernel, spec.jet(y, order), looked up at
-each call; real_zeros and every seed jet (catalog.Family.seed_jet) go
-through it.  _blocks, the slices of _BLOCK points, is the package's one
-block loop: every jet above this kernel (catalog._jet_function) and
-spectral.schrodinger_residual run over the same blocks, each bitwise as in
-one pass.
+each call; real_zeros, classical_zeros and every seed jet
+(catalog.Family.seed_jet) go through it.  _blocks, the slices of _BLOCK
+points, is the package's one block loop: every jet above this kernel
+(catalog._jet_function) and spectral.schrodinger_residual run over the
+same blocks, each bitwise as in one pass.
 
-sign_change_zeros, a sign scan whose brackets are refined together by ITP
-(interpolate, truncate, project), is the package's one zero finder;
-real_zeros applies it to a polynomial spec.
+A spec is classical when its polynomials are orthogonal for a positive
+weight: Laguerre at alpha > -1, Jacobi at nu, mu > -1.  Its degree-n
+member then has n simple real zeros, the eigenvalues of the n x n
+symmetric tridiagonal Jacobi matrix of its orthonormal recurrence
+(Golub and Welsch, Math. Comp. 23 (1969) 221), which jacobi_matrix builds;
+eop's Gauss rules are built from the same matrix.  classical_zeros takes
+a classical spec's zeros from that matrix and certifies them by one
+evaluation.  Every other spec is scanned: sign_change_zeros, a sign scan
+whose brackets are refined together by ITP (interpolate, truncate,
+project), is the package's scanning zero finder, and real_zeros applies it
+to a polynomial spec.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ __all__ = [
     "jacobi_deriv",
     "jacobi_deriv2",
     "jacobi_jet",
+    "jacobi_matrix",
+    "classical_zeros",
     "sign_change_zeros",
     "real_zeros",
 ]
@@ -122,8 +132,10 @@ class ZeroReport:
 
     multiplicity_flags[i] is True when zeros[i] is a scan sample whose value
     lay within the floor, so no sign change certifies it.  half_widths[i] is
-    the half-width of the final bracket of crossings[i]: a sign change of f
-    lies within that distance of it, its certified error.
+    the half-width of the bracket that certifies crossings[i]: a sign change
+    of f lies within that distance of it, its certified error.  The bracket
+    is the final ITP bracket of a scan (sign_change_zeros), or the bracket
+    about an eigenvalue that classical_zeros evaluated.
     """
 
     zeros: list = field(default_factory=list)
@@ -337,6 +349,106 @@ def jacobi_jet(spec: JacobiSpec, y, order):
     if check_index(order, "order") > 2:
         raise ConfigurationError(f"a Jacobi jet carries at most 2 derivatives, got order {order}")
     return tuple(d(spec, y) for d in (jacobi_eval, jacobi_deriv, jacobi_deriv2)[: order + 1])
+
+
+def jacobi_matrix(spec):
+    """(diag, off) of a classical spec's orthonormal recurrence, or None.
+
+    The orthonormal polynomials p_k of the spec's weight satisfy
+    y p_k = off[k-1] p_{k-1} + diag[k] p_k + off[k] p_{k+1} (up to the sign
+    of off) for k < n, n the degree, so diag and off have n entries each;
+    the Jacobi matrix is tridiagonal with diagonal diag and off-diagonal
+    off[:-1], and its eigenvalues (_eigenvalues) are the zeros of the spec
+    in y, without its sign.  Laguerre, alpha > -1: diag[k] =
+    2k + alpha + 1 and off[k-1] = sqrt(k (k + alpha)).  Jacobi P^(nu,mu),
+    nu, mu > -1, the weight (1-y)^nu (1+y)^mu: the entries of Golub and
+    Welsch, the square of the k = 1 off-diagonal written as
+    4(1+nu)(1+mu)/(s^2 (s+1)), s = 2 + nu + mu, with the factor
+    (1+nu+mu)/(s-1) cancelled, so that nu + mu = -1 computes no 0/0.
+    None for anything else.
+    """
+    if isinstance(spec, LaguerreSpec) and spec.alpha > -1.0:
+        k = np.arange(spec.n + 1.0)
+        return 2.0 * k[:-1] + spec.alpha + 1.0, np.sqrt(k[1:] * (k[1:] + spec.alpha))
+    if not (isinstance(spec, JacobiSpec) and spec.nu > -1.0 and spec.mu > -1.0):
+        return None
+    # the entries in a1 = 1 + nu and b1 = 1 + mu, which are exact as nu or
+    # mu tends to -1, where the small entries would lose their digits to
+    # 2 + nu + mu; t = k - 1 for the off-diagonal entry k = 1..n
+    n, a, b = spec.N, spec.nu, spec.mu
+    a1, b1 = 1.0 + a, 1.0 + b
+    t = np.arange(float(n))
+    s = 2.0 * t + a1 + b1  # 2k + nu + mu
+    diag = np.concatenate((
+        [(b - a) / (a1 + b1)], (b - a) * (a1 + b1 - 2.0) / (s[:-1] * (s[:-1] + 2.0))
+    ))[:n]
+    t, u = t[1:], s[1:]
+    off2 = np.concatenate((
+        4.0 * a1 * b1 / (s[:1] * s[:1] * (s[:1] + 1.0)),
+        4.0 * (t + 1.0) * (t + a1) * (t + b1) * (t - 1.0 + a1 + b1)
+        / (u * u * (u + 1.0) * (u - 1.0)),
+    ))
+    return diag, np.sqrt(off2)
+
+
+def _eigenvalues(diag, off):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal diag and off-diagonal off[:-1] (jacobi_matrix's pair): the
+    diagonal entry itself at size 1, else numpy's eigvalsh."""
+    if diag.size == 1:
+        return diag.copy()
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+
+
+# a certifying bracket reaches at least _CERT_HALF_WIDTH, and at least
+# _CERT_ULPS float spacings of its zero, on each side: the eigenvalues carry
+# errors of a few eps times the norm of the matrix, a few spacings of the
+# largest zero
+_CERT_HALF_WIDTH = 5e-13
+_CERT_ULPS = 8
+
+
+def classical_zeros(spec, interval):
+    """The zeros of a classical spec inside an open interval, or None.
+
+    The zeros are the eigenvalues of jacobi_matrix (negated at sign -1).
+    Each eigenvalue z gets the bracket [z - h, z + h], h =
+    max(_CERT_HALF_WIDTH, _CERT_ULPS spacings of z).  The brackets must be
+    disjoint, and neither end of the interval may fall inside one; those
+    inside the interval are certified by one array call of the spec at
+    their ends, each of which must see a strict sign change.  The report's
+    half_widths are h and no zero is flagged.  None where the spec is not
+    classical or the certificate fails; the caller then scans (real_zeros).
+    A Laguerre spec at sign -1 has only negative zeros: on an interval with
+    lo >= 0 the empty report comes back with no solve and no evaluation.
+    """
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigurationError(f"invalid interval ({lo}, {hi})")
+    laguerre = isinstance(spec, LaguerreSpec)
+    if laguerre and spec.sign < 0 and spec.alpha > -1.0 and lo >= 0.0:
+        return ZeroReport()
+    rec = jacobi_matrix(spec)
+    if rec is None:
+        return None
+    z = _eigenvalues(*rec)
+    if laguerre and spec.sign < 0:
+        z = -z[::-1]
+    h = np.maximum(_CERT_HALF_WIDTH, _CERT_ULPS * np.spacing(np.abs(z)))
+    # the bracket ends, ascending when the brackets are disjoint; an
+    # interval end at an even position lies between brackets
+    ends = np.stack((z - h, z + h), axis=1).reshape(-1)
+    i, j = np.searchsorted(ends, (lo, hi))
+    if i % 2 or j % 2 or not np.all(ends[1:] > ends[:-1]):
+        return None
+    if i == j:
+        return ZeroReport()
+    f = np.sign(spec.jet(ends[i:j], 0)[0])
+    if not np.all(f[0::2] * f[1::2] < 0.0):
+        return None
+    z, h = z[i // 2 : j // 2], h[i // 2 : j // 2]
+    return ZeroReport(zeros=z.tolist(), multiplicity_flags=[False] * z.size,
+                      half_widths=h.tolist())
 
 
 def sign_change_zeros(f, xs, fs, floor, bisect_tol):

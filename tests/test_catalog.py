@@ -294,6 +294,87 @@ class TestSeedZeroCount:
                     assert len(d.singular_points) == want, (ell, k, m)
 
 
+class TestClassicalSeeds:
+    """Seeds with classical parameters take their zeros from their Jacobi
+    matrix (polyengine.classical_zeros) and are evaluated once, to certify
+    them; the others are scanned."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, kernel):
+        """The point counts of the calls of a polyengine kernel."""
+        calls, inner = [], getattr(pe, kernel)
+
+        def counted(spec, x, order):
+            calls.append(np.size(x))
+            return inner(spec, x, order)
+
+        monkeypatch.setattr(pe, kernel, counted)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 10])
+    def test_dpt_branch_1_seed_makes_one_call_on_2m_points(self, monkeypatch, m):
+        fam = TrigDPT(1.5, 3.0)
+        spec = fam.seed(fam.A, fam.B, m)[0]
+        calls = self._count_calls(monkeypatch, "jacobi_jet")
+        assert len(fam.seed_zeros(spec)) == m
+        assert calls == [2 * m]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ro_branch_2_and_3_seeds_make_none(self, monkeypatch, k):
+        def refuse(*args):
+            raise AssertionError("solved")
+
+        fam = RadialOscillator(2.0, 1.5)
+        monkeypatch.setattr(pe, "_eigenvalues", refuse)
+        calls = self._count_calls(monkeypatch, "laguerre_jet")
+        for m in range(1, 7):
+            a, b, _ = fam.effective(get_branch(fam, k))
+            assert fam.seed_zeros(fam.seed(a, b, m)[0]) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("fam, k", [(TrigDPT(1.5, 3.0), 1), (RadialOscillator(2.0, 1.5), 4)])
+    def test_a_failed_certificate_returns_the_scan(self, monkeypatch, fam, k):
+        # eigenvalues moved off the zeros fail the sign test: the seed's
+        # zeros are then exactly those of real_zeros' report, on the same
+        # interval and samples as the scan alone takes
+        a, b, _ = fam.effective(get_branch(fam, k))
+        spec = fam.seed(a, b, 4)[0]
+        eigenvalues = pe._eigenvalues
+        monkeypatch.setattr(pe, "_eigenvalues", lambda *rec: eigenvalues(*rec) + 1e-3)
+        reports, scan = [], pe.real_zeros
+
+        def spy(*args, **kwargs):
+            reports.append(scan(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(pe, "real_zeros", spy)
+        got = fam.seed_zeros(spec)
+        assert len(reports) == 1 and reports[0].count == 4
+        if isinstance(fam, TrigDPT):
+            assert reports[0] == scan(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
+            assert got == sorted(0.5 * math.acos(y) for y in reports[0].zeros)
+        else:
+            hi = 4.0 * 4 + 2.0 * abs(spec.alpha) + 20.0
+            assert reports[0] == scan(spec, (1e-12, hi), samples_per_degree=512)
+            assert got == [math.sqrt(2.0 * y / fam.omega) for y in reports[0].zeros]
+
+    @pytest.mark.parametrize("A, B", [
+        *((a, -a) for a in (-0.49, -0.3, -0.1, 0.0, 0.2, 0.45)),
+        *((-0.5 + e, -0.5 + e) for e in (1e-2, 1e-4, 1e-6)),
+        *((-0.5 + e, 2.0) for e in (1e-2, 1e-4, 1e-6)),
+        *((3.0, -0.5 + e) for e in (1e-2, 1e-4, 1e-6)),
+    ])
+    def test_every_dpt_branch_1_seed_has_m_zeros(self, A, B):
+        # P_m^(A - 1/2, B - 1/2) has m simple zeros in (-1, 1) at A, B > -1/2
+        # (Szego, Thm 3.3.1); A + B = 0 puts nu + mu at -1, where the k = 1
+        # entry of the Jacobi matrix is cancelled
+        fam = TrigDPT(A, B)
+        for m in range(1, 11):
+            points = deform.seed_polynomial(fam, 1, m).singular_points
+            assert len(points) == m, (A, B, m)
+            assert all(0.0 < x < math.pi / 2 for x in points)
+
+
 def _mp_laguerre(n, alpha, x):
     # L_n^alpha(x) = sum_i (-1)^i binom(n + alpha, n - i) x^i / i!
     return mpmath.fsum((-1) ** i * mpmath.binomial(n + alpha, n - i) * x**i / mpmath.factorial(i)
@@ -559,3 +640,25 @@ def test_every_function_is_its_jet(kind, n):
     for j in range(order + 1):
         assert len(fn.jet(x, j)) == j + 1
         assert np.array_equal(rows[j](x), jet[j], equal_nan=True)
+
+
+@pytest.mark.parametrize("residual", ["riccati", "si_pair"])
+@pytest.mark.parametrize("family, bad", [
+    (RadialOscillator(2.0, 1.0), [0.0, 1.0]),
+    (RadialOscillator(2.0, 1.0), [1.0, math.nan]),
+    (RadialOscillator(2.0, 1.0), [1.0, math.inf]),
+    (RadialOscillator(2.0, 1.0), [-1.0, 1.0]),
+    (TrigDPT(1.5, 3.0), [0.0, 0.5]),
+    (TrigDPT(1.5, 3.0), [0.5, math.pi / 2]),
+    (TrigDPT(1.5, 3.0), [0.5, math.inf]),
+    (TrigDPT(1.5, 3.0), [-math.inf, 0.5]),
+], ids=["ro-0", "ro-nan", "ro-inf", "ro-negative", "dpt-0", "dpt-pi/2", "dpt-inf", "dpt--inf"])
+def test_residual_samples_lie_in_the_open_domain(residual, family, bad):
+    # si_pair_check(RadialOscillator(2, 1), 1, 4, [0, 1]) and the Riccati
+    # residual at [1, nan] returned nan
+    calls = {
+        "riccati": lambda: deform.seed_polynomial(family, 2, 1).riccati_residual(bad),
+        "si_pair": lambda: si_pair_check(family, 1, 4, bad),
+    }
+    with pytest.raises(ConfigurationError, match="open domain"):
+        calls[residual]()

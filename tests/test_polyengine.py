@@ -17,9 +17,11 @@ from isoshift import polyengine
 from isoshift.polyengine import (
     JacobiSpec,
     LaguerreSpec,
+    classical_zeros,
     jacobi_deriv,
     jacobi_deriv2,
     jacobi_eval,
+    jacobi_matrix,
     laguerre_deriv,
     laguerre_deriv2,
     laguerre_eval,
@@ -653,3 +655,122 @@ class TestSignChangeZeros:
                 assert fz[0] * fz[1] < 0.0 or fz[1] * fz[2] < 0.0
                 adjacent += 1
         assert adjacent >= 3
+
+
+_MP = mpmath.mp.clone()
+_MP.dps = 50
+
+
+def _mp_real_roots(coeffs, to_x):
+    """The real roots, ascending, of sum_k coeffs[k] t^k (50-digit
+    coefficients), mapped by to_x, from mpmath.polyroots."""
+    roots = _MP.polyroots(coeffs[::-1], maxsteps=2000, extraprec=60)
+    return sorted(to_x(_MP.re(t)) for t in roots if abs(_MP.im(t)) < _MP.mpf(10) ** -30)
+
+
+def _mp_laguerre_zeros(n, alpha, sign):
+    # L_n^alpha(t) = sum_k (-1)^k binom(n + alpha, n - k) t^k / k!, x = sign t
+    a = _MP.mpf(alpha)
+    coeffs = [(-1) ** k * _MP.binomial(n + a, n - k) / _MP.factorial(k) for k in range(n + 1)]
+    return _mp_real_roots(coeffs, lambda t: sign * t)
+
+
+def _mp_jacobi_zeros(N, nu, mu):
+    # P_N^(nu,mu)(y) = sum_k (nu + k + 1)_(N - k) (N + nu + mu + 1)_k
+    # / ((N - k)! k!) t^k, t = (y - 1)/2 (DLMF 18.5.7)
+    a, b = _MP.mpf(nu), _MP.mpf(mu)
+    coeffs = [_MP.rf(a + k + 1, N - k) * _MP.rf(N + a + b + 1, k)
+              / (_MP.factorial(N - k) * _MP.factorial(k)) for k in range(N + 1)]
+    return _mp_real_roots(coeffs, lambda t: 1 + 2 * t)
+
+
+# parameters drawn up to -1 from above, ulps away included
+_TO_MINUS_ONE = st.sampled_from([-1.0 + 10.0 ** -d for d in (1, 3, 6, 9, 12)] + [np.nextafter(-1.0, 0.0)])
+
+
+class TestClassicalZeros:
+    """classical_zeros against the real roots of the explicit coefficients,
+    found by mpmath.polyroots at 50 digits: the same count, and each zero
+    within its half-width of a root."""
+
+    @staticmethod
+    def _check(report, want, interval):
+        assert report is not None
+        want = [t for t in want if interval[0] < t < interval[1]]
+        assert report.count == len(want)
+        assert report.multiplicity_flags == [False] * report.count
+        for z, h, t in zip(report.zeros, report.half_widths, want):
+            assert h >= 5e-13
+            assert abs(mpmath.mpf(z) - t) <= h, (z, h, t)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(0, 12), st.one_of(st.floats(-1.0, 40.0, exclude_min=True), _TO_MINUS_ONE),
+           st.sampled_from([1, -1]))
+    @example(12, 40.0, 1)
+    @example(12, np.nextafter(-1.0, 0.0), 1)
+    def test_laguerre_matches_mpmath(self, n, alpha, sign):
+        spec = LaguerreSpec(n, alpha, sign)
+        hi = 4.0 * n + 2.0 * abs(alpha) + 20.0
+        interval = (-1.0, hi) if sign > 0 else (-hi, 1.0)
+        self._check(classical_zeros(spec, interval), _mp_laguerre_zeros(n, alpha, sign), interval)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.integers(0, 12), st.one_of(st.floats(-1.0, 10.0, exclude_min=True), _TO_MINUS_ONE),
+           st.one_of(st.floats(-1.0, 10.0, exclude_min=True), _TO_MINUS_ONE))
+    @example(6, -0.2, -0.8)  # nu + mu = -1: the k = 1 entry, cancelled
+    @example(12, -0.2, -0.8)
+    @example(1, -0.2, -0.8)
+    @example(12, -1.0 + 1e-12, -1.0 + 1e-12)
+    @example(12, np.nextafter(-1.0, 0.0), 10.0)
+    def test_jacobi_matches_mpmath(self, N, nu, mu):
+        interval = (-2.0, 2.0)
+        spec = JacobiSpec(N, nu, mu)
+        report = classical_zeros(spec, interval)
+        if report is None and (1.0 + nu) + (1.0 + mu) < 1e-3:
+            # jacobi_eval forms 2 + nu + mu and 1 + nu through sums of order
+            # one, so where both tend to -1 its values near the zeros are
+            # noise and the certificate refuses; the caller scans
+            return
+        self._check(report, _mp_jacobi_zeros(N, nu, mu), interval)
+        assert report.count == N  # Szego, Thm 3.3.1: N simple zeros in (-1, 1)
+
+    def test_degree_one_is_the_diagonal_entry(self):
+        assert classical_zeros(LaguerreSpec(1, 0.5), (0.0, 10.0)).zeros == [1.5]
+        assert classical_zeros(LaguerreSpec(1, 0.5, -1), (-10.0, 0.0)).zeros == [-1.5]
+        assert classical_zeros(JacobiSpec(1, 0.5, 1.5), (-1.0, 1.0)).zeros == [0.25]
+
+    def test_the_k1_entry_computes_no_0_over_0(self):
+        # at nu + mu = -1 the uncancelled k = 1 entry is 0/0; the cancelled
+        # one is 4 (1 + nu)(1 + mu) / (s^2 (s + 1)) at s = 1
+        with np.errstate(all="raise"):
+            diag, off = jacobi_matrix(JacobiSpec(4, -0.2, -0.8))
+        assert off[0] == pytest.approx(math.sqrt(4.0 * 0.8 * 0.2 / 2.0), rel=1e-15)
+        assert np.all(np.isfinite(diag)) and np.all(np.isfinite(off))
+
+    @pytest.mark.parametrize("spec", [
+        LaguerreSpec(3, -1.0), LaguerreSpec(3, -2.5, -1), JacobiSpec(3, -1.0, 0.5),
+        JacobiSpec(3, 0.5, -1.5), (3, 0.5),
+    ])
+    def test_not_classical_is_none(self, spec):
+        assert jacobi_matrix(spec) is None
+        assert classical_zeros(spec, (-1.0, 1.0)) is None
+
+    def test_negative_argument_laguerre_has_no_positive_zero(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved or evaluated")
+
+        monkeypatch.setattr(polyengine, "_eigenvalues", refuse)
+        monkeypatch.setattr(polyengine, "laguerre_jet", refuse)
+        report = classical_zeros(LaguerreSpec(6, 2.5, -1), (0.0, 100.0))
+        assert report.zeros == [] and report.half_widths == []
+
+    def test_a_zero_at_an_interval_end_is_not_certified(self):
+        # P_1^(0.5, 1.5) vanishes at 0.25: a bracket on either end refuses
+        spec = JacobiSpec(1, 0.5, 1.5)
+        assert classical_zeros(spec, (0.25, 1.0)) is None
+        assert classical_zeros(spec, (-1.0, 0.25 + 1e-13)) is None
+        assert classical_zeros(spec, (0.3, 1.0)).zeros == []
+
+    def test_invalid_interval(self):
+        with pytest.raises(ConfigurationError):
+            classical_zeros(LaguerreSpec(2, 0.5), (3.0, 1.0))
