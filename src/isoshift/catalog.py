@@ -382,12 +382,12 @@ class TrigDPT(Family):
         return (y, -2.0 * np.sin(2.0 * x), -4.0 * y)[: order + 1]
 
     def seed_zeros(self, spec):
-        """The zeros x of the seed, from _seed_zeros in y on
-        (-1 + 1e-9, 1 - 1e-9): classical on branch 1 (nu, mu > -1), else
-        scanned."""
+        """The zeros x of the seed, from _seed_zeros in y: classical on
+        branch 1 (nu, mu > -1), certified on (-1, 1), where the theorem puts
+        all N of them, else scanned on (-1 + 1e-9, 1 - 1e-9)."""
         if spec.N == 0:
             return []
-        zeros = _seed_zeros(spec, (-1.0 + 1e-9, 1.0 - 1e-9))
+        zeros = _seed_zeros(spec, (-1.0, 1.0), (-1.0 + 1e-9, 1.0 - 1e-9))
         return sorted(0.5 * math.acos(y) for y in zeros)
 
     def certification_interval(self):
@@ -413,13 +413,14 @@ class TrigDPT(Family):
 FAMILIES = {cls.name: cls for cls in (RadialOscillator, TrigDPT)}
 
 
-def _seed_zeros(spec, interval, **scan):
-    """The zeros of a seed spec in an interval: its certified eigenvalues
+def _seed_zeros(spec, interval, scan_interval=None, **scan):
+    """The zeros of a seed spec: its certified eigenvalues in interval
     (polyengine.classical_zeros) where the spec is classical, else those
-    of polyengine.real_zeros(spec, interval, **scan)."""
+    of polyengine.real_zeros(spec, scan_interval, **scan), scan_interval
+    defaulting to interval."""
     report = pe.classical_zeros(spec, interval)
     if report is None:
-        report = pe.real_zeros(spec, interval, **scan)
+        report = pe.real_zeros(spec, interval if scan_interval is None else scan_interval, **scan)
     return report.zeros
 
 

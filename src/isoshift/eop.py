@@ -15,11 +15,13 @@ Polynomial values and their derivatives are carried as "jets", tuples
 (value, d/dy, ..., d^k/dy^k) combined by product- and quotient-rule
 arithmetic, so that every eigenfunction carries analytic first and second
 derivatives.  Each Laguerre factor is one call of its spec's jet
-(polyengine.laguerre_jet), whose blocked, differentiated recurrence yields
-a polynomial and all its derivatives in one pass; the chain rule through y
-(catalog._chain) takes y' and y'' from the family's variable.  Every state
-is (-d/dr + w~) applied to a classical partner state with the Laguerre
-factor P_n, so all series share one numerator,
+(polyengine.laguerre_jet), whose blocked recurrence yields a polynomial and
+all its derivatives in one pass: every P_n, and the L1 and L2 seeds T, at
+alpha > -1, take their derivatives as running sums of the values, and the
+L3 seed, at alpha <= -1, from the differentiated recurrence.  The chain
+rule through y (catalog._chain) takes y' and y'' from the family's
+variable.  Every state is (-d/dr + w~) applied to a classical partner
+state with the Laguerre factor P_n, so all series share one numerator,
 S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1) for L1 and
 (y + alpha, y) for L3 (alpha the seed's parameter); at n = 0,
 L1's S is T + dT/dy = L_m^(alpha+1)(-y) (DLMF 18.9.14, 18.9.23).  T is

@@ -8,18 +8,25 @@ recurrence in the degree, which stays stable for the moderate degrees and
 arguments used here; the hypergeometric series is kept only as a fallback for
 the degenerate Jacobi recurrence and as a test oracle.
 
-Laguerre values and derivatives come from one kernel, laguerre_jet: the
-recurrence differentiated term by term carries (L, L', ..., L^(order)) of
-every degree in one upward pass, at x or, for a spec of sign -1, at -x.
-Array arguments are cut into blocks of _BLOCK points and each block runs
-the whole recurrence in preallocated buffers (in-place ufuncs), so the
-working set stays in cache and no step allocates.  Each step is pre-scaled
-by 1/(k + 1): its scalar coefficients -(k + alpha)/(k + 1) and j/(k + 1)
-and the row t' = ((2k + alpha + 1) ∓ x) * (1/(k + 1)) replace a division
-of every row, so a step of R jet rows makes about 5R array passes, none of
-them a division.  A point's arithmetic does not depend on the blocking or
-on the order asked for, so results are bitwise independent of the block
-size and every row equals the same row of a lower-order call.
+Laguerre values and derivatives come from one kernel, laguerre_jet, at x
+or, for a spec of sign -1, at -x, in one upward pass over the degree.  Its
+value row is the three-term recurrence at every order.  Its derivative
+rows take one of two paths, chosen by alpha.  At alpha > -1 (a classical
+spec) they are running sums of the values, L_k^(alpha+1) = sum_(i<=k)
+L_i^alpha and d/dx L_n^alpha = -L_(n-1)^(alpha+1) (DLMF 18.9.14 summed
+over the degree, 18.9.23), so a step makes 5 + order array passes.  At
+alpha <= -1 a sum near alpha = -k is far smaller than its terms and
+loses digits, so the recurrence differentiated term by term carries
+every row instead, about 5 passes per row.  Array arguments are cut
+into blocks of _BLOCK points and each block runs the whole recurrence in
+preallocated buffers (in-place ufuncs), so the working set stays in
+cache and no step allocates.  Each step is pre-scaled by 1/(k + 1): its
+scalar coefficients -(k + alpha)/(k + 1) and j/(k + 1) and the row
+t' = ((2k + alpha + 1) ∓ x) * (1/(k + 1)) replace a division of every
+row, so no pass is a division.  A point's arithmetic does not depend on
+the blocking or on the order asked for, so results are bitwise
+independent of the block size and every row equals the same row of a
+lower-order call; the value row is laguerre_eval's.
 laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
 derivatives still use the parameter-shift identities: jacobi_jet gathers
 jacobi_eval, jacobi_deriv and jacobi_deriv2 as the rows of one jet.  Each
@@ -162,8 +169,8 @@ def _unwrap(out, scalar):
 
 
 # points per block of an array evaluation: the working set of the Laguerre
-# recurrence (two jets of order + 1 rows plus scratch rows), and of the jet
-# arithmetic and residuals above it, then stays in cache
+# recurrence (at most 3 order + 4 rows), and of the jet arithmetic and
+# residuals above it, then stays in cache
 _BLOCK = 8192
 
 
@@ -209,22 +216,71 @@ def _jet_block(n, a, sign, x, prev, cur, t, w):
         prev, cur = cur, prev
 
 
+def _sum_block(n, a, sign, x, prev, cur, t, sums, out):
+    """The value recurrence and its running sums on one block, in place.
+
+    For alpha > -1 only.  prev and cur hold the values of degrees k - 1 and
+    k, stepped exactly as in _jet_block at order 0, and trade places every
+    step; the value of degree n ends in prev when n is even, in cur when
+    odd, so out[0] is one of them.  sums[j - 1] is S_j = L_k^(alpha + j),
+    S_j <- S_j + S_(j-1) after each step with S_0 the value, and row
+    j = n - k is copied out at degree k as (-sign)^j S_j.  Each degree
+    updates only the sums a later row still needs, so a step makes at most
+    5 + order array passes.
+    """
+    order = out.shape[0] - 1
+    minus = np.subtract if sign > 0 else np.add  # u, v -> u - sign v
+    prev.fill(1.0)
+    sums.fill(1.0)  # L_0^(alpha + j) = 1
+    out[n + 1 :].fill(0.0)  # no derivatives beyond the degree
+    if n <= order:
+        out[n] = (-sign) ** n  # the n-th derivative, from degree 0
+    if not n:
+        return
+    minus(a + 1.0, x, out=cur)
+    for k in range(n):
+        if k:
+            minus(2.0 * k + a + 1.0, x, out=t)
+            np.multiply(t, 1.0 / (k + 1.0), out=t)
+            np.multiply(prev, -(k + a) / (k + 1.0), out=prev)
+            np.multiply(t, cur, out=t)
+            np.add(prev, t, out=prev)
+            prev, cur = cur, prev
+        # cur is the value of degree k + 1, and row j is due at this degree
+        j, src = n - k - 1, cur
+        for s in sums[: min(order, j)]:
+            np.add(s, src, out=s)
+            src = s
+        if 0 < j <= order:
+            np.multiply(src, (-sign) ** j, out=out[j])
+
+
 def laguerre_jet(spec: LaguerreSpec, x, order):
     """(L, L', ..., L^(order)) of x -> L_n^alpha(sign x), from one recurrence.
 
-    Differentiating L_{k+1} = ((2k + alpha + 1 - sign x) L_k
-    - (k + alpha) L_{k-1}) / (k + 1) j times in x gives the same recurrence
-    for the j-th derivatives, with the extra term -sign j L_k^(j-1) in the
-    numerator.  One upward pass in the degree therefore carries the value
-    and every derivative, with no parameter shift.  The step is evaluated as t' L_k^(j)
-    - ((k + alpha)/(k + 1)) L_{k-1}^(j) - sign (j/(k + 1)) L_k^(j-1) with
-    t' = (2k + alpha + 1 - sign x) * (1/(k + 1)): scalar coefficients and no
-    array division (see _jet_block).  Array x is processed in place over
-    blocks of _BLOCK points, so each step writes into buffers that stay in
-    cache instead of allocating full-length temporaries.  Each point's
-    arithmetic is the same whatever the block size, so a call on a long
-    array equals, bit for bit, calls on its pieces; row j is the same
-    whatever the order, so the value row equals laguerre_eval.
+    The value comes from L_{k+1} = ((2k + alpha + 1 - sign x) L_k
+    - (k + alpha) L_{k-1}) / (k + 1), evaluated as t' L_k
+    - ((k + alpha)/(k + 1)) L_{k-1} with t' = (2k + alpha + 1 - sign x) *
+    (1/(k + 1)): scalar coefficients and no array division.  The
+    derivatives take one of two paths, chosen by alpha:
+
+    - alpha > -1 (_sum_block): row j is (-sign)^j L_{n-j}^(alpha+j), and
+      L_k^(alpha+j) is the j-th running sum of the values of degree <= k,
+      so order sums ride on the value recurrence, at 5 + order array passes
+      a step.  On the classical range they keep 1e-12 of max(1, |row|)
+      against 40-digit sums.
+    - alpha <= -1 (_jet_block): differentiating the recurrence j times in x
+      gives the same recurrence for the j-th derivatives, with the extra
+      term -sign (j/(k + 1)) L_k^(j-1), about 5 passes a row.  Near
+      alpha = -k a running sum is far smaller than its terms and loses
+      digits to cancellation; this path keeps them.
+
+    Array x is processed in place over blocks of _BLOCK points, so each
+    step writes into buffers that stay in cache instead of allocating
+    full-length temporaries; both paths use the same 2 order + 3 scratch
+    rows.  Each point's arithmetic is the same whatever the block size, so
+    a call on a long array equals, bit for bit, calls on its pieces; row j
+    is the same whatever the order, so the value row equals laguerre_eval.
 
     Accepts scalar or ndarray x; returns a tuple of order + 1 floats or of
     arrays shaped like x.  There is no scalar fast path: a 0-d x runs the
@@ -236,14 +292,21 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     flat = arr.reshape(-1)
     out = np.empty((order + 1, flat.size))
     size = min(flat.size, _BLOCK)
-    # rows: the step's (2k + alpha + 1 - sign x), a second jet, products
+    # rows: the step's (2k + alpha + 1 - sign x), then a second jet and its
+    # products, or a second value row and the running sums in the first
+    # order + 2 rows; one shape for both, so both leave the heap alike
     scratch = np.empty((2 * order + 3, size))
     for s in _blocks(flat.size):
         m = s.stop - s.start
-        res, other = out[:, s], scratch[1 : order + 2, :m]
-        # the degree-n jet lands in the block of out, with no copy
-        prev, cur = (other, res) if n % 2 else (res, other)
-        _jet_block(n, a, sign, flat[s], prev, cur, scratch[0, :m], scratch[order + 2 :, :m])
+        res, t = out[:, s], scratch[0, :m]
+        # the degree-n value (and jet) lands in the block of out, with no copy
+        if order and a > -1.0:
+            prev, cur = (scratch[1, :m], res[0]) if n % 2 else (res[0], scratch[1, :m])
+            _sum_block(n, a, sign, flat[s], prev, cur, t, scratch[2 : order + 2, :m], res)
+        else:
+            other = scratch[1 : order + 2, :m]
+            prev, cur = (other, res) if n % 2 else (res, other)
+            _jet_block(n, a, sign, flat[s], prev, cur, t, scratch[order + 2 :, :m])
     if scalar:
         return tuple(float(v[0]) for v in out)
     return tuple(v.reshape(arr.shape) for v in out)

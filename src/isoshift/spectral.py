@@ -9,12 +9,16 @@ max(256, n // 8, k) points starts Rayleigh-quotient iteration (RQI) on the
 coarse grid n, and the coarse eigenpairs start it on the fine grid 2n+1.
 Each level starts from the grid below's eigenvector, linear between its
 nodes and zero at the walls, and on the fine grid from the h^2 prediction
-of its eigenvalue, so most levels need one or two linear solves.  RQI runs
-in place in five rows allocated once per grid, and the fine grid reduces
-each eigenvector to its boundary-decay flag, so a solve at n = 3000 (the
-DPT certify grid where min(A, B) < 1/2; the other certify grids hold
-950-1450 at A, B <= 4 and ell <= 20) peaks below 0.8 MB and repeated
-solves fault in almost no pages.  On both grids a
+of its eigenvalue, so most levels need one or two linear solves.  V is
+sampled once per solve, on the fine grid, whose odd nodes are the coarse
+grid's, and on the seed grid, in slices of _POTENTIAL_SLICE points; each
+grid's Hamiltonian is built as the grid starts, its off-diagonal a
+broadcast of one value.  RQI runs in place in three rows allocated once
+per grid, and the fine grid reduces each eigenvector to its
+boundary-decay flag, so a solve at n = 3000 (the DPT certify grid where
+min(A, B) < 1/2; the other certify grids hold 950-1450 at A, B <= 4 and
+ell <= 20) peaks near 0.6 MB and repeated solves fault in almost no
+pages.  On both grids a
 residual bound and one Sturm count certify that the iteration found the
 lowest eigenpairs; where that certificate fails, the grid goes back to
 full-precision bisection with inverse-iteration vectors, and the
@@ -138,18 +142,35 @@ def default_grid(family, k=6, m=0, n_points=8000) -> Grid:
     return Grid(*family.solver_interval(k, m), n_points)
 
 
-def _fd_hamiltonian(V: Function1D, grid: Grid):
-    """Diagonal, off-diagonal and potential samples of the FD Hamiltonian."""
-    x = grid.nodes
-    v = np.asarray(V.f(x), dtype=float)
-    bad = np.nonzero(~np.isfinite(v))[0]
+# points per slice of V's samples: an extension's potential holds about 14
+# rows of its argument while it evaluates, so a solve's temporaries stay a
+# few hundred kilobytes however long its fine grid
+_POTENTIAL_SLICE = 2048
+
+
+def _potential(V: Function1D, x):
+    """V at the nodes x, evaluated over slices of _POTENTIAL_SLICE points."""
+    v = np.empty_like(x)
+    for lo in range(0, x.size, _POTENTIAL_SLICE):
+        v[lo : lo + _POTENTIAL_SLICE] = V.f(x[lo : lo + _POTENTIAL_SLICE])
+    return v
+
+
+def _require_finite(x, v):
+    """SingularPotentialError at the first node of x where V's sample v is
+    not finite."""
+    bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
-        i = int(bad[0])
-        raise SingularPotentialError(
-            f"potential non-finite at grid node x={x[i]:.8g}", node=float(x[i])
-        )
+        node = float(x[bad[0]])
+        raise SingularPotentialError(f"potential non-finite at grid node x={node:.8g}", node=node)
+
+
+def _fd_hamiltonian(grid: Grid, v):
+    """Diagonal, off-diagonal and potential samples of the FD Hamiltonian on
+    grid, from V's samples v at its nodes.  The off-diagonal is the one
+    value -1/h^2, a read-only broadcast that holds no row."""
     h2 = grid.spacing**2
-    return 2.0 / h2 + v, np.full(grid.n_points - 1, -1.0 / h2), v
+    return 2.0 / h2 + v, np.broadcast_to(-1.0 / h2, grid.n_points - 1), v
 
 
 def _norm_bound(off, v):
@@ -253,22 +274,27 @@ def _certified_rqi(diag, off, v, guesses, starts, vectors=True):
     the Gershgorin bound min V of the spectrum.  (Parlett, The Symmetric
     Eigenvalue Problem, sections 4.6 and 10.4.)
 
-    Every step runs in place, in five rows allocated once per call.  Returns
+    Every step runs in place, in three rows allocated once per call.  Returns
     (eigenvalues, eigenvectors as columns), or with vectors=False
     (eigenvalues, each vector's _decays flag), which keeps no vector past
     its level.
     """
     dgtsv = _lapack().dgtsv
     n, k = diag.size, len(guesses)
-    # the shifted diagonal, the off-diagonal copies that dgtsv overwrites,
-    # T x and the residual
-    work = np.empty((5, n))
-    d, dl, du, tx, r = work
-    dl, du = dl[:-1], du[:-1]
+    # the shifted diagonal and the off-diagonal copies that dgtsv
+    # overwrites; once it has solved, their rows hold T x and the residual.
+    # Three arrays, not one block: each stays below the 128 KiB above which
+    # glibc maps a block apart, and a mapped block's release would set the
+    # heap-trim threshold to only twice its size, below the top a solve
+    # frees, so that each later solve would fault that top back in
+    d, tx, r = np.empty(n), np.empty(n), np.empty(n)
+    dl, du = tx[:-1], r[:-1]
     tol = 8.0 * np.finfo(float).eps * _norm_bound(off, v)
     vals, radii = np.empty(k), np.empty(k)
     kept = np.empty((n, k)) if vectors else [False] * k
-    for j, (lam, x) in enumerate(zip(guesses, starts)):
+    # starts first: after the last level its generator runs out, which
+    # frees what it interpolates from before the count
+    for j, (x, lam) in enumerate(zip(starts, guesses)):
         for _ in range(_RQI_MAX_STEPS):
             np.subtract(diag, lam, out=d)
             dl[:] = off
@@ -300,8 +326,8 @@ def _certified_rqi(diag, off, v, guesses, starts, vectors=True):
         else:
             kept[j] = _decays(x)
     # the last level's x and the rows are dead: free them before the
-    # count's workspace, the solve's memory peak
-    del x, work, d, dl, du, tx, r
+    # count's workspace
+    del x, d, dl, du, tx, r
     lower, upper = vals - radii, vals + radii
     lo = float(np.min(v)) - 1.0
     certified = (
@@ -352,26 +378,33 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     tolerance, and one Sturm count per grid completes the certificate (see
     _certified_rqi); a grid whose certificate fails goes back to bisection
     at full precision.  The fine grid keeps of each eigenvector only its
-    decay flag.
+    decay flag.  V is sampled once on the fine grid, whose odd samples are
+    the coarse grid's, and once on the seed grid.
     """
     if not 1 <= check_index(k, "k") <= grid.n_points:
         raise ConfigurationError(
             f"need between 1 and {grid.n_points} states on this grid, got k={k}"
         )
-    # the seed grid is sampled last: a non-finite V is reported at a node
-    # of the grids the extrapolation uses
+    # V is sampled once on the fine grid, whose odd nodes are the coarse
+    # grid's bit for bit (h_f = h_c / 2 exactly), and then on the seed grid:
+    # a non-finite V is reported at a coarse node, else at a fine one, and
+    # only then on the seed grid
     fine_grid = grid.refined()
-    coarse_h = _fd_hamiltonian(V, grid)
-    fine_h = _fd_hamiltonian(V, fine_grid)
+    x = fine_grid.nodes
+    v = _potential(V, x)
+    _require_finite(x[1::2], v[1::2])
+    _require_finite(x, v)
     seed = Grid(grid.lo, grid.hi, max(_SEED_POINTS, grid.n_points // 8, k))
-    diag, off, v = _fd_hamiltonian(V, seed)
-    seed_vals, seed_vecs = _bisection(diag, off, k, _SEED_ABSTOL * _norm_bound(off, v))
-    # each grid's arrays are dead once the next grid starts: freed, they
-    # keep the solve's peak 0.1 MB lower
-    del diag, off, v
+    x = seed.nodes
+    diag, off, vs = _fd_hamiltonian(seed, _potential(V, x))
+    _require_finite(x, vs)
+    seed_vals, seed_vecs = _bisection(diag, off, k, _SEED_ABSTOL * _norm_bound(off, vs))
+    # each grid's arrays are built as it starts and are dead once the next
+    # grid starts: freed, they keep the solve's peak lower
+    del diag, off, vs, x
     coarse, coarse_vecs = _lowest_pairs(
-        *coarse_h, seed_vals, _start_vectors(seed_vecs, seed, grid))
-    del coarse_h, seed_vecs
+        *_fd_hamiltonian(grid, v[1::2]), seed_vals, _start_vectors(seed_vecs, seed, grid))
+    del seed_vecs
     # from the coarse eigenvalues alone, the fine grid needs about 3 more
     # linear solves per solve on the radial-oscillator certify cells
     if seed.n_points < grid.n_points:
@@ -379,8 +412,10 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
         shifts = coarse + (coarse - seed_vals) * ((hf2 - hc2) / (hc2 - hs2))
     else:
         shifts = coarse
-    fine, decay = _lowest_pairs(*fine_h, shifts, _start_vectors(coarse_vecs, grid, fine_grid),
-                                vectors=False)
+    # the coarse eigenvectors live on only in the start vectors' generator
+    starts = _start_vectors(coarse_vecs, grid, fine_grid)
+    del coarse_vecs
+    fine, decay = _lowest_pairs(*_fd_hamiltonian(fine_grid, v), shifts, starts, vectors=False)
     extrap = (4.0 * fine - coarse) / 3.0
     conv = np.abs(fine - coarse) / 3.0
     return SpectralReport(

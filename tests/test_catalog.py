@@ -361,13 +361,15 @@ class TestClassicalSeeds:
     @pytest.mark.parametrize("A, B", [
         *((a, -a) for a in (-0.49, -0.3, -0.1, 0.0, 0.2, 0.45)),
         *((-0.5 + e, -0.5 + e) for e in (1e-2, 1e-4, 1e-6)),
-        *((-0.5 + e, 2.0) for e in (1e-2, 1e-4, 1e-6)),
+        *((-0.5 + e, 2.0) for e in (1e-2, 1e-4, 1e-6, 1e-9)),
         *((3.0, -0.5 + e) for e in (1e-2, 1e-4, 1e-6)),
     ])
     def test_every_dpt_branch_1_seed_has_m_zeros(self, A, B):
         # P_m^(A - 1/2, B - 1/2) has m simple zeros in (-1, 1) at A, B > -1/2
         # (Szego, Thm 3.3.1); A + B = 0 puts nu + mu at -1, where the k = 1
-        # entry of the Jacobi matrix is cancelled
+        # entry of the Jacobi matrix is cancelled.  At A = -1/2 + 1e-9 the
+        # largest zero lies within about 4e-9 / (m (m + B - 1/2)) of y = 1,
+        # past a scan's window
         fam = TrigDPT(A, B)
         for m in range(1, 11):
             points = deform.seed_polynomial(fam, 1, m).singular_points

@@ -272,6 +272,51 @@ class TestLaguerreJet:
 
 
 @st.composite
+def _classical_cases(draw):
+    n = draw(st.integers(0, 20))
+    # alpha in (-1, 40], with -1 + 10^-j (j = 1..12) forced in
+    alpha = draw(st.one_of(
+        st.floats(-1, 40, exclude_min=True),
+        st.integers(1, 12).map(lambda j: -1.0 + 10.0**-j),
+    ))
+    sign = draw(st.sampled_from([1, -1]))
+    y = draw(st.floats(0, 60)) * draw(st.sampled_from([1.0, -1.0]))
+    return n, alpha, sign, y
+
+
+class TestClassicalLaguerreJet:
+    """At alpha > -1 the derivative rows are running sums of the value
+    recurrence: L_k^(alpha+1) = sum_(i<=k) L_i^alpha and
+    d/dx L_n^alpha = -L_(n-1)^(alpha+1) (DLMF 18.9.14, 18.9.23)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_classical_cases())
+    @example((20, -1.0 + 1e-12, 1, 60.0))
+    @example((20, -1.0 + 1e-12, -1, -60.0))
+    @example((20, 40.0, 1, 60.0))
+    @example((15, -0.5, -1, 37.5))
+    def test_rows_0_to_3_match_40_digit_sums(self, case):
+        # d^j/dy^j L_n^alpha(sign y) = sign^j L_n^alpha(j)(sign y)
+        n, alpha, sign, y = case
+        got = laguerre_jet(LaguerreSpec(n, alpha, sign), y, 3)
+        for d in range(4):
+            want = sign**d * float(_mp_laguerre_row(n, alpha, sign * y, d))
+            assert abs(got[d] - want) <= 1e-12 * max(1.0, abs(want)), (d, want)
+
+    @pytest.mark.parametrize("n, alpha, sign", [(0, 0.5, 1), (1, -0.9, -1), (3, 1.5, -1),
+                                                (15, -0.5, 1), (20, 1e-9 - 1.0, 1)])
+    def test_row_0_is_laguerre_eval_at_every_order(self, n, alpha, sign):
+        spec = LaguerreSpec(n, alpha, sign)
+        y = np.linspace(-60.0, 60.0, polyengine._BLOCK + 77)
+        value = laguerre_eval(spec, y)
+        for order in range(1, 6):
+            rows = laguerre_jet(spec, y, order)
+            assert np.array_equal(rows[0], value)
+            # and each row that of the order-5 jet
+            assert all(np.array_equal(r, f) for r, f in zip(rows, laguerre_jet(spec, y, 5)))
+
+
+@st.composite
 def _signed_cases(draw):
     n = draw(st.integers(0, 20))
     alpha = draw(st.floats(-n - 1, 5, exclude_max=True))

@@ -238,6 +238,38 @@ class TestSolver:
             solve_bound_states(bad, grid, k=1)
         assert exc.value.node == pytest.approx(grid.nodes[0])
 
+    @pytest.mark.parametrize("where", ["coarse", "fine", "seed"])
+    def test_non_finite_v_is_reported_at_coarse_then_fine_then_seed_nodes(self, where):
+        grid = Grid(0.0, 1.0, 100)
+        coarse, fine, seed = grid.nodes[50], grid.refined().nodes[10], Grid(0.0, 1.0, 256).nodes[3]
+        bad = {"coarse": [seed, fine, coarse], "fine": [seed, fine], "seed": [seed]}[where]
+        V = Function1D(f=lambda x: np.where(np.isin(x, bad), np.inf, 0.0), df=None,
+                       domain=(0.0, 1.0))
+        with pytest.raises(SingularPotentialError) as exc:
+            solve_bound_states(V, grid, k=1)
+        assert exc.value.node == bad[-1]
+
+    @pytest.mark.parametrize("n_points", [100, 1000, 3000])
+    def test_v_is_sampled_once_on_the_fine_and_seed_nodes_in_slices(self, n_points):
+        # the coarse nodes are the fine grid's odd ones, bit for bit, so V
+        # is sampled on the fine grid, then on the seed grid, and never
+        # on more than _POTENTIAL_SLICE points at once
+        fam = RadialOscillator(2.0, 1.0)
+        inner = extend(seed_polynomial(fam, 2, 1)).V_tilde_minus
+        calls = []
+
+        def f(x):
+            calls.append(np.array(x))
+            return inner.f(x)
+
+        grid = default_grid(fam, k=4, m=1, n_points=n_points)
+        fine, seed = grid.refined(), Grid(grid.lo, grid.hi, max(256, n_points // 8))
+        rep = solve_bound_states(Function1D(f=f, df=None, domain=inner.domain), grid, 4)
+        assert np.array_equal(fine.nodes[1::2], grid.nodes)
+        assert np.array_equal(np.concatenate(calls), np.concatenate([fine.nodes, seed.nodes]))
+        assert max(c.size for c in calls) <= spectral._POTENTIAL_SLICE
+        assert rep == solve_bound_states(inner, grid, 4)
+
     def test_k_validation(self):
         for k in (0, -1, 101, 10**6):
             with pytest.raises(ConfigurationError):
