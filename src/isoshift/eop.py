@@ -16,11 +16,11 @@ Polynomial values and their derivatives are carried as "jets", tuples
 arithmetic, so that every eigenfunction carries analytic first and second
 derivatives.  Each Laguerre factor is one call of its spec's jet
 (polyengine.laguerre_jet), whose blocked recurrence yields a polynomial and
-all its derivatives in one pass: every P_n, and the L1 and L2 seeds T, at
-alpha > -1, take their derivatives as running sums of the values, and the
-L3 seed, at alpha <= -1, from the differentiated recurrence.  The chain
-rule through y (catalog._chain) takes y' and y'' from the family's
-variable.  Every state is (-d/dr + w~) applied to a classical partner
+all its derivatives, each derivative a value at shifted parameters: every
+P_n, and the L1 and L2 seeds T, at alpha > -1, take them as running sums
+of the values in one pass, and the L3 seed, at alpha <= -1, from one
+value recurrence per row.  The chain rule through y (catalog._chain)
+takes y' and y'' from the family's variable.  Every state is (-d/dr + w~) applied to a classical partner
 state with the Laguerre factor P_n, so all series share one numerator,
 S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1) for L1 and
 (y + alpha, y) for L3 (alpha the seed's parameter); at n = 0,

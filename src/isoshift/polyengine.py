@@ -8,30 +8,30 @@ recurrence in the degree, which stays stable for the moderate degrees and
 arguments used here; the hypergeometric series is kept only as a fallback for
 the degenerate Jacobi recurrence and as a test oracle.
 
-Laguerre values and derivatives come from one kernel, laguerre_jet, at x
-or, for a spec of sign -1, at -x, in one upward pass over the degree.  Its
-value row is the three-term recurrence at every order.  Its derivative
-rows take one of two paths, chosen by alpha.  At alpha > -1 (a classical
-spec) they are running sums of the values, L_k^(alpha+1) = sum_(i<=k)
-L_i^alpha and d/dx L_n^alpha = -L_(n-1)^(alpha+1) (DLMF 18.9.14 summed
-over the degree, 18.9.23), so a step makes 5 + order array passes.  At
-alpha <= -1 a sum near alpha = -k is far smaller than its terms and
-loses digits, so the recurrence differentiated term by term carries
-every row instead, about 5 passes per row.  Array arguments are cut
-into blocks of _BLOCK points and each block runs the whole recurrence in
-preallocated buffers (in-place ufuncs), so the working set stays in
-cache and no step allocates.  Each step is pre-scaled by 1/(k + 1): its
-scalar coefficients -(k + alpha)/(k + 1) and j/(k + 1) and the row
-t' = ((2k + alpha + 1) ∓ x) * (1/(k + 1)) replace a division of every
-row, so no pass is a division.  A point's arithmetic does not depend on
-the blocking or on the order asked for, so results are bitwise
-independent of the block size and every row equals the same row of a
-lower-order call; the value row is laguerre_eval's.
-laguerre_eval, laguerre_deriv and laguerre_deriv2 are its rows.  Jacobi
-derivatives still use the parameter-shift identities: jacobi_jet gathers
-jacobi_eval, jacobi_deriv and jacobi_deriv2 as the rows of one jet.  Each
-spec evaluates itself through its kernel, spec.jet(y, order), looked up at
-each call; real_zeros, classical_zeros and every seed jet
+Every derivative row is a value at shifted parameters: d^j/dx^j
+L_n^alpha(sign x) = (-sign)^j L_(n-j)^(alpha+j)(sign x) and d^j/dy^j
+P_N^(nu,mu) = prod_(i<=j) (N + nu + mu + i)/2 P_(N-j)^(nu+j,mu+j) (DLMF
+18.9.23, 18.9.15).  Laguerre values and derivatives come from one kernel,
+laguerre_jet, at x or, for a spec of sign -1, at -x, in upward passes over
+the degree of the one value recurrence.  At alpha > -1 (a classical spec)
+one pass gives every row: L_k^(alpha+j) is the j-th running sum of the
+values, L_k^(alpha+1) = sum_(i<=k) L_i^alpha (DLMF 18.9.14 summed over the
+degree), so a step makes 5 + order array passes.  At alpha <= -1 a sum
+near alpha = -k is far smaller than its terms and loses digits, so each
+row runs its own value recurrence instead.  Array arguments are cut into
+blocks of _BLOCK points and each block runs the whole recurrence in
+preallocated buffers (in-place ufuncs), so the working set stays in cache
+and no step allocates.  Each step is pre-scaled by 1/(k + 1): its scalar
+coefficient -(k + alpha)/(k + 1) and the row t' = ((2k + alpha + 1) ∓ x) *
+(1/(k + 1)) replace a division of every row, so no pass is a division.  A
+point's arithmetic does not depend on the blocking or on the order asked
+for, so results are bitwise independent of the block size and every row
+equals the same row of a lower-order call; the value row is
+laguerre_eval's.  laguerre_eval, laguerre_deriv and laguerre_deriv2 are
+its rows.  jacobi_jet takes its rows from jacobi_eval at the shifted
+parameters, and jacobi_deriv and jacobi_deriv2 are its rows.  Each spec
+evaluates itself through its kernel, spec.jet(y, order), looked up at each
+call; real_zeros, classical_zeros and every seed jet
 (catalog.Family.seed_jet) go through it.  _blocks, the slices of _BLOCK
 points, is the package's one block loop: every jet above this kernel
 (catalog._jet_function) and spectral.schrodinger_residual run over the
@@ -179,59 +179,24 @@ def _blocks(size):
     return [slice(lo, min(lo + _BLOCK, size)) for lo in range(0, size, _BLOCK)]
 
 
-def _jet_block(n, a, sign, x, prev, cur, t, w):
-    """The differentiated recurrence on one block, in place.
+def _sum_block(n, a, sign, x, scratch, out):
+    """The value recurrence of L_n^a and its running sums on one block, in place.
 
-    prev and cur hold the jets of degrees k - 1 and k and trade places every
-    step; the jet of degree n ends in prev when n is even, in cur when odd.
-    A step is the recurrence pre-scaled by 1/(k + 1), so that no array is
-    divided: with t' = ((2k + alpha + 1) - sign x) * (1/(k + 1)),
-    prev <- -((k + alpha)/(k + 1)) prev + t' cur - sign (j/(k + 1)) cur_(j-1),
-    about 5 passes over the rows and two over t.  At sign = -1 both
-    subtractions are additions: bitwise the rows at -x, odd rows negated.
-    """
-    order = prev.shape[0] - 1
-    minus = np.subtract if sign > 0 else np.add  # u, v -> u - sign v
-    # degrees 0 and 1: L_0 = 1, L_1 = alpha + 1 - sign x, L_1' = -sign
-    # only the rows past each jet's nonzero derivatives need the zeros
-    prev[0] = 1.0
-    prev[1:].fill(0.0)
-    minus(a + 1.0, x, out=cur[0])
-    if order:
-        cur[1] = -sign
-    cur[2:].fill(0.0)
-    j = np.arange(1.0, order + 1.0)[:, None]
-    for k in range(1, n):
-        # a degree-(k+1) polynomial has no derivatives beyond order k+1
-        rows = min(order, k + 1) + 1
-        p, c, u = prev[:rows], cur[:rows], w[:rows]
-        minus(2.0 * k + a + 1.0, x, out=t)
-        np.multiply(t, 1.0 / (k + 1.0), out=t)
-        np.multiply(p, -(k + a) / (k + 1.0), out=p)
-        np.multiply(t, c, out=u)
-        np.add(p, u, out=p)
-        if rows > 1:
-            np.multiply(c[:-1], j[: rows - 1] / (k + 1.0), out=u[1:])
-            minus(p[1:], u[1:], out=p[1:])
-        prev, cur = cur, prev
-
-
-def _sum_block(n, a, sign, x, prev, cur, t, sums, out):
-    """The value recurrence and its running sums on one block, in place.
-
-    For alpha > -1 only.  prev and cur hold the values of degrees k - 1 and
-    k, stepped exactly as in _jet_block at order 0, and trade places every
-    step; the value of degree n ends in prev when n is even, in cur when
-    odd, so out[0] is one of them.  sums[j - 1] is S_j = L_k^(alpha + j),
-    S_j <- S_j + S_(j-1) after each step with S_0 the value, and row
-    j = n - k is copied out at degree k as (-sign)^j S_j.  Each degree
-    updates only the sums a later row still needs, so a step makes at most
-    5 + order array passes.
+    scratch[0] holds the step's t', scratch[1] one of the two value rows,
+    which trade places every step: the value of degree n ends in out[0].
+    With out of order + 1 rows, scratch[2 : order + 2] holds the sums
+    S_j = L_k^(a + j), S_j <- S_j + S_(j-1) after each step with S_0 the
+    value, and row j = n - k is copied out at degree k as (-sign)^j S_j.
+    Each degree updates only the sums a later row still needs, so a step
+    makes at most 5 + order array passes.  laguerre_jet calls it with the
+    sums at a > -1, and at order 0 (one row, no sums) otherwise.
     """
     order = out.shape[0] - 1
+    t, sums = scratch[0], scratch[2 : order + 2]
+    prev, cur = (scratch[1], out[0]) if n % 2 else (out[0], scratch[1])
     minus = np.subtract if sign > 0 else np.add  # u, v -> u - sign v
     prev.fill(1.0)
-    sums.fill(1.0)  # L_0^(alpha + j) = 1
+    sums.fill(1.0)  # L_0^(a + j) = 1
     out[n + 1 :].fill(0.0)  # no derivatives beyond the degree
     if n <= order:
         out[n] = (-sign) ** n  # the n-th derivative, from degree 0
@@ -256,28 +221,28 @@ def _sum_block(n, a, sign, x, prev, cur, t, sums, out):
 
 
 def laguerre_jet(spec: LaguerreSpec, x, order):
-    """(L, L', ..., L^(order)) of x -> L_n^alpha(sign x), from one recurrence.
+    """(L, L', ..., L^(order)) of x -> L_n^alpha(sign x), from value recurrences.
 
-    The value comes from L_{k+1} = ((2k + alpha + 1 - sign x) L_k
-    - (k + alpha) L_{k-1}) / (k + 1), evaluated as t' L_k
-    - ((k + alpha)/(k + 1)) L_{k-1} with t' = (2k + alpha + 1 - sign x) *
-    (1/(k + 1)): scalar coefficients and no array division.  The
-    derivatives take one of two paths, chosen by alpha:
+    Every row is a value: d^j/dx^j L_n^alpha(sign x) = (-sign)^j
+    L_{n-j}^(alpha+j)(sign x) (DLMF 18.9.23), zero for j > n.  A value
+    comes from L_{k+1} = ((2k + alpha + 1 - sign x) L_k - (k + alpha)
+    L_{k-1}) / (k + 1), evaluated as t' L_k - ((k + alpha)/(k + 1)) L_{k-1}
+    with t' = (2k + alpha + 1 - sign x) * (1/(k + 1)): scalar coefficients
+    and no array division.  The shifted values come one of two ways,
+    chosen by alpha:
 
-    - alpha > -1 (_sum_block): row j is (-sign)^j L_{n-j}^(alpha+j), and
-      L_k^(alpha+j) is the j-th running sum of the values of degree <= k,
-      so order sums ride on the value recurrence, at 5 + order array passes
-      a step.  On the classical range they keep 1e-12 of max(1, |row|)
-      against 40-digit sums.
-    - alpha <= -1 (_jet_block): differentiating the recurrence j times in x
-      gives the same recurrence for the j-th derivatives, with the extra
-      term -sign (j/(k + 1)) L_k^(j-1), about 5 passes a row.  Near
-      alpha = -k a running sum is far smaller than its terms and loses
-      digits to cancellation; this path keeps them.
+    - alpha > -1: L_k^(alpha+j) is the j-th running sum of the values of
+      degree <= k, so order sums ride on the one value recurrence, at
+      5 + order array passes a step.  On the classical range they keep
+      1e-12 of max(1, |row|) against 40-digit sums.
+    - alpha <= -1: near alpha = -k a running sum is far smaller than its
+      terms and loses digits to cancellation, so row j runs its own value
+      recurrence, of L_{n-j}^(alpha+j), bitwise (-sign)^j laguerre_eval of
+      that spec.
 
     Array x is processed in place over blocks of _BLOCK points, so each
     step writes into buffers that stay in cache instead of allocating
-    full-length temporaries; both paths use the same 2 order + 3 scratch
+    full-length temporaries; both ways use the same 2 order + 3 scratch
     rows.  Each point's arithmetic is the same whatever the block size, so
     a call on a long array equals, bit for bit, calls on its pieces; row j
     is the same whatever the order, so the value row equals laguerre_eval.
@@ -291,22 +256,22 @@ def laguerre_jet(spec: LaguerreSpec, x, order):
     n, a, sign = spec.n, spec.alpha, spec.sign
     flat = arr.reshape(-1)
     out = np.empty((order + 1, flat.size))
-    size = min(flat.size, _BLOCK)
-    # rows: the step's (2k + alpha + 1 - sign x), then a second jet and its
-    # products, or a second value row and the running sums in the first
-    # order + 2 rows; one shape for both, so both leave the heap alike
-    scratch = np.empty((2 * order + 3, size))
+    # rows: the step's t', a second value row, and the running sums, in the
+    # first order + 2; a scratch of just those rows was measured to make
+    # glibc trim and refault its pages on every call, so it keeps the shape
+    # 2 order + 3, whatever alpha
+    scratch = np.empty((2 * order + 3, min(flat.size, _BLOCK)))
     for s in _blocks(flat.size):
-        m = s.stop - s.start
-        res, t = out[:, s], scratch[0, :m]
-        # the degree-n value (and jet) lands in the block of out, with no copy
-        if order and a > -1.0:
-            prev, cur = (scratch[1, :m], res[0]) if n % 2 else (res[0], scratch[1, :m])
-            _sum_block(n, a, sign, flat[s], prev, cur, t, scratch[2 : order + 2, :m], res)
+        # the values land in the block of out, with no copy
+        res, work = out[:, s], scratch[:, : s.stop - s.start]
+        if a > -1.0:
+            _sum_block(n, a, sign, flat[s], work, res)
         else:
-            other = scratch[1 : order + 2, :m]
-            prev, cur = (other, res) if n % 2 else (res, other)
-            _jet_block(n, a, sign, flat[s], prev, cur, t, scratch[order + 2 :, :m])
+            res[n + 1 :].fill(0.0)
+            for j in range(min(order, n) + 1):
+                _sum_block(n - j, a + j, sign, flat[s], work, res[j : j + 1])
+                if j:
+                    np.multiply(res[j], (-sign) ** j, out=res[j])
     if scalar:
         return tuple(float(v[0]) for v in out)
     return tuple(v.reshape(arr.shape) for v in out)
@@ -354,10 +319,10 @@ def _jacobi_series(N, nu, mu, y):
     return total
 
 
-def _jacobi_recurrence_degenerate(N, nu, mu, tol=1e-9):
+def _jacobi_recurrence_degenerate(N, nu, mu):
     s = nu + mu
     for k in range(2, N + 1):
-        if abs(k + s) < tol or abs(2.0 * k + s - 2.0) < tol:
+        if abs(k + s) < 1e-9 or abs(2.0 * k + s - 2.0) < 1e-9:
             return True
     return False
 
@@ -386,32 +351,37 @@ def jacobi_eval(spec: JacobiSpec, y):
     return _unwrap(cur, scalar)
 
 
-def jacobi_deriv(spec: JacobiSpec, y):
-    """d/dy P_N^(nu,mu)(y) = (N+nu+mu+1)/2 * P_{N-1}^(nu+1,mu+1)(y)."""
+def jacobi_jet(spec: JacobiSpec, y, order):
+    """(P, P', ..., P^(order)) of P_N^(nu,mu) at y, every row a value.
+
+    d^j/dy^j P_N^(nu,mu) = prod_(i<=j) (N + nu + mu + i)/2 *
+    P_{N-j}^(nu+j,mu+j) (DLMF 18.9.15), zero for j > N, with each shifted
+    value from jacobi_eval.  The factor is the running product of
+    0.5 (N + nu + mu + i): halving is exact, so it equals the product of
+    the sums divided by 2^j.  Accepts scalar or ndarray y; returns a tuple
+    of order + 1 floats or of arrays shaped like y.
+    """
+    check_index(order, "order")
     arr, scalar = _wrap(y)
-    if spec.N == 0:
-        return _unwrap(np.zeros_like(arr), scalar)
-    inner = jacobi_eval(JacobiSpec(spec.N - 1, spec.nu + 1.0, spec.mu + 1.0), arr)
-    fac = 0.5 * (spec.N + spec.nu + spec.mu + 1.0)
-    return _unwrap(fac * np.asarray(inner), scalar)
+    N, nu, mu = spec.N, spec.nu, spec.mu
+    rows, fac = [jacobi_eval(spec, arr)], 1.0
+    for j in range(1, order + 1):
+        if j > N:
+            rows.append(np.zeros_like(arr))
+            continue
+        fac *= 0.5 * (N + nu + mu + j)
+        rows.append(fac * np.asarray(jacobi_eval(JacobiSpec(N - j, nu + j, mu + j), arr)))
+    return tuple(_unwrap(r, scalar) for r in rows)
+
+
+def jacobi_deriv(spec: JacobiSpec, y):
+    """d/dy P_N^(nu,mu)(y), the first-order row of jacobi_jet."""
+    return jacobi_jet(spec, y, 1)[1]
 
 
 def jacobi_deriv2(spec: JacobiSpec, y):
-    """Second derivative, by applying the parameter-shift rule twice."""
-    arr, scalar = _wrap(y)
-    if spec.N < 2:
-        return _unwrap(np.zeros_like(arr), scalar)
-    inner = jacobi_eval(JacobiSpec(spec.N - 2, spec.nu + 2.0, spec.mu + 2.0), arr)
-    fac = 0.25 * (spec.N + spec.nu + spec.mu + 1.0) * (spec.N + spec.nu + spec.mu + 2.0)
-    return _unwrap(fac * np.asarray(inner), scalar)
-
-
-def jacobi_jet(spec: JacobiSpec, y, order):
-    """(P, P', P'')[: order + 1] of P_N^(nu,mu) at y, order at most 2: the
-    rows of jacobi_eval, jacobi_deriv and jacobi_deriv2."""
-    if check_index(order, "order") > 2:
-        raise ConfigurationError(f"a Jacobi jet carries at most 2 derivatives, got order {order}")
-    return tuple(d(spec, y) for d in (jacobi_eval, jacobi_deriv, jacobi_deriv2)[: order + 1])
+    """d^2/dy^2 P_N^(nu,mu)(y), the second-order row of jacobi_jet."""
+    return jacobi_jet(spec, y, 2)[2]
 
 
 def jacobi_matrix(spec):

@@ -191,23 +191,26 @@ def _laguerre_cases(draw):
 
 class TestLaguerreJet:
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(_laguerre_cases())
-    @example((20, -19.861136094826346, -2.4663984809771766))
-    @example((20, -20.5, 3.5))
-    @example((15, 0.5, 60.0))
-    @example((7, -7.5, 1e-9))
-    def test_mpmath_oracle_sweep(self, case):
+    @given(_laguerre_cases(), st.sampled_from([1, -1]))
+    @example((20, -19.861136094826346, -2.4663984809771766), 1)
+    @example((20, -20.5, 3.5), -1)
+    @example((15, 0.5, 60.0), 1)
+    @example((7, -7.5, 1e-9), -1)
+    def test_mpmath_oracle_sweep(self, case, sign):
+        # d^j/dx^j L_n^alpha(sign x) = sign^j L_n^alpha(j)(sign x), j <= 3.
         # The scale includes the largest |L_k^(j)| (k <= n, j <= d) that the
         # recurrence passes through.  Near alpha = -n, and near zeros on the
         # oscillatory range x > 0, the result is far smaller than those
         # intermediates and no forward recurrence keeps 1e-12 relative to
-        # max(1, |value|) alone: both this kernel and the parameter-shift
-        # path miss that by up to 2e-11 at n = 20.
+        # max(1, |value|) alone: the value recurrences that give every row
+        # (one per row at alpha <= -1, running sums of one at alpha > -1)
+        # miss it by 8.5e-12 on row 1 at the first example's n and alpha
+        # and sign x = +2.466.
         n, alpha, x = case
-        got = laguerre_jet(LaguerreSpec(n, alpha), x, 2)
-        rows = _mp_laguerre_rows(n, alpha, x, 2)
-        for d in range(3):
-            want = rows[n][d]
+        got = laguerre_jet(LaguerreSpec(n, alpha, sign), x, 3)
+        rows = _mp_laguerre_rows(n, alpha, sign * x, 3)
+        for d in range(4):
+            want = sign**d * rows[n][d]
             scale = max(1.0, max(abs(float(r[j])) for r in rows for j in range(d + 1)))
             assert abs(float(got[d] - want)) <= 1e-12 * scale, (d, float(want))
 
@@ -255,7 +258,9 @@ class TestLaguerreJet:
         # max(1, |value|).  The division form of the step that the
         # reciprocal form replaced misses 1e-12 on 5 of these 2,400
         # comparisons, worst 1.14e-11; the reciprocal form on 6, worst
-        # 8.71e-12.  The gate is twice the division form's figures.
+        # 8.71e-12, with the differentiated recurrence for the derivative
+        # rows at alpha <= -1; a value recurrence per row there, on 5,
+        # worst 6.75e-12.  The gate is twice the division form's figures.
         rng = np.random.default_rng(20)
         misses, worst = 0, 0.0
         for _ in range(600):
@@ -376,6 +381,107 @@ class TestSignedLaguerre:
     def test_bad_sign_rejected(self, sign):
         with pytest.raises(ConfigurationError):
             LaguerreSpec(2, 0.5, sign)
+
+
+@st.composite
+def _shifted_cases(draw):
+    n = draw(st.integers(0, 20))
+    # alpha <= -1: arbitrary reals and the half-integers and integers on it
+    alpha = draw(st.one_of(
+        st.floats(-n - 3, -1),
+        st.integers(-2 * n - 6, -2).map(lambda k: k / 2.0),
+    ))
+    sign = draw(st.sampled_from([1, -1]))
+    order = draw(st.integers(1, 5))
+    # a scalar, one block, and three blocks (two full, one ragged)
+    size = draw(st.sampled_from([None, 100, 2 * polyengine._BLOCK + 77]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = float(rng.uniform(-60, 60)) if size is None else rng.uniform(-60, 60, size)
+    return n, alpha, sign, order, y
+
+
+def _mp_jacobi_row(N, nu, mu, y, d):
+    """d^d/dy^d P_N^(nu,mu)(y), the finite sum sum_s C(N+nu, N-s) C(N+mu, s)
+    ((y-1)/2)^s ((y+1)/2)^(N-s) differentiated by mpmath at 40 digits."""
+    with mpmath.workdps(40):
+        def binom(t, k):
+            out = mpmath.mpf(1)
+            for j in range(1, k + 1):
+                out *= (t - k + j) / j
+            return out
+
+        nu, mu = mpmath.mpf(nu), mpmath.mpf(mu)
+        coef = [binom(N + nu, N - s) * binom(N + mu, s) for s in range(N + 1)]
+        return mpmath.diff(
+            lambda t: mpmath.fsum(c * ((t - 1) / 2) ** s * ((t + 1) / 2) ** (N - s)
+                                  for s, c in enumerate(coef)),
+            mpmath.mpf(y), d)
+
+
+class TestShiftedRows:
+    """Every derivative row is a value at shifted parameters:
+    d^j/dx^j L_n^alpha(sign x) = (-sign)^j L_(n-j)^(alpha+j)(sign x) and
+    d^j/dy^j P_N^(nu,mu) = prod_(i<=j) (N+nu+mu+i)/2 P_(N-j)^(nu+j,mu+j)
+    (DLMF 18.9.23, 18.9.15)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_shifted_cases())
+    @example((20, -20.5, 1, 5, 3.5))
+    @example((3, -1.0, -1, 5, np.linspace(-60.0, 60.0, 2 * polyengine._BLOCK + 77)))
+    def test_laguerre_rows_are_shifted_values_bit_for_bit(self, case):
+        # at alpha <= -1 each row runs its own value recurrence, so it is
+        # laguerre_eval of the shifted spec times (-sign)^j, to the last bit
+        n, alpha, sign, order, y = case
+        got = laguerre_jet(LaguerreSpec(n, alpha, sign), y, order)
+        assert len(got) == order + 1
+        for j, row in enumerate(got):
+            if j > n:
+                assert not np.any(row), j
+                continue
+            want = (-sign) ** j * laguerre_eval(LaguerreSpec(n - j, alpha + j, sign), y)
+            assert type(row) is type(want)
+            assert np.array_equal(row, want), j
+
+    def test_jacobi_row_3_matches_40_digit_derivative(self):
+        rng = np.random.default_rng(9)
+        for _ in range(60):
+            N = int(rng.integers(0, 9))
+            nu, mu = (float(v) for v in rng.uniform(-3, 3, 2))
+            y = float(rng.uniform(-1, 1))
+            got = polyengine.jacobi_jet(JacobiSpec(N, nu, mu), y, 3)
+            assert len(got) == 4 and all(type(r) is float for r in got)
+            want = float(_mp_jacobi_row(N, nu, mu, y, 3))
+            assert abs(got[3] - want) <= 1e-12 * max(1.0, abs(want)), (N, nu, mu, y)
+
+    @pytest.mark.parametrize("N, nu, mu", [
+        (0, 0.5, 1.5), (1, -0.3, 2.0), (2, 1.0, 2.0), (5, -1.7, 0.4), (8, 2.5, -3.25),
+        # nu + mu a nonpositive integer: these go through _jacobi_series,
+        # and so do the last two's row-1 specs and the last one's row-2 spec
+        (3, -1.0, -1.0), (4, 0.5, -2.5), (5, -3.0, -2.0), (6, -4.5, -1.5),
+    ])
+    def test_jacobi_rows_0_to_2_keep_the_two_factor_formula(self, N, nu, mu):
+        # rows 1 and 2 as jacobi_deriv and jacobi_deriv2 once wrote them:
+        # the running product of halves equals 0.25 (N+nu+mu+1)(N+nu+mu+2)
+        # bit for bit, since halving is exact
+        y = np.linspace(-1.2, 1.2, 41)
+        s = N + nu + mu
+        want = [
+            jacobi_eval(JacobiSpec(N, nu, mu), y),
+            0.5 * (s + 1.0) * jacobi_eval(JacobiSpec(N - 1, nu + 1.0, mu + 1.0), y)
+            if N >= 1 else np.zeros_like(y),
+            0.25 * (s + 1.0) * (s + 2.0) * jacobi_eval(JacobiSpec(N - 2, nu + 2.0, mu + 2.0), y)
+            if N >= 2 else np.zeros_like(y),
+        ]
+        for order in range(6):
+            rows = polyengine.jacobi_jet(JacobiSpec(N, nu, mu), y, order)
+            assert len(rows) == order + 1
+            for r, w in zip(rows, want):
+                assert np.array_equal(r, w)
+            assert not any(np.any(r) for r in rows[N + 1:])
+        assert np.array_equal(jacobi_deriv(JacobiSpec(N, nu, mu), y), want[1])
+        assert np.array_equal(jacobi_deriv2(JacobiSpec(N, nu, mu), y), want[2])
+        for x, w in zip(y[::10], np.transpose(want)[::10]):
+            assert polyengine.jacobi_jet(JacobiSpec(N, nu, mu), float(x), 2) == tuple(w)
 
 
 class TestRealParameters:
