@@ -193,8 +193,12 @@ class TestLaguerreJet:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(_laguerre_cases(), st.sampled_from([1, -1]))
     @example((20, -19.861136094826346, -2.4663984809771766), 1)
-    @example((20, -20.5, 3.5), -1)
+    @example((20, -20.5, 3.5), 1)
     @example((15, 0.5, 60.0), 1)
+    @example((7, -7.5, 1e-9), 1)
+    @example((20, -19.861136094826346, -2.4663984809771766), -1)
+    @example((20, -20.5, 3.5), -1)
+    @example((15, 0.5, 60.0), -1)
     @example((7, -7.5, 1e-9), -1)
     def test_mpmath_oracle_sweep(self, case, sign):
         # d^j/dx^j L_n^alpha(sign x) = sign^j L_n^alpha(j)(sign x), j <= 3.
@@ -204,8 +208,8 @@ class TestLaguerreJet:
         # intermediates and no forward recurrence keeps 1e-12 relative to
         # max(1, |value|) alone: the value recurrences that give every row
         # (one per row at alpha <= -1, running sums of one at alpha > -1)
-        # miss it by 8.5e-12 on row 1 at the first example's n and alpha
-        # and sign x = +2.466.
+        # miss it by 8.5e-12 on row 1 at the fifth example (the first one's
+        # n, alpha and x at sign -1, so sign x = +2.466).
         n, alpha, x = case
         got = laguerre_jet(LaguerreSpec(n, alpha, sign), x, 3)
         rows = _mp_laguerre_rows(n, alpha, sign * x, 3)
