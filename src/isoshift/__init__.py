@@ -63,6 +63,7 @@ from .spectral import (
     Grid,
     RegularityReport,
     SpectralReport,
+    certify,
     classify_regularity,
     default_grid,
     isospectrality_report,

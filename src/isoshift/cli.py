@@ -20,21 +20,13 @@ import functools
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import deform, eop, spectral
-from .catalog import (
-    FAMILIES,
-    RadialOscillator,
-    _rows,
-    branches,
-    partner_potentials,
-    superpotential,
-)
-from .errors import ConfigurationError, IsoshiftError, SingularExtensionError
+from .catalog import FAMILIES, RadialOscillator, branches, partner_potentials
+from .errors import ConfigurationError, IsoshiftError
 
 
 def _fmt(x):
@@ -149,159 +141,12 @@ def cmd_extend(args):
     return 0
 
 
-# certify gates: a value above its bound, or NaN, fails the run
-_RICCATI_GATE = 1e-9  # relative to 1 + |R|
-_GRAM_GATE = 1e-8
-_ISOSPECTRAL_GATE = 1e-3
-_W0_GATE = 1e-9
-
-
-def _gate(failures, what, value, bound):
-    """Append "what value" to failures unless value <= bound (NaN fails)."""
-    if not value <= bound:
-        failures.append(f"{what} {value:.3e}")
-
-
-def _extension(family, k, m):
-    """(Deformation, ExtensionPair) of branch k at hierarchy index m."""
-    d = deform.seed_polynomial(family, k, m)
-    return d, deform.extend(d)
-
-
-def _v_minus_spectrum(family, k, grid):
-    """The lowest four FD levels of branch k's V-, which no m changes."""
-    return spectral.solve_bound_states(partner_potentials(superpotential(family, k))[0], grid, 4)
-
-
-def _certify_cell(family, k, m, args, extension, v_minus_spectrum):
-    """All invariant checks for one (branch, m); returns (record, failures).
-
-    extension and v_minus_spectrum are the run's caches of _extension and
-    _v_minus_spectrum, without the family argument.
-    """
-    t0 = time.perf_counter()
-    record = {"branch": k, "m": m}
-    failures = []
-    cell = f"branch {k} m={m}:"
-
-    d, pair = extension(k, m)  # extend raises InternalInconsistencyError on violation
-    grid = deform.certification_grid(family, 400, exclude=d.singular_points)
-
-    rr = d.riccati_residual(grid)
-    record["riccati_residual"] = rr
-    _gate(failures, f"{cell} riccati residual", rr, _RICCATI_GATE * (1.0 + abs(d.R)))
-
-    record["partner_shift_deviation"] = pair.partner_shift_deviation
-    record["shift"] = d.R
-
-    reg = spectral._deformation_regularity(d)
-    record["regularity"] = reg.classification
-    record["singular_points"] = list(reg.points)
-    if reg.finding:
-        record["finding"] = reg.finding
-
-    series = family.exceptional_series.get(k)
-    if series is not None and m > 0 and reg.is_regular and not args.skip_gram:
-        G, gerr = eop._gram_with_error(series, m, family, args.nmax, reg.points)
-        gmax = eop.gram_offdiag_max(G)
-        record["gram_offdiag_max"] = gmax
-        record["gram_quadrature_error"] = gerr
-        _gate(failures, f"{cell} gram off-diagonal", gmax, _GRAM_GATE)
-        spec = eop.EOPSpec(series, 2, m, family)
-        inside, outside = eop.zero_census(spec)
-        record["zero_census_n2"] = {"inside": inside, "outside": outside}
-    else:
-        record["gram_offdiag_max"] = record["gram_quadrature_error"] = "skipped: " + (
-            "m=0" if m == 0 else
-            "singular extension" if not reg.is_regular else
-            "no polynomial series for this branch" if series is None else
-            "--skip-gram"
-        )
-
-    if not args.skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
-        gridspec = spectral.default_grid(family, k=4, m=m, n_points=args.grid_points)
-        if d.seed.degree == 0 and d.process == 1:
-            # the identity deformation: V~- is V- bit for bit
-            tilde = v_minus_spectrum(k, gridspec)
-        else:
-            tilde = spectral.solve_bound_states(pair.V_tilde_minus, gridspec, 4)
-        shift, deviation = spectral._spectral_offset(tilde, v_minus_spectrum(k, gridspec))
-        record["isospectrality"] = {"shift": shift, "deviation": deviation}
-        _gate(failures, f"{cell} isospectral deviation", deviation, _ISOSPECTRAL_GATE)
-    else:
-        record["isospectrality"] = "skipped: " + (
-            "singular extension" if not reg.is_regular else
-            "--skip-spectral" if args.skip_spectral else
-            "exact-SUSY branch deletes levels; no constant shift expected"
-        )
-
-    record["wall_time_s"] = round(time.perf_counter() - t0, 3)
-    return record, failures
-
-
-def _certify_w0(family, m, extension, failures):
-    """Consistency residuals of the explicit linking superpotential (RO),
-    which joins the extensions of branches 2 and 3; gate failures go to
-    failures."""
-    W0 = deform.w0_explicit(family, m)
-    c = deform.w0_partner_constant(family, m)
-    (d2, pair2), (d3, pair3) = extension(2, m), extension(3, m)
-    grid = deform.certification_grid(
-        family, 400, exclude=list(d2.singular_points) + list(d3.singular_points)
-    )
-    v2 = pair2.V_tilde_minus.f(grid)
-    v3 = pair3.V_tilde_minus.f(grid)
-    w0v, w0d = _rows(W0, grid, 1)
-    res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
-    res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
-    psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))
-    gs = deform.w0_from_ground_state(psi0)
-    res_gs = float(np.max(np.abs(w0v - gs.f(grid)) / (1.0 + np.abs(w0v))))
-    residuals = {
-        "minus_partner_residual": res_minus,
-        "plus_partner_residual": res_plus,
-        "ground_state_residual": res_gs,
-    }
-    for key, value in residuals.items():
-        _gate(failures, f"w0 m={m}: {key} =", value, _W0_GATE)
-    return {"m": m, "partner_constant": c, **residuals}
-
-
 def cmd_certify(args):
-    family = _family_from_args(args)
-    report = {
-        "family": args.family,
-        "params": dataclasses.asdict(family),
-        "cells": [],
-        "w0": [],
-        "failures": [],
-    }
-    # each input is built once per run: V- of a branch serves every m, and
-    # W0 reuses the extensions of branches 2 and 3
-    extension = functools.cache(functools.partial(_extension, family))
-    v_minus_spectrum = functools.cache(functools.partial(_v_minus_spectrum, family))
-    for k in args.branches:
-        for m in args.m:
-            try:
-                record, failures = _certify_cell(
-                    family, k, m, args, extension, v_minus_spectrum)
-            except ConfigurationError:
-                raise
-            except IsoshiftError as exc:
-                # a cell that cannot be certified fails alone; the report stays
-                error = f"{type(exc).__name__}: {exc}"
-                record = {"branch": k, "m": m, "error": error}
-                failures = [f"branch {k} m={m}: {error}"]
-            report["cells"].append(record)
-            report["failures"].extend(failures)
-    # the linking superpotential W0 joins the L1 and L2 extensions
-    if family.exceptional_series:
-        for m in args.m:
-            if m:
-                report["w0"].append(_certify_w0(family, m, extension, report["failures"]))
-    report["status"] = "pass" if not report["failures"] else "fail"
-    report = _finite(report)
-    text = json.dumps(report, indent=2, default=_fmt, allow_nan=False)
+    report = spectral.certify(
+        _family_from_args(args), args.branches, args.m, nmax=args.nmax,
+        grid_points=args.grid_points, skip_gram=args.skip_gram,
+        skip_spectral=args.skip_spectral)
+    text = json.dumps(_finite(report), indent=2, default=_fmt, allow_nan=False)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "certify.json").write_text(text + "\n", encoding="utf-8", newline="\n")
@@ -465,9 +310,8 @@ def _validate(args):
     if hasattr(args, "m"):
         if not args.m:
             raise ConfigurationError("m list must be nonempty")
-        if any(int(m) != m or m < 0 for m in args.m):
+        if any(m < 0 for m in args.m):
             raise ConfigurationError("m values must be nonnegative integers")
-        args.m = [int(m) for m in args.m]
 
 
 @functools.cache

@@ -26,8 +26,9 @@ full-precision bisection with inverse-iteration vectors, and the
 come from scipy's _flapack extension, loaded from its file at the solver's
 first call without scipy.linalg (see _lapack), so that importing the package
 loads no scipy and an FD solve only that one extension.
-Everything else in the module is a pointwise residual evaluator or a
-classifier built on the polynomial zero scan.
+Everything else in the module is a pointwise residual evaluator, a
+classifier built on the polynomial zero scan, or `certify`, which runs
+every invariant check of `isoshift certify` and returns its report.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
 polyengine._BLOCK samples and carries only its two maxima across blocks,
 so its value is bitwise that of one pass.  Both residuals raise
@@ -42,16 +43,24 @@ import importlib.machinery
 import importlib.util
 import logging
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import deform, eop
 from . import polyengine as pe
-from .catalog import Family, Function1D, _rows, _samples
-from .errors import ConfigurationError, SingularPotentialError, check_index, check_real
+from .catalog import Family, Function1D, _rows, _samples, partner_potentials, superpotential
+from .errors import (ConfigurationError, IsoshiftError, SingularPotentialError, check_index,
+                     check_real)
 
 _log = logging.getLogger(__name__)
+
+# glibc raises its mmap threshold to the size of a freed mmapped block of at
+# most 32 MiB, and its heap-trim threshold to twice that: this 1 MiB block puts
+# both above a solve's 0.6 MB peak, so repeated solves never trim and refault the heap
+np.empty(1 << 17)
 
 __all__ = [
     "Grid",
@@ -63,6 +72,7 @@ __all__ = [
     "schrodinger_residual",
     "qhj_residual",
     "classify_regularity",
+    "certify",
 ]
 
 
@@ -512,9 +522,7 @@ def classify_regularity(family, branch, m) -> RegularityReport:
     RadialOscillator.seed_zero_prediction) it is evaluated alongside; a
     disagreement is reported as a finding, never as a failure.
     """
-    from .deform import seed_polynomial
-
-    return _deformation_regularity(seed_polynomial(family, branch, m))
+    return _deformation_regularity(deform.seed_polynomial(family, branch, m))
 
 
 def _deformation_regularity(d) -> RegularityReport:
@@ -533,3 +541,150 @@ def _deformation_regularity(d) -> RegularityReport:
         klh_prediction=klh,
         finding=finding,
     )
+
+
+# certify gates: a value above its bound, or NaN, fails the run
+_RICCATI_GATE = 1e-9  # relative to 1 + |R|
+_GRAM_GATE = 1e-8
+_ISOSPECTRAL_GATE = 1e-3
+_W0_GATE = 1e-9
+
+
+def _gate(failures, what, value, bound):
+    """Append "what value" to failures unless value <= bound (NaN fails)."""
+    if not value <= bound:
+        failures.append(f"{what} {value:.3e}")
+
+
+def certify(family, branches, ms, *, nmax, grid_points, skip_gram, skip_spectral):
+    """The report of `isoshift certify`: every (branch, m) cell, branch by
+    branch, and the W0 check at each m > 0.
+
+    It holds family (its name), params, cells, w0, failures (one "branch k
+    m=m: <check> <value>" per gate missed; values may be NaN or inf) and
+    status, "pass" or "fail".  A cell that raises an IsoshiftError is
+    recorded with that error and fails alone; a ConfigurationError
+    propagates.  The keywords are the command's flags, without defaults.
+    """
+    family = Family.check(family)
+    report = {"family": family.name, "params": asdict(family), "cells": [], "w0": [],
+              "failures": []}
+
+    # each input is built once per run: V- of a branch serves every m, and
+    # W0 reuses the extensions of branches 2 and 3
+    @functools.cache
+    def extension(k, m):
+        d = deform.seed_polynomial(family, k, m)
+        return d, deform.extend(d)
+
+    @functools.cache
+    def v_minus_spectrum(k, grid):
+        # the lowest four FD levels of branch k's V-, which no m changes
+        return solve_bound_states(partner_potentials(superpotential(family, k))[0], grid, 4)
+
+    for k in branches:
+        for m in ms:
+            try:
+                record, failures = _certify_cell(
+                    family, k, m, extension, v_minus_spectrum,
+                    nmax, grid_points, skip_gram, skip_spectral)
+            except ConfigurationError:
+                raise
+            except IsoshiftError as exc:
+                # a cell that cannot be certified fails alone; the report stays
+                error = f"{type(exc).__name__}: {exc}"
+                record = {"branch": k, "m": m, "error": error}
+                failures = [f"branch {k} m={m}: {error}"]
+            report["cells"].append(record)
+            report["failures"].extend(failures)
+    # the linking superpotential W0 joins the L1 and L2 extensions
+    if family.exceptional_series:
+        for m in ms:
+            if m:
+                report["w0"].append(_certify_w0(family, m, extension, report["failures"]))
+    report["status"] = "pass" if not report["failures"] else "fail"
+    return report
+
+
+def _certify_cell(family, k, m, extension, v_minus_spectrum,
+                  nmax, grid_points, skip_gram, skip_spectral):
+    """All invariant checks for one (branch, m); returns (record, failures).
+
+    extension(k, m) and v_minus_spectrum(k, grid) are the run's caches of
+    branch k's (Deformation, ExtensionPair) and of its V-'s lowest 4 levels.
+    """
+    t0 = time.perf_counter()
+    failures = []
+    cell = f"branch {k} m={m}:"
+    d, pair = extension(k, m)  # extend raises InternalInconsistencyError on violation
+    rr = d.riccati_residual(deform.certification_grid(family, 400, exclude=d.singular_points))
+    _gate(failures, f"{cell} riccati residual", rr, _RICCATI_GATE * (1.0 + abs(d.R)))
+    reg = _deformation_regularity(d)
+    record = {"branch": k, "m": m, "riccati_residual": rr,
+              "partner_shift_deviation": pair.partner_shift_deviation, "shift": d.R,
+              "regularity": reg.classification, "singular_points": list(reg.points)}
+    if reg.finding:
+        record["finding"] = reg.finding
+
+    series = family.exceptional_series.get(k)
+    if series is not None and m > 0 and reg.is_regular and not skip_gram:
+        G, gerr = eop._gram_with_error(series, m, family, nmax, reg.points)
+        gmax = eop.gram_offdiag_max(G)
+        record["gram_offdiag_max"] = gmax
+        record["gram_quadrature_error"] = gerr
+        _gate(failures, f"{cell} gram off-diagonal", gmax, _GRAM_GATE)
+        inside, outside = eop.zero_census(eop.EOPSpec(series, 2, m, family))
+        record["zero_census_n2"] = {"inside": inside, "outside": outside}
+    else:
+        record["gram_offdiag_max"] = record["gram_quadrature_error"] = "skipped: " + (
+            "m=0" if m == 0 else
+            "singular extension" if not reg.is_regular else
+            "no polynomial series for this branch" if series is None else
+            "--skip-gram"
+        )
+
+    if not skip_spectral and reg.is_regular and d.branch.susy_kind == "broken":
+        gridspec = default_grid(family, k=4, m=m, n_points=grid_points)
+        if d.seed.degree == 0 and d.process == 1:
+            # the identity deformation: V~- is V- bit for bit
+            tilde = v_minus_spectrum(k, gridspec)
+        else:
+            tilde = solve_bound_states(pair.V_tilde_minus, gridspec, 4)
+        shift, deviation = _spectral_offset(tilde, v_minus_spectrum(k, gridspec))
+        record["isospectrality"] = {"shift": shift, "deviation": deviation}
+        _gate(failures, f"{cell} isospectral deviation", deviation, _ISOSPECTRAL_GATE)
+    else:
+        record["isospectrality"] = "skipped: " + (
+            "singular extension" if not reg.is_regular else
+            "--skip-spectral" if skip_spectral else
+            "exact-SUSY branch deletes levels; no constant shift expected"
+        )
+
+    record["wall_time_s"] = round(time.perf_counter() - t0, 3)
+    return record, failures
+
+
+def _certify_w0(family, m, extension, failures):
+    """Consistency residuals of the explicit linking superpotential (RO),
+    which joins the extensions of branches 2 and 3; gate failures go to
+    failures."""
+    W0 = deform.w0_explicit(family, m)
+    c = deform.w0_partner_constant(family, m)
+    (d2, pair2), (d3, pair3) = extension(2, m), extension(3, m)
+    grid = deform.certification_grid(
+        family, 400, exclude=list(d2.singular_points) + list(d3.singular_points))
+    v2, v3 = pair2.V_tilde_minus.f(grid), pair3.V_tilde_minus.f(grid)
+    w0v, w0d = _rows(W0, grid, 1)
+    res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
+    res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
+    psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))
+    gs = deform.w0_from_ground_state(psi0)
+    res_gs = float(np.max(np.abs(w0v - gs.f(grid)) / (1.0 + np.abs(w0v))))
+    residuals = {
+        "minus_partner_residual": res_minus,
+        "plus_partner_residual": res_plus,
+        "ground_state_residual": res_gs,
+    }
+    for key, value in residuals.items():
+        _gate(failures, f"w0 m={m}: {key} =", value, _W0_GATE)
+    return {"m": m, "partner_constant": c, **residuals}

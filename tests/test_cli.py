@@ -479,10 +479,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("family", ["radial_oscillator", "trig_dpt"])
     def test_run_caches_change_no_byte(self, monkeypatch, capsys, family):
-        import functools
         import types
 
-        from isoshift import cli, spectral
+        from isoshift import spectral
 
         solves = []
         real_solve = spectral.solve_bound_states
@@ -499,8 +498,7 @@ class TestCertify:
 
         monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
         cached = run()
-        monkeypatch.setattr(cli, "functools", types.SimpleNamespace(
-            cache=lambda f: f, partial=functools.partial))
+        monkeypatch.setattr(spectral, "functools", types.SimpleNamespace(cache=lambda f: f))
         uncached = run()
         assert uncached[1] == cached[1]
         assert uncached[0] > cached[0]

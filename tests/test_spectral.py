@@ -1,8 +1,10 @@
 """Bound-state solver, residual evaluators, and the regularity classifier."""
 
+import json
 import logging
 import math
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,9 +26,10 @@ from isoshift.catalog import (
 from isoshift.deform import certification_grid, extend, seed_polynomial
 from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
 import isoshift
-from isoshift import spectral
+from isoshift import cli, deform, spectral
 from isoshift.spectral import (
     Grid,
+    certify,
     classify_regularity,
     default_grid,
     isospectrality_report,
@@ -34,7 +37,7 @@ from isoshift.spectral import (
     schrodinger_residual,
     solve_bound_states,
 )
-from isoshift.errors import ConfigurationError, SingularPotentialError
+from isoshift.errors import ConfigurationError, QuadratureError, SingularPotentialError
 
 
 def _const_fn(c, domain=(0.0, 1.0)):
@@ -826,3 +829,52 @@ class TestRegularity:
     def test_dpt_has_no_klh_prediction(self):
         rep = classify_regularity(TrigDPT(1.0, 2.0), 2, 1)
         assert rep.klh_prediction is None
+
+
+class TestCertify:
+    # the defaults of `isoshift certify`'s flags
+    OPTIONS = dict(nmax=4, grid_points=None, skip_gram=False, skip_spectral=False)
+
+    @pytest.mark.parametrize("family, branches, ms, argv, status", [
+        (RadialOscillator(2.0, 1.0), [1, 2, 3], [0, 1],
+         ["--omega", "2", "--ell", "1", "--branches", "1", "2", "3", "--m", "0", "1"], "pass"),
+        # branch 2 m=4 raises InternalInconsistencyError, the other cells pass
+        (TrigDPT(2.5, 0.45), [1, 2], [3, 4],
+         ["--family", "trig_dpt", "--A", "2.5", "--B", "0.45", "--branches", "1", "2",
+          "--m", "3", "4"], "fail"),
+    ], ids=["radial_oscillator", "trig_dpt-failing-cell"])
+    def test_report_is_the_printed_report(self, capsys, family, branches, ms, argv, status):
+        report = certify(family, branches, ms, **self.OPTIONS)
+        assert report["status"] == status
+        text = json.dumps(cli._finite(report), indent=2, default=cli._fmt, allow_nan=False)
+        code = cli.main(["certify", *argv])
+        # every byte but the timings
+        untimed = lambda out: re.sub(r'"wall_time_s": [^,\n]*', "", out)
+        assert untimed(capsys.readouterr().out) == untimed(text + "\n")
+        assert code == (status == "fail")
+
+    def test_cell_error_is_recorded_and_the_run_goes_on(self, monkeypatch):
+        real_seed = deform.seed_polynomial
+
+        def failing_seed(family, branch, m):
+            if branch == 2:
+                raise QuadratureError("no rule")
+            return real_seed(family, branch, m)
+
+        monkeypatch.setattr(deform, "seed_polynomial", failing_seed)
+        report = certify(TrigDPT(1.5, 3.0), [2, 3], [0, 1], **self.OPTIONS)
+        cells = report["cells"]
+        assert [(c["branch"], c["m"]) for c in cells] == [(2, 0), (2, 1), (3, 0), (3, 1)]
+        assert [c.get("error") for c in cells] == ["QuadratureError: no rule"] * 2 + [None] * 2
+        assert report["failures"] == [f"branch 2 m={m}: QuadratureError: no rule" for m in (0, 1)]
+        assert report["status"] == "fail"
+
+    @pytest.mark.parametrize("family, branches, ms", [
+        (RadialOscillator(1.0, 1.0), [2, 5], [1]),
+        (TrigDPT(1.5, 3.0), [2], [1, -1]),
+        ("radial_oscillator", [2], [1]),
+    ], ids=["branch-5", "m=-1", "not-a-family"])
+    def test_configuration_error_propagates(self, family, branches, ms):
+        # a cell's ConfigurationError is the caller's, not the cell's failure
+        with pytest.raises(ConfigurationError):
+            certify(family, branches, ms, **self.OPTIONS)
