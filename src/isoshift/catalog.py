@@ -141,6 +141,8 @@ def _rows(fn, x, order):
     return tuple(g(x) for g in rows)
 
 
+# The jet rules: a jet is a tuple (f, f', f'')[: order + 1] of arrays, and every
+# module combines jets with _chain, _jmul, _jdiv and _log_derivative alone.
 def _chain(P, Y):
     """Jet in x of P(y(x)), to the order of the jet P = (P, dP/dy, d2P/dy2)
     (at most 2), from the jet Y = (y, y', y'') of the variable."""
@@ -150,6 +152,37 @@ def _chain(P, Y):
     if len(P) > 2:
         out.append(Y[2] * P[1] + Y[1] * Y[1] * P[2])
     return tuple(out)
+
+
+def _jmul(a, b):
+    """Leibniz product of two jets of the same order (at most 2)."""
+    out = [a[0] * b[0]]
+    if len(a) > 1:
+        out.append(a[0] * b[1] + a[1] * b[0])
+    if len(a) > 2:
+        out.append(a[0] * b[2] + 2.0 * a[1] * b[1] + a[2] * b[0])
+    return tuple(out)
+
+
+def _jdiv(a, b):
+    """Quotient a/b of two jets of the same order (at most 2)."""
+    g0 = a[0] / b[0]
+    out = [g0]
+    if len(a) > 1:
+        g1 = (a[1] - g0 * b[1]) / b[0]
+        out.append(g1)
+    if len(a) > 2:
+        out.append((a[2] - 2.0 * g1 * b[1] - g0 * b[2]) / b[0])
+    return tuple(out)
+
+
+def _log_derivative(u):
+    """The jet (g, g') of g = u'/u, one order below the jet u = (u, u', u'')
+    (of order 1 or 2): g' = u''/u - g^2 is taken from u itself, not from g."""
+    g = u[1] / u[0]
+    if len(u) < 3:
+        return (g,)
+    return g, u[2] / u[0] - g * g
 
 
 class Family:
@@ -467,19 +500,16 @@ def superpotential(family, branch) -> Function1D:
 
 
 def partner_potentials(w: Function1D):
-    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'), one order below w;
-    each row reads w once (_rows), so from one evaluation of w.jet when w
-    carries one."""
+    """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'), one order below w:
+    the jet _jmul(w, w) -/+ the jet of w'.  Each row reads w once (_rows),
+    so from one evaluation of w.jet when w carries one."""
     if w.df is None:
         raise ConfigurationError("superpotential must carry an analytic derivative")
 
     def make(sign):
         def jet(x, order):
             v = _rows(w, x, order + 1)
-            rows = [v[0] ** 2 + sign * v[1]]
-            if order:
-                rows.append(2.0 * v[0] * v[1] + sign * v[2])
-            return tuple(rows)
+            return tuple(s + sign * d for s, d in zip(_jmul(v[:-1], v[:-1]), v[1:]))
 
         return _jet_function(jet, w.domain, w.singular_points, 1 if w.d2f is not None else 0)
 

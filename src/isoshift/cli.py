@@ -307,11 +307,8 @@ def _validate(args):
         raise ConfigurationError("grid_points must be positive")
     if getattr(args, "rmax", None) is not None and not 0.0 < args.rmax < math.inf:
         raise ConfigurationError(f"rmax must be finite and positive, got {args.rmax}")
-    if hasattr(args, "m"):
-        if not args.m:
-            raise ConfigurationError("m list must be nonempty")
-        if any(m < 0 for m in args.m):
-            raise ConfigurationError("m values must be nonnegative integers")
+    if any(m < 0 for m in getattr(args, "m", ())):
+        raise ConfigurationError("m values must be nonnegative integers")
 
 
 @functools.cache

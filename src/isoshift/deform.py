@@ -16,13 +16,15 @@ uniformly with effective parameters (a, b) -> (-a, -b) for branch 3.  Of
 the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
 All DPT branches deform directly with a Jacobi seed in cos 2x.
 
-Every function here is a jet built by catalog._jet_function.  phi,
-w_tilde = w0 + phi, chi and w0_explicit's W0 carry the rows (value, slope)
-from one order-2 jet of each seed, and extend_general_R's w~ from a single
-Kummer sum, so the partner potentials V~-/+, the Riccati residual and W0
-with W0' evaluate each seed once per call.  Like every jet, they evaluate a
-1-D x longer than polyengine._BLOCK points block by block, bitwise as in
-one pass but for the Kummer sum's (see catalog.Function1D).
+Every function here is a jet built by catalog._jet_function from catalog's
+jet rules: phi = u'/u and W0 = -(log psi0)' by _log_derivative, and
+V~-/+ = w~^2 -/+ w~' by partner_potentials.  phi, w_tilde = w0 + phi, chi
+and w0_explicit's W0 carry the rows (value, slope) from one order-2 jet of
+each seed, and extend_general_R's w~ from a single Kummer sum, so the
+partner potentials V~-/+, the Riccati residual and W0 with W0' evaluate
+each seed once per call.  Like every jet, they evaluate a 1-D x longer
+than polyengine._BLOCK points block by block, bitwise as in one pass but
+for the Kummer sum's (see catalog.Function1D).
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .catalog import (
     Function1D,
     RadialOscillator,
     _jet_function,
+    _log_derivative,
     _rows,
     _samples,
     get_branch,
@@ -126,20 +129,10 @@ class ExtensionPair:
 
 
 def _log_derivative_jet(ujet):
-    """The jet (g, g') of g = u'/u, from one jet of u to order + 1.
-
-    g' = u''/u - (u'/u)^2 is computed from the seed itself, so that Riccati
-    residual checks are non-circular.  Order 0 evaluates u only to order 1.
-    """
-
-    def jet(x, order):
-        u = ujet(x, order + 1)
-        g = u[1] / u[0]
-        if not order:
-            return (g,)
-        return g, u[2] / u[0] - g * g
-
-    return jet
+    """The jet of g = u'/u by catalog._log_derivative, from one jet of u to
+    order + 1: g' comes from the seed itself, so that Riccati residual
+    checks are non-circular.  Order 0 evaluates u only to order 1."""
+    return lambda x, order: _log_derivative(ujet(x, order + 1))
 
 
 def _plus_jet(w0, g):
@@ -167,7 +160,9 @@ def seed_polynomial(family, branch, m) -> Deformation:
 
     if seed.degree == 0:
         # u' = 0 (m = 0, or a DPT seed at m + a + b = 0): phi = 0, w~ = w0,
-        # and the Riccati identity leaves R = 0
+        # and the Riccati identity leaves R = 0.  Skipping the seed jet keeps
+        # an m = 0 certify cell of branch 1 at 0.16 ms, not 0.21 (RO and DPT,
+        # shared 2-vCPU machine), and R = 2 m b from printing -0.0 at b < 0
         phi_jet = lambda x, order: (np.zeros_like(np.asarray(x, dtype=float)),) * (order + 1)
         R = 0.0
     else:
@@ -279,9 +274,9 @@ def w0_partner_constant(family: RadialOscillator, m: int) -> float:
 
 
 def w0_from_ground_state(psi0: Function1D) -> Function1D:
-    """-psi0'/psi0, a jet of order 0, via the analytic derivative carried by
-    psi0, both from one evaluation of psi0.jet when psi0 carries one
-    (catalog._rows).
+    """-psi0'/psi0 (minus catalog._log_derivative), a jet of order 0, via the
+    analytic derivative carried by psi0, both from one evaluation of
+    psi0.jet when psi0 carries one (catalog._rows).
 
     psi0 must be strictly positive on the interior; the first sign change
     among 400 samples raises SingularExtensionError with the refined root in
@@ -300,8 +295,7 @@ def w0_from_ground_state(psi0: Function1D) -> Function1D:
         )
 
     def jet(x, order):
-        p, dp = _rows(psi0, x, 1)
-        return (-dp / p,)
+        return (-_log_derivative(_rows(psi0, x, 1))[0],)
 
     return _jet_function(jet, psi0.domain, order=0)
 

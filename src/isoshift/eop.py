@@ -12,8 +12,8 @@ W = r^p e^(-y/2)/T(y) = exp(-int w) for the ground-state-like
 superpotential w of the extension.
 
 Polynomial values and their derivatives are carried as "jets", tuples
-(value, d/dy, ..., d^k/dy^k) combined by product- and quotient-rule
-arithmetic, so that every eigenfunction carries analytic first and second
+(value, d/dy, ..., d^k/dy^k) combined by catalog's jet rules (_jmul, _jdiv,
+_chain), so that every eigenfunction carries analytic first and second
 derivatives.  Each Laguerre factor is one call of its spec's jet
 (polyengine.laguerre_jet), whose blocked recurrence yields a polynomial and
 all its derivatives, each derivative a value at shifted parameters: every
@@ -60,7 +60,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator, _chain, _jet_function, _rows
+from .catalog import Function1D, RadialOscillator, _chain, _jdiv, _jet_function, _jmul, _rows
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -138,33 +138,6 @@ class WeightSpec:
 
 
 # ---------------------------------------------------------------------------
-# jets: tuples (f, f', ..., f^(order)) of arrays, order <= 2 after products
-# ---------------------------------------------------------------------------
-
-
-def _jmul(a, b):
-    """Leibniz product of two jets of the same order (at most 2)."""
-    out = [a[0] * b[0]]
-    if len(a) > 1:
-        out.append(a[0] * b[1] + a[1] * b[0])
-    if len(a) > 2:
-        out.append(a[0] * b[2] + 2.0 * a[1] * b[1] + a[2] * b[0])
-    return tuple(out)
-
-
-def _jdiv(a, b):
-    """Quotient a/b of two jets of the same order (at most 2)."""
-    g0 = a[0] / b[0]
-    out = [g0]
-    if len(a) > 1:
-        g1 = (a[1] - g0 * b[1]) / b[0]
-        out.append(g1)
-    if len(a) > 2:
-        out.append((a[2] - 2.0 * g1 * b[1] - g0 * b[2]) / b[0])
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # series: one record per (series, m, family) and one numerator for all three
 # ---------------------------------------------------------------------------
 
@@ -184,15 +157,9 @@ def _numerator(n, a, shift, y, T, order):
         W.append(P[1] * T[2] + P[0] * T[3] - P[3] * T[0] - P[2] * T[1])
     if shift is None:
         return tuple(u + v for u, v in zip(PT, W))
-    # the product rule against the linear factors y + shift and y, whose
-    # first derivative is 1 and second 0
-    ys = y + shift
-    S = [ys * PT[0] + y * W[0]]
-    if order > 0:
-        S.append(ys * PT[1] + PT[0] + (y * W[1] + W[0]))
-    if order > 1:
-        S.append(ys * PT[2] + 2.0 * PT[1] + (y * W[2] + 2.0 * W[1]))
-    return tuple(S)
+    # the product rule against the jets of the linear factors y + shift and y
+    lin = (1.0, 0.0)[:order]
+    return tuple(u + v for u, v in zip(_jmul((y + shift, *lin), PT), _jmul((y, *lin), W)))
 
 
 @dataclass(frozen=True)
@@ -341,17 +308,15 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 
 
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
-    """Apply the first-order intertwiner (-d/dr + w~) to a partner state;
-    each row reads the rows of psi_plus and w~ once (catalog._rows).  The
-    result carries a slope when psi_plus carries d2f and w~ carries df."""
+    """Apply the first-order intertwiner (-d/dr + w~) to a partner state:
+    the jet _jmul(w~, psi_plus) - the jet of psi_plus'.  Each row reads the
+    rows of psi_plus and w~ once (catalog._rows).  The result carries a
+    slope when psi_plus carries d2f and w~ carries df."""
 
     def jet(r, order):
         p = _rows(psi_plus, r, order + 1)
         w = _rows(w_tilde, r, order)
-        rows = [-p[1] + w[0] * p[0]]
-        if order:
-            rows.append(-p[2] + w[1] * p[0] + w[0] * p[1])
-        return tuple(rows)
+        return tuple(s - d for s, d in zip(_jmul(w, p[:-1]), p[1:]))
 
     order = 1 if psi_plus.d2f is not None and w_tilde.df is not None else 0
     return _jet_function(jet, psi_plus.domain, w_tilde.singular_points, order)

@@ -51,7 +51,8 @@ import numpy as np
 
 from . import deform, eop
 from . import polyengine as pe
-from .catalog import Family, Function1D, _rows, _samples, partner_potentials, superpotential
+from .catalog import (Family, Function1D, _log_derivative, _rows, _samples, get_branch,
+                      partner_potentials, superpotential)
 from .errors import (ConfigurationError, IsoshiftError, SingularPotentialError, check_index,
                      check_real)
 
@@ -490,14 +491,14 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
 
     A node is a sample where |psi| is at most 1e-8 of the largest finite
     |psi|, or is not finite.  psi, psi' and psi'' come from catalog._rows,
-    as in schrodinger_residual.  Raises ConfigurationError for an empty
+    as in schrodinger_residual, and Q and Q' are minus
+    catalog._log_derivative of them.  Raises ConfigurationError for an empty
     sample set or an E that is not a finite real, and SingularPotentialError
     when every sample is a node.
     """
     check_real(E, "the energy E")
     x = _samples(samples)
-    p, dp, d2p = _rows(psi, x, 2)
-    p, dp, d2p = (np.asarray(v, dtype=float) for v in (p, dp, d2p))
+    p, dp, d2p = (np.asarray(v, dtype=float) for v in _rows(psi, x, 2))
     size = np.abs(p)
     finite = np.isfinite(size)
     keep = finite & (size > 1e-8 * np.max(size, where=finite, initial=0.0))
@@ -505,9 +506,8 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
         raise SingularPotentialError(
             f"psi is zero or not finite at all {x.size} samples; Q = -psi'/psi is undefined"
         )
-    x, p, dp, d2p = x[keep], p[keep], dp[keep], d2p[keep]
-    q = -dp / p
-    dq = -d2p / p + (dp / p) ** 2
+    q, dq = (-g for g in _log_derivative((p[keep], dp[keep], d2p[keep])))
+    x = x[keep]
     res = q * q - dq - np.asarray(V.f(x)) + E
     scale = abs(E) + 1.0
     return float(np.max(np.abs(res)) / scale)
@@ -565,8 +565,20 @@ def certify(family, branches, ms, *, nmax, grid_points, skip_gram, skip_spectral
     status, "pass" or "fail".  A cell that raises an IsoshiftError is
     recorded with that error and fails alone; a ConfigurationError
     propagates.  The keywords are the command's flags, without defaults.
+    Every input is checked before any cell runs: ConfigurationError refuses
+    an empty branches or ms, and a branch, m, nmax or grid_points no cell takes.
     """
     family = Family.check(family)
+    branches, ms = list(branches), list(ms)
+    if not branches or not ms:
+        raise ConfigurationError("certify needs at least one branch and one m")
+    for k in branches:
+        get_branch(family, k)
+    for m in ms:
+        check_index(m, "hierarchy index m")
+    check_index(nmax, "nmax")
+    if grid_points is not None:
+        default_grid(family, k=4, n_points=grid_points)
     report = {"family": family.name, "params": asdict(family), "cells": [], "w0": [],
               "failures": []}
 
@@ -674,9 +686,10 @@ def _certify_w0(family, m, extension, failures):
     grid = deform.certification_grid(
         family, 400, exclude=list(d2.singular_points) + list(d3.singular_points))
     v2, v3 = pair2.V_tilde_minus.f(grid), pair3.V_tilde_minus.f(grid)
-    w0v, w0d = _rows(W0, grid, 1)
-    res_minus = float(np.max(np.abs(w0v**2 - w0d - (v2 - c)) / (1.0 + np.abs(v2))))
-    res_plus = float(np.max(np.abs(w0v**2 + w0d - (v3 - c)) / (1.0 + np.abs(v3))))
+    minus, plus = (V.f(grid) for V in partner_potentials(W0))
+    res_minus = float(np.max(np.abs(minus - (v2 - c)) / (1.0 + np.abs(v2))))
+    res_plus = float(np.max(np.abs(plus - (v3 - c)) / (1.0 + np.abs(v3))))
+    w0v = W0.f(grid)
     psi0 = eop.eigenfunction_closed_form(eop.EOPSpec("L1", 0, m, family))
     gs = deform.w0_from_ground_state(psi0)
     res_gs = float(np.max(np.abs(w0v - gs.f(grid)) / (1.0 + np.abs(w0v))))

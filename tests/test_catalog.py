@@ -23,7 +23,7 @@ from isoshift.catalog import (
     superpotential,
     tau,
 )
-from isoshift import deform, eop, spectral
+from isoshift import catalog, deform, eop, spectral
 from isoshift import polyengine as pe
 from isoshift.errors import ConfigurationError
 from isoshift.polyengine import LaguerreSpec
@@ -199,6 +199,55 @@ class TestSuperpotentials:
                 assert np.allclose(w.df(pts), fd, rtol=1e-7, atol=1e-7)
                 fd2 = (w.df(pts + h) - w.df(pts - h)) / (2 * h)
                 assert np.allclose(w.d2f(pts), fd2, rtol=1e-6, atol=1e-6)
+
+
+@st.composite
+def _exp_poly(draw, positive=False):
+    """An mpmath function p(x) e^(c x): p is a polynomial q of degree at most
+    3, or with positive=True c0 + q^2 with c0 in [1/4, 2], which has no zero."""
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+    c = draw(st.floats(-2.0, 2.0))
+    c0 = draw(st.floats(0.25, 2.0)) if positive else 0.0
+
+    def f(x):
+        q = mpmath.polyval(coeffs, x)
+        return ((c0 + q * q) if positive else q) * mpmath.exp(c * x)
+
+    return f
+
+
+class TestJetRules:
+    """catalog's jet rules, the only ones the package writes: each rule's
+    rows against 30-digit derivatives of the combined function."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_exp_poly(), _exp_poly(positive=True), st.floats(-1.0, 1.0))
+    def test_product_quotient_and_log_derivative_against_mpmath(self, a, b, x):
+        with mpmath.workdps(30):
+            t = mpmath.mpf(x)
+
+            def rows(f, k=3):
+                return [float(mpmath.diff(f, t, j)) for j in range(k)]
+
+            A, B = rows(a), rows(b)
+            wants = [(catalog._jmul, rows(lambda s: a(s) * b(s))),
+                     (catalog._jdiv, rows(lambda s: a(s) / b(s)))]
+            log_want = rows(lambda s: mpmath.diff(b, s) / b(s), 2)
+
+        def check(got, want):
+            # the inputs are rounded to floats, so a row may move by a few
+            # float spacings of the largest term that enters it
+            scale = max(1.0, *map(abs, want), *map(abs, A), *map(abs, B))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-13 * scale
+
+        for order in range(3):
+            for rule, want in wants:
+                check(rule(A[: order + 1], B[: order + 1]), want[: order + 1])
+            if order:
+                # one order below its argument
+                check(catalog._log_derivative(B[: order + 1]), log_want[:order])
 
 
 class TestPartnerPotentials:

@@ -869,12 +869,24 @@ class TestCertify:
         assert report["failures"] == [f"branch 2 m={m}: QuadratureError: no rule" for m in (0, 1)]
         assert report["status"] == "fail"
 
-    @pytest.mark.parametrize("family, branches, ms", [
-        (RadialOscillator(1.0, 1.0), [2, 5], [1]),
-        (TrigDPT(1.5, 3.0), [2], [1, -1]),
-        ("radial_oscillator", [2], [1]),
-    ], ids=["branch-5", "m=-1", "not-a-family"])
-    def test_configuration_error_propagates(self, family, branches, ms):
-        # a cell's ConfigurationError is the caller's, not the cell's failure
+    @pytest.mark.parametrize("family, branches, ms, options", [
+        (RadialOscillator(1.0, 1.0), [2, 5], [1], {}),
+        (TrigDPT(1.5, 3.0), [2], [1, -1], {}),
+        ("radial_oscillator", [2], [1], {}),
+        # runs that would check nothing, or meet the bad input in no cell:
+        # no branch or no m, a Gram size where no Gram cell runs, a grid
+        # size where no cell reaches the FD solver
+        (RadialOscillator(1.0, 1.0), [], [], {}),
+        (RadialOscillator(1.0, 1.0), [], [1], {}),
+        (RadialOscillator(1.0, 1.0), [2], [], {}),
+        (TrigDPT(1.0, 1.0), [2], [1], dict(nmax=-3, skip_spectral=True)),
+        (TrigDPT(1.0, 1.0), [2], [1], dict(nmax=2.5, skip_spectral=True)),
+        (TrigDPT(1.0, 1.0), [1], [0], dict(grid_points=10)),
+        (TrigDPT(1.0, 1.0), [1], [0], dict(grid_points=100.0)),
+    ], ids=["branch-5", "m=-1", "not-a-family", "no-branch-no-m", "no-branch", "no-m",
+            "nmax=-3", "nmax=2.5", "grid_points=10", "grid_points=100.0"])
+    def test_configuration_error_propagates(self, family, branches, ms, options):
+        # a cell's ConfigurationError is the caller's, not the cell's failure,
+        # and every input is checked before any cell runs
         with pytest.raises(ConfigurationError):
-            certify(family, branches, ms, **self.OPTIONS)
+            certify(family, branches, ms, **{**self.OPTIONS, **options})
