@@ -14,7 +14,7 @@ against that protocol.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,100 +45,72 @@ _SNAP_ULPS = 8
 
 @dataclass(frozen=True)
 class Function1D:
-    """A real function on an open interval with analytic derivatives.
+    """A real function on an open interval: its jet, of order `order`.
 
-    `jet` maps (x, order) to the rows (f(x), df(x), d2f(x))[: order + 1]
-    from one evaluation, evaluating no further than `order`; `jet(x)` gives
-    every row the function carries.  `f`, `df` and `d2f` are those rows,
-    each evaluated to its own order, and the rows past the function's order
-    are None.  Every Function1D the package derives is built by
-    _jet_function, so a long 1-D x is evaluated block by block, bitwise as
-    in one pass; deform.extend_general_R's w~ to rounding only, as its
-    series runs as far as the largest point of each block needs.
-    `singular_points` lists interior points where evaluation is not finite.
-    Callers read rows through _rows, which takes them from the jet and
-    accepts a Function1D built by hand, with no jet or no d2f.
+    It is built from jet(x, k), the rows (f(x), f'(x), f''(x))[: k + 1]
+    pointwise in x for k <= order, and `jet` then gives those rows from one
+    evaluation, evaluating no further than k; `jet(x)` gives all order + 1,
+    and a k past `order` raises ConfigurationError naming the first row the
+    function does not carry, as does a k that is not a nonnegative integer
+    (errors.check_index).  On a 1-D x longer than polyengine._BLOCK
+    points, jet runs on one block at a time and its rows are written into
+    one preallocated (k + 1, len(x)) array, so the temporaries stay in
+    cache; each point's arithmetic does not depend on the blocking, so the
+    rows equal, bit for bit, those of one pass (deform.extend_general_R's
+    w~ to rounding only, as its series runs as far as the largest point of
+    each block needs).  `f`, `df` and `d2f` are rows 0, 1 and 2, each from
+    the jet at its own order, and None past `order`: plain attributes, set
+    at construction.  `singular_points` lists interior points where
+    evaluation is not finite.  from_rows builds one from closed-form rows.
     """
 
-    f: Callable
-    df: Optional[Callable]
+    jet: Callable
     domain: tuple
-    d2f: Optional[Callable] = None
     singular_points: tuple = ()
-    jet: Optional[Callable] = None
+    order: int = 1
+    f: Optional[Callable] = field(init=False, repr=False, compare=False)
+    df: Optional[Callable] = field(init=False, repr=False, compare=False)
+    d2f: Optional[Callable] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows, order = self.jet, self.order
+
+        def jet(x, k=order):
+            if check_index(k, "jet order") > order:
+                name = "df" if order == 0 else f"d{order + 1}f"
+                raise ConfigurationError(
+                    f"the function carries no {name}, which its rows to order {k} need"
+                )
+            arr = np.asarray(x, dtype=float)
+            if arr.ndim != 1 or arr.size <= pe._BLOCK:
+                return rows(x, k)
+            out = np.empty((k + 1, arr.size))
+            for s in pe._blocks(arr.size):
+                block = rows(arr[s], k)
+                for j in range(k + 1):
+                    out[j, s] = block[j]
+                del block  # before the next block's temporaries are made
+            return tuple(out)
+
+        object.__setattr__(self, "jet", jet)
+        object.__setattr__(self, "singular_points", tuple(self.singular_points))
+        for j, name in enumerate(("f", "df", "d2f")):
+            object.__setattr__(self, name, (lambda x, j=j: jet(x, j)[j]) if j <= order else None)
+
+    @classmethod
+    def from_rows(cls, domain, *rows):
+        """The function whose rows f, f', ... are the closed forms rows[j](x)
+        at float x, of order len(rows) - 1; its jet evaluates only the rows
+        asked for."""
+
+        def jet(x, order):
+            x = np.asarray(x, dtype=float)
+            return tuple(row(x) for row in rows[: order + 1])
+
+        return cls(jet, domain, order=len(rows) - 1)
 
     def __call__(self, x):
         return self.f(x)
-
-
-def _jet_function(jet, domain, singular_points=(), order=1):
-    """The Function1D of a jet of order `order` (0, 1 or 2).
-
-    jet(x, k) returns the rows (f, f', f'')(x)[: k + 1], pointwise in x, for
-    k <= order.  The Function1D's jet takes `order` by default, and its f,
-    df and d2f are rows 0, 1 and 2, each from the jet at its own order, and
-    None past `order`.  On a 1-D x longer than polyengine._BLOCK points, jet
-    runs on one block at a time and its rows are written into one
-    preallocated (k + 1, len(x)) array, so the temporaries of jet stay in
-    cache; any other x goes to jet whole.  Each point's arithmetic does not
-    depend on the blocking, so the rows equal, bit for bit, those of one
-    call of jet on all of x.
-    """
-
-    def rows(x, k=order):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim != 1 or arr.size <= pe._BLOCK:
-            return jet(x, k)
-        out = np.empty((k + 1, arr.size))
-        for s in pe._blocks(arr.size):
-            block = jet(arr[s], k)
-            for j in range(k + 1):
-                out[j, s] = block[j]
-            del block  # before the next block's temporaries are made
-        return tuple(out)
-
-    f, df, d2f = ((lambda x, j=j: rows(x, j)[j]) if j <= order else None for j in range(3))
-    return Function1D(f=f, df=df, d2f=d2f, domain=domain,
-                      singular_points=tuple(singular_points), jet=rows)
-
-
-def _closed_form(domain, *rows):
-    """The Function1D whose rows f, f', ... are the closed forms rows[j](x)
-    at float x; its jet evaluates only the rows asked for."""
-
-    def jet(x, order):
-        x = np.asarray(x, dtype=float)
-        return tuple(row(x) for row in rows[: order + 1])
-
-    return _jet_function(jet, domain, order=len(rows) - 1)
-
-
-def _rows(fn, x, order):
-    """(f, f', f'')(x) of a Function1D up to `order` (at most 2).
-
-    From one evaluation of fn.jet when fn carries row `order`; otherwise
-    from fn.f, fn.df and fn.d2f, with f'' taken from 5-point differences of
-    fn.df when fn.d2f is None.  A missing f, or a missing df that the rows
-    need, raises ConfigurationError.
-    """
-    rows = (fn.f, fn.df, fn.d2f)[: order + 1]
-    if fn.jet is not None and rows[-1] is not None:
-        return fn.jet(x, order)
-    for name, g in zip(("f", "df"), rows):
-        if g is None:
-            raise ConfigurationError(
-                f"the function carries no {name}, which its rows to order {order} need"
-            )
-    if order == 2 and rows[2] is None:
-        d = fn.df
-
-        def d2f(x):
-            x = np.asarray(x, dtype=float)
-            h = 1e-4 * np.maximum(1.0, np.abs(x))
-            return (-d(x + 2 * h) + 8.0 * d(x + h) - 8.0 * d(x - h) + d(x - 2 * h)) / (12.0 * h)
-
-        rows = rows[:2] + (d2f,)
-    return tuple(g(x) for g in rows)
 
 
 # The jet rules: a jet is a tuple (f, f', f'')[: order + 1] of arrays, and every
@@ -272,14 +244,14 @@ class RadialOscillator(Family):
 
     def potential(self):
         w2, ll = self.omega**2, self.ell * (self.ell + 1.0)
-        return _closed_form(
+        return Function1D.from_rows(
             self.domain,
             lambda r: 0.25 * w2 * r**2 + ll / r**2,
             lambda r: 0.5 * w2 * r - 2.0 * ll / r**3,
         )
 
     def superpotential(self, a, b):
-        return _closed_form(
+        return Function1D.from_rows(
             self.domain,
             lambda r: 0.5 * b * r + a / r,
             lambda r: 0.5 * b - a / r**2,
@@ -385,7 +357,7 @@ class TrigDPT(Family):
 
     def potential(self):
         ca, cb = self.A * (self.A + 1.0), self.B * (self.B + 1.0)
-        return _closed_form(
+        return Function1D.from_rows(
             self.domain,
             lambda x: ca / np.sin(x) ** 2 + cb / np.cos(x) ** 2,
             lambda x: (-2.0 * ca * np.cos(x) / np.sin(x) ** 3
@@ -393,7 +365,7 @@ class TrigDPT(Family):
         )
 
     def superpotential(self, a, b):
-        return _closed_form(
+        return Function1D.from_rows(
             self.domain,
             lambda x: a / np.tan(x) - b * np.tan(x),
             lambda x: -a / np.sin(x) ** 2 - b / np.cos(x) ** 2,
@@ -501,17 +473,17 @@ def superpotential(family, branch) -> Function1D:
 
 def partner_potentials(w: Function1D):
     """SUSY partners (V-, V+) = (w^2 - w', w^2 + w'), one order below w:
-    the jet _jmul(w, w) -/+ the jet of w'.  Each row reads w once (_rows),
-    so from one evaluation of w.jet when w carries one."""
-    if w.df is None:
+    the jet _jmul(w, w) -/+ the jet of w', each row from one evaluation of
+    w.jet."""
+    if w.order < 1:
         raise ConfigurationError("superpotential must carry an analytic derivative")
 
     def make(sign):
         def jet(x, order):
-            v = _rows(w, x, order + 1)
+            v = w.jet(x, order + 1)
             return tuple(s + sign * d for s, d in zip(_jmul(v[:-1], v[:-1]), v[1:]))
 
-        return _jet_function(jet, w.domain, w.singular_points, 1 if w.d2f is not None else 0)
+        return Function1D(jet, w.domain, w.singular_points, w.order - 1)
 
     return make(-1.0), make(+1.0)
 

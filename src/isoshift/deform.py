@@ -16,7 +16,7 @@ uniformly with effective parameters (a, b) -> (-a, -b) for branch 3.  Of
 the process-2 view, the Deformation exposes only chi: w_bar = -w_tilde.
 All DPT branches deform directly with a Jacobi seed in cos 2x.
 
-Every function here is a jet built by catalog._jet_function from catalog's
+Every function here is a catalog.Function1D built from a jet of catalog's
 jet rules: phi = u'/u and W0 = -(log psi0)' by _log_derivative, and
 V~-/+ = w~^2 -/+ w~' by partner_potentials.  phi, w_tilde = w0 + phi, chi
 and w0_explicit's W0 carry the rows (value, slope) from one order-2 jet of
@@ -43,9 +43,7 @@ from .catalog import (
     Family,
     Function1D,
     RadialOscillator,
-    _jet_function,
     _log_derivative,
-    _rows,
     _samples,
     get_branch,
     partner_potentials,
@@ -99,8 +97,8 @@ class Deformation:
         if self.process != 2:
             return None
         phi = self.phi
-        return _jet_function(lambda r, order: tuple(-v for v in phi.jet(r, order)),
-                             phi.domain, phi.singular_points)
+        return Function1D(lambda r, order: tuple(-v for v in phi.jet(r, order)),
+                          phi.domain, phi.singular_points)
 
     def riccati_residual(self, grid):
         """Max over the grid of |phi^2 + 2 w0 phi + phi' - R|; a sample that
@@ -168,8 +166,8 @@ def seed_polynomial(family, branch, m) -> Deformation:
     else:
         phi_jet = _log_derivative_jet(partial(family.seed_jet, seed))
     # phi and w~ take value and slope from one order-2 seed jet
-    phi = _jet_function(phi_jet, w0.domain, singular)
-    w_tilde = _jet_function(_plus_jet(w0, phi_jet), w0.domain, singular)
+    phi = Function1D(phi_jet, w0.domain, singular)
+    w_tilde = Function1D(_plus_jet(w0, phi_jet), w0.domain, singular)
     return Deformation(
         family=family,
         branch=branch,
@@ -262,7 +260,7 @@ def w0_explicit(family: RadialOscillator, m: int) -> Function1D:
         rows = zip(w1.jet(r, order), gu(r, order), gv(r, order))
         return tuple(w + u - v for w, u, v in rows)
 
-    return _jet_function(jet, family.domain)
+    return Function1D(jet, family.domain)
 
 
 def w0_partner_constant(family: RadialOscillator, m: int) -> float:
@@ -276,12 +274,14 @@ def w0_partner_constant(family: RadialOscillator, m: int) -> float:
 def w0_from_ground_state(psi0: Function1D) -> Function1D:
     """-psi0'/psi0 (minus catalog._log_derivative), a jet of order 0, via the
     analytic derivative carried by psi0, both from one evaluation of
-    psi0.jet when psi0 carries one (catalog._rows).
+    psi0.jet; a psi0 of order 0 raises ConfigurationError.
 
     psi0 must be strictly positive on the interior; the first sign change
     among 400 samples raises SingularExtensionError with the refined root in
     `points`; a sample where psi0 is 0 (an underflowed tail) has no sign.
     """
+    if psi0.order < 1:
+        raise ConfigurationError("the ground state carries no df, which W0 = -psi0'/psi0 needs")
     lo, hi = psi0.domain
     if not math.isfinite(hi):
         hi = 40.0
@@ -295,9 +295,9 @@ def w0_from_ground_state(psi0: Function1D) -> Function1D:
         )
 
     def jet(x, order):
-        return (-_log_derivative(_rows(psi0, x, 1))[0],)
+        return (-_log_derivative(psi0.jet(x, 1))[0],)
 
-    return _jet_function(jet, psi0.domain, order=0)
+    return Function1D(jet, psi0.domain, order=0)
 
 
 def _kummer_series(alpha, gamma, lam, y):
@@ -381,7 +381,7 @@ def extend_general_R(family: RadialOscillator, branch, R: float, r_max=None) -> 
 
     scan = np.linspace(0.0, r_max, 4001)[1:]
     singular = pe.sign_change_zeros(seed, scan, seed(scan), 0.0, 0.0).crossings
-    w_tilde = _jet_function(_plus_jet(w0, phi_jet), (0.0, r_max), singular)
+    w_tilde = Function1D(_plus_jet(w0, phi_jet), (0.0, r_max), singular)
     Vm, Vp = partner_potentials(w_tilde)
     return ExtensionPair(V_tilde_minus=Vm, V_tilde_plus=Vp, shift=float(R),
                          singular_points=list(singular), w_tilde=w_tilde)

@@ -27,8 +27,8 @@ S = c0 T P_n + c1 (P_n T' - P_n' T), with (c0, c1) = (1, 1) for L1 and
 L1's S is T + dT/dy = L_m^(alpha+1)(-y) (DLMF 18.9.14, 18.9.23).  T is
 evaluated once per point set, to one order above the eigenfunction's, for
 S and the denominator, and P_n and P_n' take one call, so a state costs two
-kernel calls whatever the order.  Every state and weight is a jet built by
-catalog._jet_function (so is an intertwined state, to order 1): its f, df
+kernel calls whatever the order.  Every state and weight is a
+catalog.Function1D of order 2 (an intertwined state of order 1): its f, df
 and d2f evaluate to orders 0, 1 and 2, and its `jet` returns all three from
 one order-2 evaluation.  The S = 1 weight evaluates T only to its own
 order.  On a 1-D r longer than polyengine._BLOCK points, the jet runs block
@@ -60,7 +60,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import polyengine as pe
-from .catalog import Function1D, RadialOscillator, _chain, _jdiv, _jet_function, _jmul, _rows
+from .catalog import Function1D, RadialOscillator, _chain, _jdiv, _jmul
 from .errors import (
     ConfigurationError,
     DegenerateParameterError,
@@ -270,7 +270,7 @@ def _product_function(family, p, ratio, singular):
             A.append((la * la - p / r**2 - 0.5 * Y[2]) * A[0])
         return _jmul(A, F)
 
-    return _jet_function(jet, family.domain, singular, order=2)
+    return Function1D(jet, family.domain, singular, order=2)
 
 
 def eigenfunction_closed_form(spec: EOPSpec) -> Function1D:
@@ -310,16 +310,18 @@ def classical_ro_eigenfunction(fam: RadialOscillator, n) -> Function1D:
 def intertwine(w_tilde: Function1D, psi_plus: Function1D) -> Function1D:
     """Apply the first-order intertwiner (-d/dr + w~) to a partner state:
     the jet _jmul(w~, psi_plus) - the jet of psi_plus'.  Each row reads the
-    rows of psi_plus and w~ once (catalog._rows).  The result carries a
-    slope when psi_plus carries d2f and w~ carries df."""
+    jets of psi_plus and w~ once.  The result is one order below psi_plus,
+    and no higher than w~; a psi_plus of order 0 raises ConfigurationError."""
+    if psi_plus.order < 1:
+        raise ConfigurationError("the partner state carries no df, which the intertwiner needs")
 
     def jet(r, order):
-        p = _rows(psi_plus, r, order + 1)
-        w = _rows(w_tilde, r, order)
+        p = psi_plus.jet(r, order + 1)
+        w = w_tilde.jet(r, order)
         return tuple(s - d for s, d in zip(_jmul(w, p[:-1]), p[1:]))
 
-    order = 1 if psi_plus.d2f is not None and w_tilde.df is not None else 0
-    return _jet_function(jet, psi_plus.domain, w_tilde.singular_points, order)
+    order = min(psi_plus.order - 1, w_tilde.order)
+    return Function1D(jet, psi_plus.domain, w_tilde.singular_points, order)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +348,10 @@ def weight_spec(series: str, m: int, params: RadialOscillator) -> WeightSpec:
 def weight_from_superpotential(w_tilde: Function1D, anchor: float) -> Function1D:
     """exp(-int_anchor^x w~ dt) by adaptive quadrature; the operational weight.
 
-    Unique up to an overall constant (the choice of anchor).  The quadrature
-    is the module attribute `quad`, scipy.integrate's, loaded on first use
-    (see __getattr__); it is looked up at each call, so a replacement bound
-    to eop.quad is the one used.
+    A jet of order 1, (W, -w~ W).  Unique up to an overall constant (the
+    choice of anchor).  The quadrature is the module attribute `quad`,
+    scipy.integrate's, loaded on first use (see __getattr__); it is looked
+    up at each call, so a replacement bound to eop.quad is the one used.
     """
     module = sys.modules[__name__]
 
@@ -357,16 +359,16 @@ def weight_from_superpotential(w_tilde: Function1D, anchor: float) -> Function1D
         val, _ = module.quad(lambda t: float(w_tilde.f(t)), anchor, x, limit=200)
         return math.exp(-val)
 
-    def f(x):
+    def jet(x, order):
         if np.ndim(x) == 0:
-            return one(float(x))
-        return np.array([one(float(xi)) for xi in np.asarray(x, dtype=float)])
+            f = one(float(x))
+        else:
+            f = np.array([one(float(xi)) for xi in np.asarray(x, dtype=float)])
+        if not order:
+            return (f,)
+        return f, -w_tilde.f(x) * f
 
-    def df(x):
-        return -w_tilde.f(x) * f(x)
-
-    return Function1D(f=f, df=df, domain=w_tilde.domain,
-                      singular_points=w_tilde.singular_points)
+    return Function1D(jet, w_tilde.domain, w_tilde.singular_points)
 
 
 def __getattr__(name):

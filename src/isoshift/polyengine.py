@@ -34,7 +34,7 @@ evaluates itself through its kernel, spec.jet(y, order), looked up at each
 call; real_zeros, classical_zeros and every seed jet
 (catalog.Family.seed_jet) go through it.  _blocks, the slices of _BLOCK
 points, is the package's one block loop: every jet above this kernel
-(catalog._jet_function) and spectral.schrodinger_residual run over the
+(catalog.Function1D) and spectral.schrodinger_residual run over the
 same blocks, each bitwise as in one pass.
 
 A spec is classical when its polynomials are orthogonal for a positive

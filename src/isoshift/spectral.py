@@ -32,8 +32,8 @@ every invariant check of `isoshift certify` and returns its report.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
 polyengine._BLOCK samples and carries only its two maxima across blocks,
 so its value is bitwise that of one pass.  Both residuals raise
-ConfigurationError for an empty sample set and SingularPotentialError when
-no sample is usable, never a pass.
+ConfigurationError for an empty sample set or a sample outside psi's open
+domain, and SingularPotentialError when no sample is usable, never a pass.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import deform, eop
 from . import polyengine as pe
-from .catalog import (Family, Function1D, _log_derivative, _rows, _samples, get_branch,
+from .catalog import (Family, Function1D, _log_derivative, _samples, get_branch,
                       partner_potentials, superpotential)
 from .errors import (ConfigurationError, IsoshiftError, SingularPotentialError, check_index,
                      check_real)
@@ -455,22 +455,22 @@ def schrodinger_residual(psi: Function1D, E: float, V: Function1D, samples):
     """max over samples of |-psi'' + (V - E) psi| / (|E| max|psi| + eps).
 
     Samples where the residual is not finite are skipped, and the max|psi|
-    runs over the others.  psi's rows come from catalog._rows: its jet, or
-    f, df and d2f (5-point differences of df without d2f).  psi, V and the
-    residual are evaluated over
-    blocks of polyengine._BLOCK samples, and only the two maxima cross
-    blocks, so no temporary is longer than a block; the value is bitwise
-    that of one pass.  Raises ConfigurationError for an empty sample set or
-    an E that is not a finite real (errors.check_real), and
+    runs over the others.  psi and psi'' come from one evaluation of
+    psi.jet to order 2.  psi, V and the residual are evaluated over blocks
+    of polyengine._BLOCK samples, and only the two maxima cross blocks, so
+    no temporary is longer than a block; the value is bitwise that of one
+    pass.  Raises ConfigurationError for an empty sample set, a sample that
+    is not a finite point of psi's open domain, an E that is not a finite
+    real (errors.check_real) or a psi of order below 2, and
     SingularPotentialError when no sample gives a finite residual.
     """
     check_real(E, "the energy E")
-    x = _samples(samples)
+    x = _samples(samples, psi.domain)
     worst = top = 0.0
     finite = 0
     for s in pe._blocks(x.size):
         xb = x[s]
-        p, _, d2p = _rows(psi, xb, 2)
+        p, _, d2p = psi.jet(xb, 2)
         p = np.asarray(p, dtype=float)
         res = -np.asarray(d2p, dtype=float) + (np.asarray(V.f(xb)) - E) * p
         ok = np.isfinite(res)
@@ -490,15 +490,14 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     """Residual of Q^2 - Q' - V + E with Q = -psi'/psi, skipping nodes of psi.
 
     A node is a sample where |psi| is at most 1e-8 of the largest finite
-    |psi|, or is not finite.  psi, psi' and psi'' come from catalog._rows,
-    as in schrodinger_residual, and Q and Q' are minus
-    catalog._log_derivative of them.  Raises ConfigurationError for an empty
-    sample set or an E that is not a finite real, and SingularPotentialError
-    when every sample is a node.
+    |psi|, or is not finite.  psi, psi' and psi'' come from one evaluation
+    of psi.jet, and Q and Q' are minus catalog._log_derivative of them.
+    Raises ConfigurationError as schrodinger_residual does, and
+    SingularPotentialError when every sample is a node.
     """
     check_real(E, "the energy E")
-    x = _samples(samples)
-    p, dp, d2p = (np.asarray(v, dtype=float) for v in _rows(psi, x, 2))
+    x = _samples(samples, psi.domain)
+    p, dp, d2p = (np.asarray(v, dtype=float) for v in psi.jet(x, 2))
     size = np.abs(p)
     finite = np.isfinite(size)
     keep = finite & (size > 1e-8 * np.max(size, where=finite, initial=0.0))

@@ -252,8 +252,7 @@ class TestJetRules:
 
 class TestPartnerPotentials:
     def test_zero_superpotential(self):
-        z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        w = Function1D(f=z, df=z, d2f=z, domain=(0.0, 1.0))
+        w = Function1D.from_rows((0.0, 1.0), np.zeros_like, np.zeros_like, np.zeros_like)
         vm, vp = partner_potentials(w)
         x = np.linspace(0.1, 0.9, 7)
         assert np.all(vm.f(x) == 0.0)
@@ -674,15 +673,24 @@ def _jet_kinds():
         "potential_dpt": (lambda: (potential(dpt), x), 1),
         "superpotential_ro": (lambda: (superpotential(ro, 3), r), 2),
         "superpotential_dpt": (lambda: (superpotential(dpt, 2), x), 2),
+        "weight_from_superpotential": (lambda: (eop.weight_from_superpotential(
+            superpotential(ro, 2), 1.0), r), 1),
     }
 
 
-@pytest.mark.parametrize("n", [300, 20_000])
-@pytest.mark.parametrize("kind", sorted(_jet_kinds()))
+# weight_from_superpotential integrates once per point, so it runs on the
+# short grid only; its rows are pointwise, and blocking changes nothing
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in sorted(_jet_kinds()) for n in (300, 20_000)
+    if n == 300 or kind != "weight_from_superpotential"
+])
 def test_every_function_is_its_jet(kind, n):
-    # f, df and d2f are the jet's rows bit for bit, and None past its order
+    # f, df and d2f are the jet's rows bit for bit, and None past its order;
+    # a row past the order is refused by name, and so is an order that is
+    # not a nonnegative integer
     make, order = _jet_kinds()[kind]
     fn, interval = make()
+    assert fn.order == order
     x = np.linspace(*interval, n)
     rows = (fn.f, fn.df, fn.d2f)
     assert [g is not None for g in rows] == [j <= order for j in range(3)]
@@ -691,9 +699,17 @@ def test_every_function_is_its_jet(kind, n):
     for j in range(order + 1):
         assert len(fn.jet(x, j)) == j + 1
         assert np.array_equal(rows[j](x), jet[j], equal_nan=True)
+    missing = "df" if order == 0 else f"d{order + 1}f"
+    with pytest.raises(ConfigurationError, match=f"carries no {missing},"):
+        fn.jet(x, order + 1)
+    # a negative order returned () from a closed form and raised a bare
+    # IndexError from an eigenfunction
+    for k in (-1, 1.0, True):
+        with pytest.raises(ConfigurationError, match="jet order"):
+            fn.jet(x, k)
 
 
-@pytest.mark.parametrize("residual", ["riccati", "si_pair"])
+@pytest.mark.parametrize("residual", ["riccati", "si_pair", "schrodinger", "qhj"])
 @pytest.mark.parametrize("family, bad", [
     (RadialOscillator(2.0, 1.0), [0.0, 1.0]),
     (RadialOscillator(2.0, 1.0), [1.0, math.nan]),
@@ -706,10 +722,16 @@ def test_every_function_is_its_jet(kind, n):
 ], ids=["ro-0", "ro-nan", "ro-inf", "ro-negative", "dpt-0", "dpt-pi/2", "dpt-inf", "dpt--inf"])
 def test_residual_samples_lie_in_the_open_domain(residual, family, bad):
     # si_pair_check(RadialOscillator(2, 1), 1, 4, [0, 1]) and the Riccati
-    # residual at [1, nan] returned nan
+    # residual at [1, nan] returned nan; the spectral residuals, which take
+    # the domain from psi, returned 6.2e-17 at [-1, 1] and 0.0 at [nan, 1]
+    # (an RO L1 state, n = m = 1), and raised a bare RuntimeWarning at 0 and
+    # inf under -W error.  Here psi is a function of order 2 on the domain
+    psi, V = superpotential(family, 1), potential(family)
     calls = {
         "riccati": lambda: deform.seed_polynomial(family, 2, 1).riccati_residual(bad),
         "si_pair": lambda: si_pair_check(family, 1, 4, bad),
+        "schrodinger": lambda: spectral.schrodinger_residual(psi, 1.0, V, bad),
+        "qhj": lambda: spectral.qhj_residual(psi, 1.0, V, bad),
     }
     with pytest.raises(ConfigurationError, match="open domain"):
         calls[residual]()

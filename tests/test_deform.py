@@ -187,47 +187,33 @@ class TestW0:
     def test_from_classical_ground_state(self):
         fam = RadialOscillator(2.0, 1.0)
         w, ell = fam.omega, fam.ell
-        psi = Function1D(
-            f=lambda r: r ** (ell + 1) * np.exp(-w * r**2 / 4),
-            df=lambda r: ((ell + 1) / r - 0.5 * w * r)
-            * r ** (ell + 1)
-            * np.exp(-w * r**2 / 4),
-            domain=(0.0, math.inf),
+        psi = Function1D.from_rows(
+            (0.0, math.inf),
+            lambda r: r ** (ell + 1) * np.exp(-w * r**2 / 4),
+            lambda r: ((ell + 1) / r - 0.5 * w * r) * r ** (ell + 1) * np.exp(-w * r**2 / 4),
         )
         W = w0_from_ground_state(psi)
         r = np.linspace(0.2, 6, 50)
         assert np.allclose(W.f(r), 0.5 * w * r - (ell + 1) / r, rtol=1e-12)
 
     def test_from_constant_ground_state(self):
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        psi = Function1D(f=one, df=zero, domain=(0.0, 10.0))
+        psi = Function1D.from_rows((0.0, 10.0), np.ones_like, np.zeros_like)
         W = w0_from_ground_state(psi)
         assert np.all(W.f(np.linspace(1, 9, 9)) == 0.0)
 
     def test_ground_state_without_df_is_a_configuration_error(self):
-        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        W = w0_from_ground_state(Function1D(f=one, df=None, domain=(0.0, 10.0)))
         with pytest.raises(ConfigurationError, match="no df"):
-            W.f(np.linspace(1, 9, 9))
+            w0_from_ground_state(Function1D.from_rows((0.0, 10.0), np.ones_like))
 
     def test_sign_change_raises(self):
-        psi = Function1D(
-            f=lambda x: np.asarray(x, dtype=float) - 3.0,
-            df=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            domain=(0.0, 10.0),
-        )
+        psi = Function1D.from_rows((0.0, 10.0), lambda x: x - 3.0, np.ones_like)
         with pytest.raises(SingularExtensionError) as exc:
             w0_from_ground_state(psi)
         assert exc.value.points
         assert exc.value.points[0] == pytest.approx(3.0, abs=0.1)
 
     def test_sign_change_point_is_bisected(self):
-        psi = Function1D(
-            f=lambda x: np.asarray(x, dtype=float) - math.pi,
-            df=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            domain=(0.0, 10.0),
-        )
+        psi = Function1D.from_rows((0.0, 10.0), lambda x: x - math.pi, np.ones_like)
         with pytest.raises(SingularExtensionError) as exc:
             w0_from_ground_state(psi)
         assert exc.value.points == [pytest.approx(math.pi, abs=1e-11)]

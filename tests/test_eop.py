@@ -239,20 +239,19 @@ class TestEigenfunctions:
                         assert np.max(np.abs(a - b)) <= bound * np.max(np.abs(b))
 
     def test_intertwiner_of_a_state_without_df_is_a_configuration_error(self):
-        psi = Function1D(f=lambda r: np.exp(-np.asarray(r)), df=None, domain=(0.0, math.inf))
-        out = intertwine(superpotential(FAM, 2), psi)
+        psi = Function1D.from_rows((0.0, math.inf), lambda r: np.exp(-r))
         with pytest.raises(ConfigurationError, match="no df"):
-            out.f(np.linspace(0.3, 4, 30))
+            intertwine(superpotential(FAM, 2), psi)
 
     def test_intertwiner_annihilates_inverse_profile(self):
         # (-d/dr + w)(exp(int w)) = 0 for any smooth w; use the branch-2 one
         w2 = superpotential(FAM, 2)
         # exp(int w2) = r^ell exp(omega r^2/4)
         ell, w = FAM.ell, FAM.omega
-        psi = Function1D(
-            f=lambda r: r**ell * np.exp(0.25 * w * r**2),
-            df=lambda r: (ell / r + 0.5 * w * r) * r**ell * np.exp(0.25 * w * r**2),
-            domain=(0.0, math.inf),
+        psi = Function1D.from_rows(
+            (0.0, math.inf),
+            lambda r: r**ell * np.exp(0.25 * w * r**2),
+            lambda r: (ell / r + 0.5 * w * r) * r**ell * np.exp(0.25 * w * r**2),
         )
         out = intertwine(w2, psi)
         r = np.linspace(0.3, 4, 30)
@@ -292,10 +291,8 @@ class TestWeights:
         m = 1
         d = seed_polynomial(FAM, 2, m)
         w1 = superpotential(FAM, 1)
-        wtot = Function1D(
-            f=lambda r: w1.f(r) + d.phi.f(r),
-            df=lambda r: w1.df(r) + d.phi.df(r),
-            domain=(0.0, 20.0),
+        wtot = Function1D.from_rows(
+            (0.0, 20.0), lambda r: w1.f(r) + d.phi.f(r), lambda r: w1.df(r) + d.phi.df(r)
         )
         ref = weight_from_superpotential(wtot, anchor=1.0)
         ws = weight_spec("L1", m, FAM)

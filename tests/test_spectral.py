@@ -18,7 +18,6 @@ from isoshift.catalog import (
     Function1D,
     RadialOscillator,
     TrigDPT,
-    _rows,
     partner_potentials,
     potential,
     superpotential,
@@ -41,9 +40,7 @@ from isoshift.errors import ConfigurationError, QuadratureError, SingularPotenti
 
 
 def _const_fn(c, domain=(0.0, 1.0)):
-    g = lambda x: np.full_like(np.asarray(x, dtype=float), c)
-    return Function1D(f=g, df=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                      domain=domain)
+    return Function1D.from_rows(domain, lambda x: np.full_like(x, c), np.zeros_like, np.zeros_like)
 
 
 def _tridiagonal(V, grid):
@@ -70,9 +67,7 @@ def _bisection_report(V, grid, k):
 
 
 def _harmonic_line():
-    x2 = lambda x: np.asarray(x, dtype=float) ** 2
-    return Function1D(f=x2, df=lambda x: 2.0 * np.asarray(x, dtype=float),
-                      domain=(-12.0, 12.0))
+    return Function1D.from_rows((-12.0, 12.0), lambda x: x**2, lambda x: 2.0 * x)
 
 
 def _partner_vminus(fam):
@@ -231,11 +226,7 @@ class TestSolver:
         assert rep.eigenvalues[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_singular_potential_reports_node(self):
-        bad = Function1D(
-            f=lambda x: np.full_like(np.asarray(x, dtype=float), np.nan),
-            df=None,
-            domain=(0.0, 1.0),
-        )
+        bad = Function1D.from_rows((0.0, 1.0), lambda x: np.full_like(x, np.nan))
         grid = Grid(0.0, 1.0, 100)
         with pytest.raises(SingularPotentialError) as exc:
             solve_bound_states(bad, grid, k=1)
@@ -246,8 +237,7 @@ class TestSolver:
         grid = Grid(0.0, 1.0, 100)
         coarse, fine, seed = grid.nodes[50], grid.refined().nodes[10], Grid(0.0, 1.0, 256).nodes[3]
         bad = {"coarse": [seed, fine, coarse], "fine": [seed, fine], "seed": [seed]}[where]
-        V = Function1D(f=lambda x: np.where(np.isin(x, bad), np.inf, 0.0), df=None,
-                       domain=(0.0, 1.0))
+        V = Function1D.from_rows((0.0, 1.0), lambda x: np.where(np.isin(x, bad), np.inf, 0.0))
         with pytest.raises(SingularPotentialError) as exc:
             solve_bound_states(V, grid, k=1)
         assert exc.value.node == bad[-1]
@@ -267,7 +257,7 @@ class TestSolver:
 
         grid = default_grid(fam, k=4, m=1, n_points=n_points)
         fine, seed = grid.refined(), Grid(grid.lo, grid.hi, max(256, n_points // 8))
-        rep = solve_bound_states(Function1D(f=f, df=None, domain=inner.domain), grid, 4)
+        rep = solve_bound_states(Function1D.from_rows(inner.domain, f), grid, 4)
         assert np.array_equal(fine.nodes[1::2], grid.nodes)
         assert np.array_equal(np.concatenate(calls), np.concatenate([fine.nodes, seed.nodes]))
         assert max(c.size for c in calls) <= spectral._POTENTIAL_SLICE
@@ -643,7 +633,7 @@ class TestIsospectrality:
         fam = RadialOscillator(1.0, 1.0)
         vminus, _ = partner_potentials(superpotential(fam, 1))
         c = 3.7
-        shifted = Function1D(f=lambda r: vminus.f(r) + c, df=None, domain=vminus.domain)
+        shifted = Function1D.from_rows(vminus.domain, lambda r: vminus.f(r) + c)
         grid = default_grid(fam, k=4, n_points=2000)
         shift, dev = isospectrality_report(shifted, vminus, grid, k=4)
         assert shift == pytest.approx(c, abs=1e-10)
@@ -708,7 +698,7 @@ class TestResiduals:
 
     @pytest.mark.parametrize("residual", [schrodinger_residual, qhj_residual])
     def test_missing_df_is_a_configuration_error(self, residual):
-        psi = Function1D(f=_const_fn(1.0).f, df=None, domain=(0.0, 1.0))
+        psi = Function1D.from_rows((0.0, 1.0), _const_fn(1.0).f)
         with pytest.raises(ConfigurationError, match="no df"):
             residual(psi, 1.0, _const_fn(1.0), np.linspace(0.1, 0.9, 9))
 
@@ -724,9 +714,8 @@ class TestResiduals:
         psi = classical_ro_eigenfunction(fam, 0)
         E = fam.omega * (fam.ell + 1.5)
         samples = np.linspace(0.2, 6, 60)
-        holed = Function1D(
-            f=lambda x: np.where(np.asarray(x) < 1.0, math.nan, psi.f(x)),
-            df=psi.df, d2f=psi.d2f, domain=psi.domain,
+        holed = Function1D.from_rows(
+            psi.domain, lambda x: np.where(x < 1.0, math.nan, psi.f(x)), psi.df, psi.d2f
         )
         assert qhj_residual(holed, E, potential(fam), samples) <= 1e-10
 
@@ -765,33 +754,23 @@ class TestResiduals:
             assert peak < 4 * x.nbytes
 
     @pytest.mark.parametrize("series,branch,n,m", [("L1", 2, 3, 2), ("L3", 1, 2, 2)])
-    def test_jet_residuals_match_finite_difference_fallback(self, series, branch, n, m):
+    def test_jet_residuals_match_closed_form_rows(self, series, branch, n, m):
         fam = RadialOscillator(2.0, 1.0)
         V = extend(seed_polynomial(fam, branch, m)).V_tilde_minus
         psi = eigenfunction_closed_form(EOPSpec(series, n, m, fam))
-        assert psi.jet is not None
-        # without a jet the residuals read f, df and d2f; without d2f too,
-        # they difference psi' numerically
-        with_d2 = Function1D(f=psi.f, df=psi.df, d2f=psi.d2f, domain=psi.domain)
-        fd = Function1D(f=psi.f, df=psi.df, domain=psi.domain)
+        # the same function built from its rows f, df and d2f: its jet is
+        # those rows bit for bit, so the residuals read it as they read psi
+        closed = Function1D.from_rows(psi.domain, psi.f, psi.df, psi.d2f)
         samples = np.linspace(0.2, 5, 300)
         E = eigenvalue(EOPSpec(series, n, m, fam))
         for energy in (E, E + 0.5):
             for residual in (schrodinger_residual, qhj_residual):
-                exact = residual(psi, energy, V, samples)
-                for jet_free in (with_d2, fd):
-                    assert abs(exact - residual(jet_free, energy, V, samples)) <= 1e-6
-        # the rows of a jet-free function: d2f, or 5-point differences of df
-        h = 1e-4 * np.maximum(1.0, np.abs(samples))
-        d = psi.df
-        five_point = (-d(samples + 2 * h) + 8.0 * d(samples + h) - 8.0 * d(samples - h)
-                      + d(samples - 2 * h)) / (12.0 * h)
-        for fn, d2 in ((with_d2, psi.d2f(samples)), (fd, five_point)):
-            want = (psi.f(samples), psi.df(samples), d2)
-            for order in (0, 1, 2):
-                rows = _rows(fn, samples, order)
-                assert len(rows) == order + 1
-                assert all(np.array_equal(g, w) for g, w in zip(rows, want))
+                assert residual(closed, energy, V, samples) == residual(psi, energy, V, samples)
+        want = psi.jet(samples)
+        for order in (0, 1, 2):
+            rows = closed.jet(samples, order)
+            assert len(rows) == order + 1
+            assert all(np.array_equal(g, w) for g, w in zip(rows, want))
         assert schrodinger_residual(psi, E, V, samples) <= 1e-10
         assert schrodinger_residual(psi, E + 0.5, V, samples) >= 1e-2
 
