@@ -161,7 +161,8 @@ class Family:
     """Base class of the potential families; one deformation algorithm serves all.
 
     A family supplies only its data: `name` (the CLI name), `domain`,
-    `branches()`, the closed forms `potential()` and `superpotential(a, b)`,
+    its four Branch records (built once, by __post_init__; `branches()`
+    lists them), the closed forms `potential()` and `superpotential(a, b)`,
     `tau()` and the step `tau_step` it induces on a branch's (a, b),
     `sign_reversed_branches` (deformed by the second process), the variable
     of its seeds and states: `variable(x, order)` -> (y, y', y'')[: order + 1],
@@ -185,6 +186,11 @@ class Family:
         if not isinstance(obj, cls):
             raise ConfigurationError(f"expected a {cls.__name__}, got {type(obj).__name__}")
         return obj
+
+    def branches(self):
+        """A new list of the four Branch records, by k, that __post_init__ built
+        once, outside the dataclass fields that ==, hash, repr and asdict read."""
+        return list(self._branches)
 
     def effective(self, branch):
         """(a, b, process) a branch deforms with: its own (a, b) by process 1,
@@ -225,12 +231,6 @@ class RadialOscillator(Family):
             raise ConfigurationError(f"omega must be positive, got {self.omega}")
         if check_real(self.ell, "ell") < 0.0:
             raise ConfigurationError(f"ell must be nonnegative, got {self.ell}")
-
-    @property
-    def domain(self):
-        return (0.0, math.inf)
-
-    def branches(self):
         w, l = self.omega, self.ell
         # factorization energy E solves w^2 - w' = V - E; the constant
         # w^2 - w' - V equals b(a - 1/2)
@@ -240,7 +240,12 @@ class RadialOscillator(Family):
             (3, -(l + 1.0), -w, "broken"),
             (4, l, -w, "exact"),
         ]
-        return [Branch(k, a, b, -b * (a - 0.5), kind) for k, a, b, kind in table]
+        object.__setattr__(self, "_branches", tuple(
+            Branch(k, a, b, -b * (a - 0.5), kind) for k, a, b, kind in table))
+
+    @property
+    def domain(self):
+        return (0.0, math.inf)
 
     def potential(self):
         w2, ll = self.omega**2, self.ell * (self.ell + 1.0)
@@ -338,12 +343,6 @@ class TrigDPT(Family):
             raise ConfigurationError(
                 f"A and B must exceed -1/2, got A={self.A}, B={self.B}"
             )
-
-    @property
-    def domain(self):
-        return (0.0, math.pi / 2.0)
-
-    def branches(self):
         A, B = self.A, self.B
         # here w^2 - w' - V = -(a+b)^2 and the factorization energies are quoted
         # as E = -(A+B)^2, -(1+A-B)^2, -(1-A+B)^2, -(2+A+B)^2
@@ -353,7 +352,12 @@ class TrigDPT(Family):
             (3, A, -B - 1.0, "broken"),
             (4, -A - 1.0, -B - 1.0, "exact"),
         ]
-        return [Branch(k, a, b, -((a + b) ** 2), kind) for k, a, b, kind in table]
+        object.__setattr__(self, "_branches", tuple(
+            Branch(k, a, b, -((a + b) ** 2), kind) for k, a, b, kind in table))
+
+    @property
+    def domain(self):
+        return (0.0, math.pi / 2.0)
 
     def potential(self):
         ca, cb = self.A * (self.A + 1.0), self.B * (self.B + 1.0)

@@ -438,22 +438,26 @@ def _panel_rules(a, b, c):
     return y, w
 
 
-def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
-                     singular_points=None):
-    """(G, err): the Gram matrix and its quadrature error estimate.
+def gram_matrix(series: str, m: int, params: RadialOscillator, n_max: int,
+                singular_points=None):
+    """(G, err): the Gram matrix G[n, n'] = int P_n P_n' W^2 dr over
+    (0, r_cut) and its quadrature error estimate.
 
-    singular_points, when given, are the seed zeros of the series'
-    deformation (from seed_polynomial of its branch), which then are not
-    scanned again; None scans them as weight_spec does.
+    Refuses singular extensions.  singular_points, when given, are the seed
+    zeros of the series' deformation (from seed_polynomial of its branch),
+    which then are not scanned again; None scans them as weight_spec does.
+    The cut r_cut follows the Gaussian decay of W^2; the truncated tail is
+    below 1e-12 of the diagonal scale for the ranges certified here.
 
     In y = omega r^2/2 the measure W^2 dr is
     (2/omega)^p (2 omega)^(-1/2) y^(p-1/2) e^(-y) / T(y)^2 dy.  The range
     (0, omega r_cut^2/2) is cut into the Gauss-Jacobi panel [0, h0] and the
     Gauss-Legendre panels [h0 2^k, h0 2^(k+1)].  Every panel is compared with
     the sum over its two halves; panels that disagree by more than
-    _GRAM_TOL (normalized like gram_offdiag_max) are split and redone, and G
-    sums the halves of the accepted panels.  err is the largest entry of the
-    summed |halves - whole| of those panels, normalized the same way.
+    _GRAM_TOL (1e-13 of sqrt(G_nn G_n'n'), like gram_offdiag_max) are split
+    and redone, and G sums the halves of the accepted panels.  err is the
+    largest entry of the summed |halves - whole| of those panels, normalized
+    the same way.  Refinement past _GRAM_MAX_NODES nodes raises QuadratureError.
     """
     check_index(n_max, "n_max")
     rec = _series(EOPSpec(series, 0, m, params))
@@ -506,20 +510,6 @@ def _gram_with_error(series: str, m: int, params: RadialOscillator, n_max: int,
     d = np.sqrt(np.diag(G))
     scale = (2.0 / omega) ** rec.p / math.sqrt(2.0 * omega)
     return scale * G, float(np.max(err / np.outer(d, d)))
-
-
-def gram_matrix(series: str, m: int, params: RadialOscillator, n_max: int):
-    """Gram matrix G[n, n'] = int P_n P_n' W^2 dr over (0, r_cut).
-
-    Refuses singular extensions.  The cut r_cut follows the Gaussian decay
-    of W^2; the truncated tail is below 1e-12 of the diagonal scale for the
-    ranges certified here.  The integral is one vectorized composite Gauss
-    rule in y = omega r^2/2, refined panel by panel until each panel agrees
-    with its two halves to 1e-13 of sqrt(G_nn G_n'n'); see _gram_with_error,
-    which also returns that error estimate.  Raises QuadratureError when the
-    refinement would exceed _GRAM_MAX_NODES nodes.
-    """
-    return _gram_with_error(series, m, params, n_max)[0]
 
 
 def gram_offdiag_max(G):

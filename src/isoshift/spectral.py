@@ -436,16 +436,21 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     )
 
 
-def isospectrality_report(V_a: Function1D, V_b: Function1D, grid: Grid, k: int):
-    """(shift, max per-level deviation) between two spectra's lowest k levels.
+def isospectrality_report(report_a: SpectralReport, report_b: SpectralReport):
+    """(shift, max per-level deviation) between two solver reports' levels.
 
-    The shift is the least-squares constant offset spec(V_a) - spec(V_b).
+    The shift is the least-squares constant offset spec_a - spec_b, and the
+    deviation the largest |spec_a - spec_b - shift|.  Raises
+    ConfigurationError unless both are SpectralReports with as many levels,
+    at least one.
     """
-    return _spectral_offset(solve_bound_states(V_a, grid, k), solve_bound_states(V_b, grid, k))
-
-
-def _spectral_offset(report_a: SpectralReport, report_b: SpectralReport):
-    """isospectrality_report's (shift, deviation) from the two solver reports."""
+    if not all(isinstance(r, SpectralReport) for r in (report_a, report_b)):
+        raise ConfigurationError("expected two SpectralReports, got "
+                                 f"{type(report_a).__name__} and {type(report_b).__name__}")
+    n_a, n_b = len(report_a.eigenvalues), len(report_b.eigenvalues)
+    if n_a != n_b or not n_a:
+        raise ConfigurationError(
+            f"the reports hold {n_a} and {n_b} levels; a shift needs as many, at least one")
     diff = np.array(report_a.eigenvalues) - np.array(report_b.eigenvalues)
     shift = float(np.mean(diff))
     return shift, float(np.max(np.abs(diff - shift)))
@@ -512,20 +517,19 @@ def qhj_residual(psi: Function1D, E: float, V: Function1D, samples):
     return float(np.max(np.abs(res)) / scale)
 
 
-def classify_regularity(family, branch, m) -> RegularityReport:
-    """Numeric-first regularity of the (branch, m) extension.
+def classify_regularity(d: deform.Deformation) -> RegularityReport:
+    """Numeric-first regularity of the extension d, a Deformation (any other
+    d is a ConfigurationError; from (family, branch, m), pass
+    seed_polynomial(family, branch, m)).
 
-    The classification comes from scanning the seed polynomial for zeros in
-    the physical domain.  Where the family states a closed-form criterion
-    (radial-oscillator seeds at negative argument and non-integer alpha, see
-    RadialOscillator.seed_zero_prediction) it is evaluated alongside; a
-    disagreement is reported as a finding, never as a failure.
+    The classification comes from the zero scan of the seed polynomial in
+    the physical domain that d holds.  Where the family states a closed-form
+    criterion (radial-oscillator seeds at negative argument and non-integer
+    alpha, see RadialOscillator.seed_zero_prediction) it is evaluated
+    alongside; a disagreement is reported as a finding, never as a failure.
     """
-    return _deformation_regularity(deform.seed_polynomial(family, branch, m))
-
-
-def _deformation_regularity(d) -> RegularityReport:
-    """classify_regularity of a Deformation, from the zero scan it already holds."""
+    if not isinstance(d, deform.Deformation):
+        raise ConfigurationError(f"expected a Deformation, got {type(d).__name__}")
     classification = "singular" if d.singular_points else "regular"
     klh = d.family.seed_zero_prediction(d.seed)
     finding = None
@@ -630,7 +634,7 @@ def _certify_cell(family, k, m, extension, v_minus_spectrum,
     d, pair = extension(k, m)  # extend raises InternalInconsistencyError on violation
     rr = d.riccati_residual(deform.certification_grid(family, 400, exclude=d.singular_points))
     _gate(failures, f"{cell} riccati residual", rr, _RICCATI_GATE * (1.0 + abs(d.R)))
-    reg = _deformation_regularity(d)
+    reg = classify_regularity(d)
     record = {"branch": k, "m": m, "riccati_residual": rr,
               "partner_shift_deviation": pair.partner_shift_deviation, "shift": d.R,
               "regularity": reg.classification, "singular_points": list(reg.points)}
@@ -639,7 +643,7 @@ def _certify_cell(family, k, m, extension, v_minus_spectrum,
 
     series = family.exceptional_series.get(k)
     if series is not None and m > 0 and reg.is_regular and not skip_gram:
-        G, gerr = eop._gram_with_error(series, m, family, nmax, reg.points)
+        G, gerr = eop.gram_matrix(series, m, family, nmax, reg.points)
         gmax = eop.gram_offdiag_max(G)
         record["gram_offdiag_max"] = gmax
         record["gram_quadrature_error"] = gerr
@@ -661,7 +665,7 @@ def _certify_cell(family, k, m, extension, v_minus_spectrum,
             tilde = v_minus_spectrum(k, gridspec)
         else:
             tilde = solve_bound_states(pair.V_tilde_minus, gridspec, 4)
-        shift, deviation = _spectral_offset(tilde, v_minus_spectrum(k, gridspec))
+        shift, deviation = isospectrality_report(tilde, v_minus_spectrum(k, gridspec))
         record["isospectrality"] = {"shift": shift, "deviation": deviation}
         _gate(failures, f"{cell} isospectral deviation", deviation, _ISOSPECTRAL_GATE)
     else:

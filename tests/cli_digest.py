@@ -8,14 +8,17 @@ change moves any byte the command line prints or writes:
 Each line holds the arguments, the exit code, and the SHA-256 of stdout
 (with the certify report's `wall_time_s` values stripped), of stderr and
 of each file the run wrote, by name.  The runs call isoshift.cli.main in
-this process, each with stdout and stderr captured and, for `extend` and
-`interpolate`, a fresh output directory.  The file is not a test module:
-pytest does not collect it.
+this process, each with stdout and stderr captured and a fresh temporary
+directory: the output directory of `extend` and `interpolate`, and the
+home of a run's config file, which the line shows as its JSON text in
+place of its path.  The file is not a test module: pytest does not
+collect it.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import re
 import sys
 import tempfile
@@ -86,21 +89,52 @@ def _interpolate_runs():
     return [["interpolate"] + argv for argv in runs]
 
 
+def _catalog_runs():
+    """catalog on each family, as JSON and as CSV."""
+    families = [["radial_oscillator", "--omega", "2", "--ell", "1.5"],
+                ["trig_dpt", "--A", "1.5", "--B", "3"]]
+    return [["catalog"] + family + fmt for family in families
+            for fmt in ([], ["--format", "csv"])]
+
+
+def _config_runs():
+    """certify from a config file (a dict stands for the file): one flag also
+    on the command line, which overrides the file, then a file with an
+    unknown key and one with a wrongly typed value, both refused."""
+    runs = [
+        ["--config", {"branches": [1, 2], "m": [0, 2], "omega": 2.0}, "--m", "1"],
+        ["--config", {"omega": 1.0, "colour": "red"}],
+        ["--config", {"branches": [2], "nmax": "four"}],
+    ]
+    return [["certify"] + argv for argv in runs]
+
+
 def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
 def digest(argv):
-    """One line: argv, exit code, and the digests of the run's outputs."""
+    """One line: argv, exit code, and the digests of the run's outputs.
+
+    A dict in argv is the JSON of a config file: the run gets the path of a
+    file holding it, and the line shows the JSON text.
+    """
     out, err = io.StringIO(), io.StringIO()
+    argv = [json.dumps(a) if isinstance(a, dict) else a for a in argv]
     with tempfile.TemporaryDirectory() as tmp:
-        extra = ["--out", tmp] if argv[0] != "certify" else []
+        config = Path(tmp) / "config.json"
+        run = list(argv)
+        if "--config" in run:
+            i = run.index("--config") + 1
+            config.write_text(run[i], encoding="utf-8")
+            run[i] = str(config)
+        extra = ["--out", tmp] if argv[0] in ("extend", "interpolate") else []
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = cli.main(argv + extra)
+                code = cli.main(run + extra)
             except SystemExit as exc:  # argparse's refusals
                 code = exc.code
-        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file())
+        files = sorted(p for p in Path(tmp).rglob("*") if p.is_file() and p != config)
         written = [f"{p.relative_to(tmp)} {_sha(p.read_bytes())}" for p in files]
     stdout = re.sub(r'"wall_time_s": [^,\n]*', "", out.getvalue())
     fields = [" ".join(argv), f"exit {code}", f"stdout {_sha(stdout.encode())}",
@@ -109,7 +143,8 @@ def digest(argv):
 
 
 def main():
-    for argv in _certify_runs() + _extend_runs() + _interpolate_runs():
+    runs = _certify_runs() + _extend_runs() + _interpolate_runs()
+    for argv in runs + _catalog_runs() + _config_runs():
         print(digest(argv), flush=True)
     return 0
 

@@ -514,10 +514,14 @@ class TestOneVariable:
 
 
 _DPT = TrigDPT(1.0, 1.0)
+# solver reports of n levels at 1, ..., n
+_LEVELS = {n: spectral.SpectralReport(tuple(float(i + 1) for i in range(n)),
+                                      (True,) * n, (0.0,) * n) for n in range(4)}
 
-# calls that must refuse a family they do not support: every eop entry with
+# calls that must refuse an input they do not support: every eop entry with
 # a DPT (no exceptional series), every public function taking a family with
-# an object that is not one
+# an object that is not one, and every one taking a library record with
+# anything else (or, for isospectrality_report, reports of unequal length)
 _REFUSED = {
     "eigenfunction_closed_form-dpt": lambda: eop.eigenfunction_closed_form(
         eop.EOPSpec("L1", 1, 1, _DPT)),
@@ -534,7 +538,18 @@ _REFUSED = {
     "seed_polynomial": lambda: deform.seed_polynomial(object(), get_branch(_DPT, 2), 1),
     "certification_grid": lambda: deform.certification_grid(object()),
     "default_grid": lambda: spectral.default_grid(object()),
-    "classify_regularity": lambda: spectral.classify_regularity(object(), 2, 1),
+    "classify_regularity": lambda: spectral.classify_regularity(object()),
+    "classify_regularity-family": lambda: spectral.classify_regularity(_DPT),
+    "isospectrality_report-object": lambda: spectral.isospectrality_report(object(), _LEVELS[2]),
+    "isospectrality_report-tuple": lambda: spectral.isospectrality_report(
+        _LEVELS[2], _LEVELS[2].eigenvalues),
+    # lengths n and 1 broadcast to a wrong shift; others raised a bare ValueError
+    "isospectrality_report-levels-2-1": lambda: spectral.isospectrality_report(
+        _LEVELS[2], _LEVELS[1]),
+    "isospectrality_report-levels-3-2": lambda: spectral.isospectrality_report(
+        _LEVELS[3], _LEVELS[2]),
+    "isospectrality_report-no-levels": lambda: spectral.isospectrality_report(
+        _LEVELS[0], _LEVELS[0]),
     "w0_explicit": lambda: deform.w0_explicit(object(), 1),
     "extend_general_R": lambda: deform.extend_general_R(object(), 2, 1.0),
     "weight_spec": lambda: eop.weight_spec("L1", 1, object()),
@@ -587,7 +602,6 @@ class TestBranchResolution:
             lambda: si_pair_check(ro, 1, foreign, [1.0]),
             lambda: deform.seed_polynomial(ro, foreign, 1),
             lambda: deform.extend_general_R(ro, foreign, 1.0),
-            lambda: spectral.classify_regularity(ro, foreign, 1),
         )
         for call in calls:
             with pytest.raises(ConfigurationError, match="is not a branch of"):
@@ -600,6 +614,16 @@ class TestBranchResolution:
             assert get_branch(fam, b) is b
             # a branch of an equal parameter set is the family's own
             assert get_branch(twin, b) is b
+
+    @pytest.mark.parametrize("fam", [RO, TrigDPT(1.5, 3.0)], ids=repr)
+    def test_branch_table_is_built_once(self, fam):
+        # a new list of the same records each call; the table is no dataclass
+        # field, so ==, hash, repr and asdict see the parameters alone
+        first, second = fam.branches(), fam.branches()
+        assert first is not second and all(a is b for a, b in zip(first, second))
+        twin = type(fam)(*dataclasses.astuple(fam))
+        assert twin == fam and hash(twin) == hash(fam) and "_branches" not in repr(fam)
+        assert list(dataclasses.asdict(fam)) == [f.name for f in dataclasses.fields(fam)]
 
     @pytest.mark.parametrize("fam", [RO, TrigDPT(1.5, 3.0)], ids=repr)
     def test_effective(self, fam):

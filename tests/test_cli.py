@@ -314,13 +314,13 @@ class TestCertify:
         from isoshift import eop
 
         sizes = []
-        real_gram = eop._gram_with_error
+        real_gram = eop.gram_matrix
 
         def spy(series, m, params, n_max, *args):
             sizes.append(n_max)
             return real_gram(series, m, params, n_max, *args)
 
-        monkeypatch.setattr(eop, "_gram_with_error", spy)
+        monkeypatch.setattr(eop, "gram_matrix", spy)
         code = main(["certify", "--branches", "2", "--m", "1", "--nmax", "6", "--skip-spectral"])
         report = json.loads(capsys.readouterr().out)
         assert code == 0 and report["status"] == "pass"

@@ -319,18 +319,18 @@ class TestWeights:
 class TestGram:
     def test_orthogonality_l1(self):
         for m in (1, 2):
-            G = gram_matrix("L1", m, FAM, n_max=4)
+            G, _ = gram_matrix("L1", m, FAM, n_max=4)
             assert gram_offdiag_max(G) <= 1e-10
             assert np.all(np.diag(G) > 0.0)
 
     def test_orthogonality_l3(self):
-        G = gram_matrix("L3", 2, RadialOscillator(1.0, 1.0), n_max=3)
+        G, _ = gram_matrix("L3", 2, RadialOscillator(1.0, 1.0), n_max=3)
         assert gram_offdiag_max(G) <= 1e-10
         assert np.all(np.diag(G) > 0.0)
 
     def test_m0_diagonal_gamma_norms(self):
         # classical norm: (2/w)^(l+1) (2w)^(-1/2) Gamma(n+l+3/2)/n!
-        G = gram_matrix("L1", 0, FAM, n_max=3)
+        G, _ = gram_matrix("L1", 0, FAM, n_max=3)
         w, ell = FAM.omega, FAM.ell
         pref = (2.0 / w) ** (ell + 1) / math.sqrt(2.0 * w)
         for n in range(4):
@@ -342,7 +342,7 @@ class TestGram:
             gram_matrix("L3", 1, RadialOscillator(1.0, 0.2), n_max=2)
 
     def test_trivial_matrix(self):
-        G = gram_matrix("L1", 1, FAM, n_max=0)
+        G, _ = gram_matrix("L1", 1, FAM, n_max=0)
         assert G.shape == (1, 1)
         assert gram_offdiag_max(G) == 0.0
 
@@ -360,9 +360,9 @@ class TestGram:
 
     def test_split_panels_converge_to_the_same_matrix(self, monkeypatch):
         fam = RadialOscillator(1.0, 1.0)
-        G, err = eop._gram_with_error("L3", 2, fam, 3)
+        G, err = eop.gram_matrix("L3", 2, fam, 3)
         monkeypatch.setattr(eop, "_GRAM_ORDER", 6)  # too coarse for one round
-        G6, err6 = eop._gram_with_error("L3", 2, fam, 3)
+        G6, err6 = eop.gram_matrix("L3", 2, fam, 3)
         d = np.sqrt(np.diag(G))
         assert np.max(np.abs(G6 - G) / np.outer(d, d)) <= 1e-12
         assert err <= 1e-13 and 0.0 < err6 <= 1e-11
@@ -371,20 +371,20 @@ class TestGram:
         # y^(ell+1/2) is not smooth at 0; the Gauss-Jacobi first panel keeps
         # it from splitting.  One round here is 15 panels x 3 rules x 20 nodes.
         monkeypatch.setattr(eop, "_GRAM_MAX_NODES", 900)
-        G = gram_matrix("L1", 3, RadialOscillator(4.0, 0.1), n_max=4)
+        G, _ = gram_matrix("L1", 3, RadialOscillator(4.0, 0.1), n_max=4)
         assert gram_offdiag_max(G) <= 1e-12
 
     def test_known_singular_points_skip_the_scan(self):
         fam = RadialOscillator(1.0, 1.0)
-        G, err = eop._gram_with_error("L3", 2, fam, 3, singular_points=())
-        assert np.array_equal(G, gram_matrix("L3", 2, fam, 3))
+        G, err = eop.gram_matrix("L3", 2, fam, 3, singular_points=())
+        assert np.array_equal(G, gram_matrix("L3", 2, fam, 3)[0])
         with pytest.raises(SingularExtensionError) as info:
-            eop._gram_with_error("L3", 2, fam, 3, singular_points=(1.5,))
+            eop.gram_matrix("L3", 2, fam, 3, singular_points=(1.5,))
         assert info.value.points == [1.5]
 
     def test_error_estimate_reported(self):
-        G, err = eop._gram_with_error("L2", 1, FAM, 3)
-        assert np.array_equal(G, gram_matrix("L2", 1, FAM, n_max=3))
+        G, err = eop.gram_matrix("L2", 1, FAM, 3)
+        assert np.array_equal(G, gram_matrix("L2", 1, FAM, n_max=3)[0])
         assert 0.0 <= err <= 1e-13
 
 
@@ -480,7 +480,7 @@ class TestGramOracle:
         mp = pytest.importorskip("mpmath").mp.clone()
         mp.dps = 30
         w, ell = FAM.omega, FAM.ell
-        G = gram_matrix("L1", 0, FAM, n_max=4)
+        G, _ = gram_matrix("L1", 0, FAM, n_max=4)
         pref = (mp.mpf(2) / w) ** (ell + 1) / mp.sqrt(2 * w)
         for n in range(5):
             want = pref * mp.gamma(n + ell + mp.mpf(3) / 2) / mp.factorial(n)
@@ -494,7 +494,7 @@ class TestGramOracle:
     ])
     def test_normalized_entries_match_mpmath(self, series, omega, ell, m):
         n_max = 4
-        G = gram_matrix(series, m, RadialOscillator(omega, ell), n_max=n_max)
+        G, _ = gram_matrix(series, m, RadialOscillator(omega, ell), n_max=n_max)
         mp, I = _mp_gram(series, m, ell, n_max)
         want = np.array([[float(I[i, j] / mp.sqrt(I[i, i] * I[j, j]))
                           for j in range(n_max + 1)] for i in range(n_max + 1)])
@@ -544,9 +544,9 @@ class TestGaussRules:
         from scipy.special import roots_jacobi
 
         params = RadialOscillator(omega, ell)
-        G, _ = eop._gram_with_error(series, m, params, 4)
+        G, _ = eop.gram_matrix(series, m, params, 4)
         monkeypatch.setattr(eop, "_gauss_jacobi", roots_jacobi)
-        want, _ = eop._gram_with_error(series, m, params, 4)
+        want, _ = eop.gram_matrix(series, m, params, 4)
         assert np.max(np.abs(_normalized(G) - _normalized(want))) <= 1e-15
 
 
@@ -723,7 +723,7 @@ class TestKernelCallBudget:
     def test_gram_takes_n_max_plus_two_calls_per_node_set(self, monkeypatch, series, m):
         fam, n_max = RadialOscillator(1.0, 1.0), 3
         calls = self._calls(monkeypatch)
-        eop._gram_with_error(series, m, fam, n_max, ())
+        eop.gram_matrix(series, m, fam, n_max, ())
         per_node_set = {}
         for key in calls:
             per_node_set[key] = per_node_set.get(key, 0) + 1

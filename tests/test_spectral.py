@@ -23,7 +23,8 @@ from isoshift.catalog import (
     superpotential,
 )
 from isoshift.deform import certification_grid, extend, seed_polynomial
-from isoshift.eop import EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form, eigenvalue
+from isoshift.eop import (EOPSpec, classical_ro_eigenfunction, eigenfunction_closed_form,
+                         eigenvalue, gram_matrix, gram_offdiag_max)
 import isoshift
 from isoshift import cli, deform, spectral
 from isoshift.spectral import (
@@ -166,7 +167,7 @@ def test_dpt_default_grid_keeps_the_certified_levels():
                         continue
                     cells += 1
                     tilde = solve_bound_states(extend(d).V_tilde_minus, grid, 4)
-                    assert spectral._spectral_offset(tilde, v_minus)[1] <= 1e-6
+                    assert isospectrality_report(tilde, v_minus)[1] <= 1e-6
     assert cells == 104
 
 
@@ -625,7 +626,8 @@ class TestIsospectrality:
         fam = RadialOscillator(1.0, 1.0)
         vminus, _ = partner_potentials(superpotential(fam, 1))
         grid = default_grid(fam, k=4, n_points=2000)
-        shift, dev = isospectrality_report(vminus, vminus, grid, k=4)
+        shift, dev = isospectrality_report(solve_bound_states(vminus, grid, 4),
+                                           solve_bound_states(vminus, grid, 4))
         assert shift == 0.0
         assert dev == 0.0
 
@@ -635,7 +637,8 @@ class TestIsospectrality:
         c = 3.7
         shifted = Function1D.from_rows(vminus.domain, lambda r: vminus.f(r) + c)
         grid = default_grid(fam, k=4, n_points=2000)
-        shift, dev = isospectrality_report(shifted, vminus, grid, k=4)
+        shift, dev = isospectrality_report(solve_bound_states(shifted, grid, 4),
+                                           solve_bound_states(vminus, grid, 4))
         assert shift == pytest.approx(c, abs=1e-10)
         assert dev <= 1e-10
 
@@ -777,13 +780,13 @@ class TestResiduals:
 
 class TestRegularity:
     def test_regular_extension(self):
-        rep = classify_regularity(RadialOscillator(2.0, 1.0), 2, 2)
+        rep = classify_regularity(seed_polynomial(RadialOscillator(2.0, 1.0), 2, 2))
         assert rep.is_regular
         assert rep.points == ()
         assert rep.finding is None
 
     def test_branch1_fractional_ell_pole_is_predicted(self):
-        rep = classify_regularity(RadialOscillator(1.0, 0.2), 1, 1)
+        rep = classify_regularity(seed_polynomial(RadialOscillator(1.0, 0.2), 1, 1))
         assert rep.classification == "singular"
         assert rep.points[0] == pytest.approx(math.sqrt(1.4), abs=1e-8)
         # the seed L_1^(-1.7)(-y) has its one zero at y = 0.7, as the
@@ -795,18 +798,18 @@ class TestRegularity:
         fam = RadialOscillator(1.0, 0.2)
         monkeypatch.setattr(RadialOscillator, "seed_zero_prediction",
                             lambda self, spec: "regular")
-        rep = classify_regularity(fam, 1, 1)
+        rep = classify_regularity(seed_polynomial(fam, 1, 1))
         # scan and closed-form criterion disagree: a finding, never an exception
         assert rep.classification == "singular"
         assert rep.finding is not None
 
     def test_m0_always_regular(self):
         for k in (1, 2, 3, 4):
-            rep = classify_regularity(RadialOscillator(1.0, 1.0), k, 0)
+            rep = classify_regularity(seed_polynomial(RadialOscillator(1.0, 1.0), k, 0))
             assert rep.is_regular
 
     def test_dpt_has_no_klh_prediction(self):
-        rep = classify_regularity(TrigDPT(1.0, 2.0), 2, 1)
+        rep = classify_regularity(seed_polynomial(TrigDPT(1.0, 2.0), 2, 1))
         assert rep.klh_prediction is None
 
 
@@ -847,6 +850,37 @@ class TestCertify:
         assert [c.get("error") for c in cells] == ["QuadratureError: no rule"] * 2 + [None] * 2
         assert report["failures"] == [f"branch 2 m={m}: QuadratureError: no rule" for m in (0, 1)]
         assert report["status"] == "fail"
+
+    @pytest.mark.parametrize("family, branch, m, checks", [
+        (RadialOscillator(2.0, 1.0), 2, 1, {"gram", "spectra"}),
+        # a regular L3 Gram; branch 1 is exact-SUSY, so no spectra
+        (RadialOscillator(1.0, 1.0), 1, 2, {"gram"}),
+        (RadialOscillator(1.0, 0.2), 1, 1, set()),  # singular
+        (TrigDPT(1.5, 3.0), 2, 1, {"spectra"}),  # no Gram series
+    ], ids=["ro-branch-2", "ro-l3", "ro-singular", "dpt-branch-2"])
+    def test_cell_holds_the_public_functions_numbers(self, family, branch, m, checks):
+        # bit for bit: certify calls the public functions, with nothing between
+        (cell,) = certify(family, [branch], [m], **self.OPTIONS)["cells"]
+        d = seed_polynomial(family, branch, m)
+        reg = classify_regularity(d)
+        assert cell["regularity"] == reg.classification
+        assert cell["singular_points"] == list(reg.points)
+        assert cell.get("finding") == reg.finding
+        if "gram" in checks:
+            G, err = gram_matrix(family.exceptional_series[branch], m, family, 4)
+            assert cell["gram_offdiag_max"] == gram_offdiag_max(G)
+            assert cell["gram_quadrature_error"] == err
+        else:
+            assert cell["gram_offdiag_max"].startswith("skipped: ")
+        if "spectra" in checks:
+            grid = default_grid(family, k=4, m=m, n_points=None)
+            v_minus = partner_potentials(superpotential(family, branch))[0]
+            shift, deviation = isospectrality_report(
+                solve_bound_states(extend(d).V_tilde_minus, grid, 4),
+                solve_bound_states(v_minus, grid, 4))
+            assert cell["isospectrality"] == {"shift": shift, "deviation": deviation}
+        else:
+            assert cell["isospectrality"].startswith("skipped: ")
 
     @pytest.mark.parametrize("family, branches, ms, options", [
         (RadialOscillator(1.0, 1.0), [2, 5], [1], {}),
