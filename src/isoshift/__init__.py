@@ -65,6 +65,7 @@ from .spectral import (
     SpectralReport,
     certify,
     classify_regularity,
+    closed_form_spectrum,
     default_grid,
     isospectrality_report,
     qhj_residual,

@@ -163,7 +163,10 @@ class Family:
     A family supplies only its data: `name` (the CLI name), `domain`,
     its four Branch records (built once, by __post_init__; `branches()`
     lists them), the closed forms `potential()` and `superpotential(a, b)`,
-    `tau()` and the step `tau_step` it induces on a branch's (a, b),
+    `tau()` and the step `tau_step` it induces on a branch's (a, b), V's
+    lowest levels in closed form, `levels(k)`, and `endpoint_term`, whether
+    the FD error of those levels keeps an endpoint term (see
+    RadialOscillator.endpoint_term),
     `sign_reversed_branches` (deformed by the second process), the variable
     of its seeds and states: `variable(x, order)` -> (y, y', y'')[: order + 1],
     the degree-m seed of branch (a, b): `seed(a, b, m)` -> (spec, R), the
@@ -233,7 +236,8 @@ class RadialOscillator(Family):
             raise ConfigurationError(f"ell must be nonnegative, got {self.ell}")
         w, l = self.omega, self.ell
         # factorization energy E solves w^2 - w' = V - E; the constant
-        # w^2 - w' - V equals b(a - 1/2)
+        # w^2 - w' - V equals b(a - 1/2), so branch 1's E = omega (ell + 3/2)
+        # is V's ground level
         table = [
             (1, -(l + 1.0), +w, "exact"),
             (2, l, +w, "broken"),
@@ -265,6 +269,17 @@ class RadialOscillator(Family):
 
     def tau(self):
         return RadialOscillator(self.omega, self.ell + 1.0)
+
+    def levels(self, k):
+        """V's lowest k levels, omega (2n + ell + 3/2) for n = 0..k-1."""
+        return self.omega * (2.0 * np.arange(k) + self.ell + 1.5)
+
+    @property
+    def endpoint_term(self):
+        """Whether ell < 1/2: there a level's FD error on a uniform grid
+        from r = 0 has an h^(2 ell + 1) term, which falls more slowly than
+        h^2 and which the h^2 Richardson step does not remove."""
+        return self.ell < 0.5
 
     def seed(self, a, b, m):
         return pe.LaguerreSpec(int(m), a - 0.5, -1 if b > 0 else 1), 2.0 * m * b
@@ -344,8 +359,9 @@ class TrigDPT(Family):
                 f"A and B must exceed -1/2, got A={self.A}, B={self.B}"
             )
         A, B = self.A, self.B
-        # here w^2 - w' - V = -(a+b)^2 and the factorization energies are quoted
-        # as E = -(A+B)^2, -(1+A-B)^2, -(1-A+B)^2, -(2+A+B)^2
+        # factorization energy E solves w^2 - w' = V - E; the constant
+        # w^2 - w' - V equals -(a + b)^2, so E = (A+B)^2, (1+A-B)^2, (1-A+B)^2,
+        # (2+A+B)^2, the last V's ground level
         table = [
             (1, A, B, "exact"),
             (2, -A - 1.0, B, "broken"),
@@ -353,7 +369,7 @@ class TrigDPT(Family):
             (4, -A - 1.0, -B - 1.0, "exact"),
         ]
         object.__setattr__(self, "_branches", tuple(
-            Branch(k, a, b, -((a + b) ** 2), kind) for k, a, b, kind in table))
+            Branch(k, a, b, (a + b) ** 2, kind) for k, a, b, kind in table))
 
     @property
     def domain(self):
@@ -378,6 +394,16 @@ class TrigDPT(Family):
 
     def tau(self):
         return TrigDPT(self.A + 1.0, self.B + 1.0)
+
+    def levels(self, k):
+        """V's lowest k levels, (A + B + 2n + 2)^2 for n = 0..k-1."""
+        return (self.A + self.B + 2.0 * np.arange(k) + 2.0) ** 2
+
+    @property
+    def endpoint_term(self):
+        """Whether min(A, B) < 1/2: the FD error's endpoint terms are
+        h^(2A + 1) and h^(2B + 1) (see RadialOscillator.endpoint_term)."""
+        return min(self.A, self.B) < 0.5
 
     def seed(self, a, b, m):
         constant = abs(m + a + b) <= _SNAP_ULPS * np.spacing(m + abs(a) + abs(b))
@@ -409,9 +435,9 @@ class TrigDPT(Family):
         # level k - 1 of V- lies kappa^2 = (A + B + 2k)^2 - (A + B + 1)^2
         # = (2k - 1)(2A + 2B + 2k + 1) above its well floor, so nodes
         # pi / 2 / (109 kappa) apart resolve it at kappa h = 0.0144, at every
-        # m.  Where A or B < 1/2 the endpoint error term h^(2A + 1) falls
-        # more slowly than h^2, and the grid keeps 3000 nodes
-        if min(self.A, self.B) < 0.5:
+        # m.  Where the endpoint error term h^(2A + 1) or h^(2B + 1) falls
+        # more slowly than h^2 (endpoint_term), the grid keeps 3000 nodes
+        if self.endpoint_term:
             return 3000
         return math.ceil(109.0 * math.sqrt((2 * k - 1) * (2.0 * self.A + 2.0 * self.B + 2 * k + 1)))
 

@@ -26,9 +26,10 @@ full-precision bisection with inverse-iteration vectors, and the
 come from scipy's _flapack extension, loaded from its file at the solver's
 first call without scipy.linalg (see _lapack), so that importing the package
 loads no scipy and an FD solve only that one extension.
-Everything else in the module is a pointwise residual evaluator, a
-classifier built on the polynomial zero scan, or `certify`, which runs
-every invariant check of `isoshift certify` and returns its report.
+Everything else in the module is the closed-form spectrum of a branch's
+V-, a pointwise residual evaluator, a classifier built on the polynomial
+zero scan, or `certify`, which runs every invariant check of
+`isoshift certify` and returns its report.
 schrodinger_residual evaluates psi, psi'' and V over blocks of
 polyengine._BLOCK samples and carries only its two maxima across blocks,
 so its value is bitwise that of one pass.  Both residuals raise
@@ -69,6 +70,7 @@ __all__ = [
     "RegularityReport",
     "default_grid",
     "solve_bound_states",
+    "closed_form_spectrum",
     "isospectrality_report",
     "schrodinger_residual",
     "qhj_residual",
@@ -110,7 +112,9 @@ class SpectralReport:
 
     grid_convergence is |fine - coarse| / 3 per level: the Richardson
     estimate of the error of the fine grid's eigenvalue, not of the
-    extrapolated one in `eigenvalues`, which is usually far smaller.
+    extrapolated one in `eigenvalues`, which is usually far smaller.  A
+    closed-form report (closed_form_spectrum) has every decay flag True and
+    grid_convergence 0.
     """
 
     eigenvalues: tuple
@@ -436,6 +440,24 @@ def solve_bound_states(V: Function1D, grid: Grid, k: int) -> SpectralReport:
     )
 
 
+def closed_form_spectrum(family, branch, k) -> Optional[SpectralReport]:
+    """The lowest k levels of branch's V- = w^2 - w' = V - E in closed form,
+    family.levels(k) - E with E the branch's factorization energy, as a
+    SpectralReport; None where family.endpoint_term, where FD levels carry
+    an error the closed form does not, so that only another FD spectrum is
+    a fair reference.  branch is a Branch of family or its index, and k
+    (>= 1) a checked integer.
+    """
+    branch = get_branch(family, branch)
+    if check_index(k, "k") < 1:
+        raise ConfigurationError(f"k must be at least 1, got {k}")
+    if family.endpoint_term:
+        return None
+    levels = family.levels(k) - branch.factorization_energy
+    return SpectralReport(eigenvalues=tuple(float(e) for e in levels),
+                          boundary_decay_ok=(True,) * k, grid_convergence=(0.0,) * k)
+
+
 def isospectrality_report(report_a: SpectralReport, report_b: SpectralReport):
     """(shift, max per-level deviation) between two solver reports' levels.
 
@@ -563,6 +585,10 @@ def certify(family, branches, ms, *, nmax, grid_points, skip_gram, skip_spectral
     """The report of `isoshift certify`: every (branch, m) cell, branch by
     branch, and the W0 check at each m > 0.
 
+    A regular broken-SUSY cell checks V~-'s FD levels against V-'s
+    closed-form levels shifted by R, or where Family.endpoint_term against
+    V-'s FD levels, solved once per branch and grid (see _certify_cell).
+
     It holds family (its name), params, cells, w0, failures (one "branch k
     m=m: <check> <value>" per gate missed; values may be NaN or inf) and
     status, "pass" or "fail".  A cell that raises an IsoshiftError is
@@ -594,7 +620,9 @@ def certify(family, branches, ms, *, nmax, grid_points, skip_gram, skip_spectral
 
     @functools.cache
     def v_minus_spectrum(k, grid):
-        # the lowest four FD levels of branch k's V-, which no m changes
+        # the lowest four FD levels of branch k's V-, which no m changes: V~-
+        # of the identity deformation, and the reference where V-'s closed
+        # form is not one
         return solve_bound_states(partner_potentials(superpotential(family, k))[0], grid, 4)
 
     for k in branches:
@@ -626,7 +654,14 @@ def _certify_cell(family, k, m, extension, v_minus_spectrum,
     """All invariant checks for one (branch, m); returns (record, failures).
 
     extension(k, m) and v_minus_spectrum(k, grid) are the run's caches of
-    branch k's (Deformation, ExtensionPair) and of its V-'s lowest 4 levels.
+    branch k's (Deformation, ExtensionPair) and of its V-'s lowest 4 FD
+    levels.  On a regular broken-SUSY cell, V~-'s lowest 4 FD levels (V-'s
+    for the identity deformation, where V~- is V- bit for bit) are compared
+    by isospectrality_report with V-'s closed-form levels
+    (closed_form_spectrum), and the deviation and |shift - R| are gated;
+    where the family's FD error keeps an endpoint term, with V-'s FD levels
+    on the same grid instead, and only the deviation is gated, as the error
+    partly cancels between the two solves.
     """
     t0 = time.perf_counter()
     failures = []
@@ -665,9 +700,16 @@ def _certify_cell(family, k, m, extension, v_minus_spectrum,
             tilde = v_minus_spectrum(k, gridspec)
         else:
             tilde = solve_bound_states(pair.V_tilde_minus, gridspec, 4)
-        shift, deviation = isospectrality_report(tilde, v_minus_spectrum(k, gridspec))
-        record["isospectrality"] = {"shift": shift, "deviation": deviation}
+        reference = closed_form_spectrum(family, k, 4)
+        closed = reference is not None
+        if not closed:
+            reference = v_minus_spectrum(k, gridspec)
+        shift, deviation = isospectrality_report(tilde, reference)
+        record["isospectrality"] = {"shift": shift, "deviation": deviation,
+                                    "reference": "closed form" if closed else "finite difference"}
         _gate(failures, f"{cell} isospectral deviation", deviation, _ISOSPECTRAL_GATE)
+        if closed:
+            _gate(failures, f"{cell} isospectral shift error", abs(shift - d.R), _ISOSPECTRAL_GATE)
     else:
         record["isospectrality"] = "skipped: " + (
             "singular extension" if not reg.is_regular else

@@ -47,6 +47,8 @@ def _certify_runs():
         DPT + ["--A", "1.43", "--B", "1.43", "--branches", "2", "3", "--m", "1"],
         DPT + ["--A", "30", "--B", "30", "--branches", "2", "3", "--m", "0", "1", "2"],
         DPT + ["--A", "0.3", "--B", "2", "--branches", "2", "3", "--m", "0", "1", "2"],
+        RO + ["--omega", "2", "--ell", "0.3", "--branches", "2", "3", "--m", "0", "1", "2"],
+        DPT + ["--A", "0.5", "--B", "0.5", "--branches", "2", "3", "--m", "0", "1"],
     ]
     # the command-line runs of the CI workflow
     runs += [

@@ -103,13 +103,21 @@ class TestBranches:
     def test_dpt_factorization_energies(self, dpt):
         A, B = dpt.A, dpt.B
         want = [
-            -((A + B) ** 2),
-            -((1 + A - B) ** 2),
-            -((1 - A + B) ** 2),
-            -((2 + A + B) ** 2),
+            (A + B) ** 2,
+            (1 + A - B) ** 2,
+            (1 - A + B) ** 2,
+            (2 + A + B) ** 2,
         ]
         got = [b.factorization_energy for b in branches(dpt)]
         assert got == pytest.approx(want)
+
+    def test_ground_state_branch_has_the_ground_level(self, ro, dpt):
+        # both tables use w^2 - w' = V - E, so the exact-SUSY branch with
+        # w = -psi0'/psi0 of V's ground state psi0 has E = V's lowest level
+        assert get_branch(ro, 1).factorization_energy == pytest.approx(ro.omega * (ro.ell + 1.5))
+        assert get_branch(dpt, 4).factorization_energy == pytest.approx((dpt.A + dpt.B + 2) ** 2)
+        assert get_branch(ro, 1).factorization_energy == pytest.approx(ro.levels(1)[0])
+        assert get_branch(dpt, 4).factorization_energy == pytest.approx(dpt.levels(1)[0])
 
     def test_qhj_constant_is_negative_factorization_energy_ro(self, ro):
         # w^2 - w' - V constant over the domain, equal to -E
@@ -143,7 +151,7 @@ class TestBranches:
             w = superpotential(dpt, b)
             const = w.f(x) ** 2 - w.df(x) - V
             assert np.ptp(const) <= 1e-10 * max(1.0, np.max(np.abs(const)))
-            assert const[0] == pytest.approx(b.factorization_energy, rel=1e-10)
+            assert const[0] == pytest.approx(-b.factorization_energy, rel=1e-10)
 
     def test_invalid_branch_index(self, ro):
         with pytest.raises(ConfigurationError):

@@ -381,13 +381,14 @@ class TestCertify:
         assert len(report["failures"]) == 1
 
     @pytest.mark.parametrize("argv, solves, extensions", [
-        # 9 cells; 6 solve two spectra, and V- of a branch once for all m
-        (["certify", "--family", "radial_oscillator"], 11, 9),
-        # branch 1 solves V- once for all m; at A = B the m = 1 seeds of
-        # branches 2 and 3 have degree 0, so their V~- is V- and not solved
+        # 9 cells; the 6 broken-SUSY ones solve V~- (V- at m = 0) alone and
+        # check it against V-'s closed-form levels
+        (["certify", "--family", "radial_oscillator"], 6, 9),
+        # the m = 0 cells solve V-; at A = B the m = 1 seeds of branches 2
+        # and 3 have degree 0, so their V~- is V-, taken from the run's cache
         (["certify", "--family", "trig_dpt"], 4, 9),
         # W0 reuses branch 2's extension and builds branch 3's
-        (["certify", "--branches", "2", "--m", "1"], 2, 2),
+        (["certify", "--branches", "2", "--m", "1"], 1, 2),
     ], ids=["radial_oscillator", "trig_dpt", "branch-2-m-1"])
     def test_each_input_is_built_once(self, monkeypatch, capsys, argv, solves, extensions):
         from isoshift import deform, spectral
@@ -413,8 +414,9 @@ class TestCertify:
 
     def test_near_zero_dpt_seed_solves_no_v_tilde(self, monkeypatch, capsys):
         # at A = B = 1.43, m + a + b on branches 2 and 3 at m = 1 is 0 only
-        # to rounding; the seeds still have degree 0, so each cell reuses
-        # V-'s spectrum and only the two V- spectra are solved
+        # to rounding; the seeds still have degree 0, so each cell's V~- is
+        # V-'s FD spectrum, only the two V- spectra are solved, and each
+        # lies within 1e-8 of V-'s closed-form levels shifted by R = 0
         from isoshift import spectral
 
         solved = []
@@ -431,7 +433,9 @@ class TestCertify:
         assert len(solved) == 2
         for cell in cells:
             assert cell["riccati_residual"] == cell["partner_shift_deviation"] == 0.0
-            assert cell["isospectrality"] == {"shift": 0.0, "deviation": 0.0}
+            iso = cell["isospectrality"]
+            assert iso["reference"] == "closed form"
+            assert abs(iso["shift"]) <= 1e-8 and iso["deviation"] <= 1e-8
             assert math.copysign(1.0, cell["shift"]) == 1.0 and cell["shift"] == 0.0
 
     def test_out_file_holds_the_printed_report(self, tmp_path, capsys):
@@ -477,7 +481,12 @@ class TestCertify:
         assert cell["regularity"] == "regular"
         assert cell["isospectrality"]["deviation"] <= 1e-6
 
-    @pytest.mark.parametrize("family", ["radial_oscillator", "trig_dpt"])
+    # families whose FD error keeps an endpoint term, where every broken-SUSY
+    # cell's reference is V-'s FD spectrum from the run's cache
+    @pytest.mark.parametrize("family", [
+        ["--family", "radial_oscillator", "--omega", "1", "--ell", "0.3"],
+        ["--family", "trig_dpt", "--A", "0.3", "--B", "2"],
+    ], ids=["radial_oscillator", "trig_dpt"])
     def test_run_caches_change_no_byte(self, monkeypatch, capsys, family):
         import types
 
@@ -492,9 +501,11 @@ class TestCertify:
 
         def run():
             solves.clear()
-            assert main(["certify", "--family", family]) == 0
+            assert main(["certify", *family]) == 0
             # every byte but the timings
-            return len(solves), re.sub(r'"wall_time_s": [^,\n]*', "", capsys.readouterr().out)
+            out = capsys.readouterr().out
+            assert '"reference": "finite difference"' in out
+            return len(solves), re.sub(r'"wall_time_s": [^,\n]*', "", out)
 
         monkeypatch.setattr(spectral, "solve_bound_states", counting_solve)
         cached = run()

@@ -1,5 +1,6 @@
 """Bound-state solver, residual evaluators, and the regularity classifier."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -31,6 +32,7 @@ from isoshift.spectral import (
     Grid,
     certify,
     classify_regularity,
+    closed_form_spectrum,
     default_grid,
     isospectrality_report,
     qhj_residual,
@@ -621,6 +623,47 @@ class TestLapackLoader:
         assert _fresh_interpreter(probe).split() == ["scipy.linalg._flapack", "True"]
 
 
+class TestClosedFormSpectrum:
+    @pytest.mark.parametrize("family", [
+        RadialOscillator(2.0, 1.0), RadialOscillator(0.5, 12.0),
+        TrigDPT(1.5, 3.0), TrigDPT(30.0, 30.0),
+    ], ids=repr)
+    def test_levels_match_the_fd_solver(self, family):
+        # V-'s closed-form levels, V's less the factorization energy, on all
+        # four branches, against FD solves on 8000 points
+        grid = default_grid(family, k=4, n_points=8000)
+        for branch in (1, 2, 3, 4):
+            closed = closed_form_spectrum(family, branch, 4)
+            assert closed.boundary_decay_ok == (True,) * 4
+            assert closed.grid_convergence == (0.0,) * 4
+            levels = np.array(closed.eigenvalues)
+            v_minus = partner_potentials(superpotential(family, branch))[0]
+            fd = np.array(solve_bound_states(v_minus, grid, 4).eigenvalues)
+            # exact-SUSY branches put a level at 0
+            assert np.max(np.abs(fd - levels) / np.maximum(1.0, np.abs(levels))) <= 1e-7
+
+    below = float(np.nextafter(0.5, 0.0))
+
+    @pytest.mark.parametrize("family, closed", [
+        (RadialOscillator(1.0, 0.5), True),
+        (RadialOscillator(1.0, below), False),
+        (RadialOscillator(1.0, 0.0), False),
+        (TrigDPT(0.5, 0.5), True),
+        (TrigDPT(below, 3.0), False),
+        (TrigDPT(3.0, below), False),
+        (TrigDPT(-0.3, 0.2), False),
+    ], ids=repr)
+    def test_none_exactly_where_the_endpoint_term_applies(self, family, closed):
+        assert family.endpoint_term is not closed
+        for branch in (1, 2, 3, 4):
+            assert (closed_form_spectrum(family, branch, 4) is not None) is closed
+
+    @pytest.mark.parametrize("branch, k", [(0, 4), (5, 4), (2, 0), (2, 2.5)])
+    def test_bad_branch_or_k(self, branch, k):
+        with pytest.raises(ConfigurationError):
+            closed_form_spectrum(TrigDPT(1.5, 3.0), branch, k)
+
+
 class TestIsospectrality:
     def test_identical_potentials(self):
         fam = RadialOscillator(1.0, 1.0)
@@ -857,7 +900,11 @@ class TestCertify:
         (RadialOscillator(1.0, 1.0), 1, 2, {"gram"}),
         (RadialOscillator(1.0, 0.2), 1, 1, set()),  # singular
         (TrigDPT(1.5, 3.0), 2, 1, {"spectra"}),  # no Gram series
-    ], ids=["ro-branch-2", "ro-l3", "ro-singular", "dpt-branch-2"])
+        # ell, A < 1/2: the reference is V-'s FD spectrum, not its closed form
+        (RadialOscillator(2.0, 0.3), 2, 1, {"gram", "spectra"}),
+        (TrigDPT(0.3, 2.0), 3, 1, {"spectra"}),
+    ], ids=["ro-branch-2", "ro-l3", "ro-singular", "dpt-branch-2", "ro-endpoint-term",
+            "dpt-endpoint-term"])
     def test_cell_holds_the_public_functions_numbers(self, family, branch, m, checks):
         # bit for bit: certify calls the public functions, with nothing between
         (cell,) = certify(family, [branch], [m], **self.OPTIONS)["cells"]
@@ -874,13 +921,39 @@ class TestCertify:
             assert cell["gram_offdiag_max"].startswith("skipped: ")
         if "spectra" in checks:
             grid = default_grid(family, k=4, m=m, n_points=None)
-            v_minus = partner_potentials(superpotential(family, branch))[0]
+            reference = closed_form_spectrum(family, branch, 4)
+            name = "closed form"
+            if family.endpoint_term:
+                v_minus = partner_potentials(superpotential(family, branch))[0]
+                reference, name = solve_bound_states(v_minus, grid, 4), "finite difference"
             shift, deviation = isospectrality_report(
-                solve_bound_states(extend(d).V_tilde_minus, grid, 4),
-                solve_bound_states(v_minus, grid, 4))
-            assert cell["isospectrality"] == {"shift": shift, "deviation": deviation}
+                solve_bound_states(extend(d).V_tilde_minus, grid, 4), reference)
+            assert cell["isospectrality"] == {"shift": shift, "deviation": deviation,
+                                              "reference": name}
         else:
             assert cell["isospectrality"].startswith("skipped: ")
+
+    def test_wrong_constant_fails_the_shift_gate(self, monkeypatch):
+        # V~- moved by 0.01 keeps its levels' spread, so only the gate on
+        # |shift - R| against V-'s closed-form levels sees it
+        real_extend = deform.extend
+
+        def shifted_extend(d):
+            pair = real_extend(d)
+            V = pair.V_tilde_minus
+
+            def jet(x, order):
+                rows = V.jet(x, order)
+                return (rows[0] + 0.01, *rows[1:])
+
+            moved = Function1D(jet, V.domain, V.singular_points, V.order)
+            return dataclasses.replace(pair, V_tilde_minus=moved)
+
+        monkeypatch.setattr(deform, "extend", shifted_extend)
+        report = certify(TrigDPT(1.5, 3.0), [2], [1], **self.OPTIONS)
+        assert report["failures"] == ["branch 2 m=1: isospectral shift error 1.000e-02"]
+        assert report["cells"][0]["isospectrality"]["deviation"] <= 1e-9
+        assert report["status"] == "fail"
 
     @pytest.mark.parametrize("family, branches, ms, options", [
         (RadialOscillator(1.0, 1.0), [2, 5], [1], {}),
